@@ -22,7 +22,8 @@ from .errors import (ControllabilityError, DefectiveSpectrumError,
                      NoEligibleEigenvalueError, NotAnEigenvalueError,
                      RepairFailureError)
 from .model import FeedbackGain, IntegratorNetwork, assemble
-from .spectrum import SpectralData, decompose, match_eigenvalue
+from .spectrum import (SpectralData, decompose, match_eigenvalue,
+                       multiset_error, numerical_rank, rank_cutoff)
 
 _EPS = np.finfo(float).eps
 
@@ -102,37 +103,48 @@ class BlockingDesign:
         return self.gain.matrix
 
 
-def _rank(M: np.ndarray, rtol: float | None) -> int:
-    if M.size == 0:
-        return 0
-    sv = la.svdvals(M)
-    if sv[0] == 0.0:
-        return 0
-    cutoff = (max(M.shape) * _EPS if rtol is None else rtol) * sv[0]
-    return int((sv > cutoff).sum())
-
-
 def _null_basis(M: np.ndarray, rtol: float | None) -> np.ndarray:
     """Orthonormal null-space basis; canonical basis for a zero matrix."""
     rows, cols = M.shape
     if rows == 0 or not np.abs(M).max() > 0.0:
         return np.eye(cols, dtype=complex)
     U, sv, Vh = la.svd(M, full_matrices=True)
-    cutoff = (max(M.shape) * _EPS if rtol is None else rtol) * sv[0]
-    r = int((sv > cutoff).sum())
+    r = int((sv > rank_cutoff(sv[0], M.shape, rtol)).sum())
     return Vh[r:, :].conj().T
 
 
-def check_controllability(A, B, eigenvalues, tol: Tolerances) -> None:
-    """PBH test at every distinct eigenvalue; raises on rank deficiency."""
-    d = A.shape[0]
+def companion_pencil(network: IntegratorNetwork, lam) -> np.ndarray:
+    """The n x (n+q) matrix [P(lambda), Bhat] of the companion form.
+
+    P(lambda) = lambda^N I + sum_k lambda^k L_k. Eliminating the identity
+    blocks of A gives rank [A - lambda I, B] = (N-1) n + rank [P(lambda), Bhat],
+    so the PBH test at lambda can run on this matrix instead of the
+    d x (d+q) one. The matrix is real for a real lambda.
+    """
+    s = lam.real if lam.imag == 0.0 else lam
+    P = np.eye(network.n)
+    for L in reversed(network.laplacians):     # Horner in lambda
+        P = s * P + L
+    return np.hstack([P, network.input_matrix_block()])
+
+
+def check_controllability(network: IntegratorNetwork, eigenvalues,
+                          tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+    """PBH test at every distinct eigenvalue; raises on rank deficiency.
+
+    Runs on the companion pencil (see companion_pencil): rank deficient
+    when its smallest singular value is at most tol.rank_decision times
+    its largest. Conjugate eigenvalues share a verdict, so each conjugate
+    class is checked once, at its first member in the given order.
+    """
+    n = network.n
     seen = []
     for lam in eigenvalues:
-        if any(abs(lam - s) <= tol.lambda_match * max(1.0, abs(s)) for s in seen):
+        up = complex(lam.real, abs(lam.imag))  # one point per conjugate class
+        if any(abs(up - s) <= tol.lambda_match * max(1.0, abs(s)) for s in seen):
             continue
-        seen.append(lam)
-        M = np.hstack([A - lam * np.eye(d), B])
-        if _rank(M, tol.rank_decision) < d:
+        seen.append(up)
+        if numerical_rank(companion_pencil(network, lam), tol.rank_decision) < n:
             raise ControllabilityError(
                 f"(A, B) uncontrollable at eigenvalue {lam:.6g}")
 
@@ -284,7 +296,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                     continue
                 trial = V.copy()
                 trial[:, partner] = cand / nn
-                if _rank(trial, tol.independence) == d:
+                if numerical_rank(trial, tol.independence) == d:
                     V[:, partner] = cand / nn
                     Z[:, partner] = bundle.n2 @ h2 / nn
                     pairing[p] = p
@@ -295,12 +307,13 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                 raise RepairFailureError(
                     "no independent second direction for the snapped defective "
                     f"pair at {lam_p:.6g} (structural for weight-balanced graphs "
-                    "at lambda = 0)", rank_gap=d - _rank(V, tol.independence))
+                    "at lambda = 0)",
+                    rank_gap=d - numerical_rank(V, tol.independence))
 
     preserved: list = []
     repaired: list = []
     # Step 5: does the plain swap keep a basis?
-    if _rank(V, tol.independence) == d:
+    if numerical_rank(V, tol.independence) == d:
         preserved = [i for i in range(d) if i not in replaced]
     else:
         # Steps 7-9: greedy self-conjugate independent subset, candidates first
@@ -308,7 +321,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
         M = V[:, kept]
         for unit in _greedy_units(sd, replaced):
             trial = np.hstack([M, V[:, list(unit)]])
-            if _rank(trial, tol.independence) == len(kept) + len(unit):
+            if numerical_rank(trial, tol.independence) == len(kept) + len(unit):
                 kept.extend(unit)
                 M = trial
             else:
@@ -335,7 +348,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                 if len(unit) == 2:
                     cols.append(cols[0].conj())
                 trial = np.hstack([M] + [c[:, None] for c in cols])
-                if _rank(trial, tol.independence) == len(kept) + len(unit):
+                if numerical_rank(trial, tol.independence) == len(kept) + len(unit):
                     M = trial
                     kept.extend(unit)
                     V[:, unit[0]] = cols[0]
@@ -348,7 +361,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
             if not ok:
                 raise RepairFailureError(
                     f"independence repair failed at eigenvalue {lam_k:.6g}",
-                    rank_gap=d - _rank(M, tol.independence))
+                    rank_gap=d - numerical_rank(M, tol.independence))
 
     F_raw, cond_V = _real_gain(V, Z, pairing, tol)
     realness = float(np.abs(F_raw.imag).max()) if np.iscomplexobj(F_raw) else 0.0
@@ -368,7 +381,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                                      - sd.eigenvalues[i] * sd.modal_matrix[:, i]) / scale)
                 for i in preserved]
     lam_cl = la.eigvals(A_cl)
-    spec_err = _multiset_error(sd.raw_eigenvalues, lam_cl)
+    spec_err = multiset_error(sd.raw_eigenvalues, lam_cl)
     zero_pat = _zero_pattern(v_hat, measured_nodes, network.n, network.order)
 
     residuals = {
@@ -463,13 +476,6 @@ def _real_gain(V, Z, pairing, tol: Tolerances):
     F = la.solve(Vr.T, Zr.T).T
     F -= la.solve(Vr.T, (F @ Vr - Zr).T).T       # one refinement step
     return F, cond
-
-
-def _multiset_error(lam_a, lam_b) -> float:
-    key = lambda z: (z.real, z.imag)
-    a = np.array(sorted(np.asarray(lam_a, complex), key=key))
-    b = np.array(sorted(np.asarray(lam_b, complex), key=key))
-    return float(np.abs(a - b).max()) if a.size else 0.0
 
 
 def _zero_pattern(v_hat, measured_nodes, n, order) -> float:
@@ -576,7 +582,7 @@ def design_blocking(network: IntegratorNetwork,
             raise InsufficientActuationError(msg)
         warnings.append(msg)
 
-    check_controllability(A, B, sd.eigenvalues, tol)
+    check_controllability(network, sd.eigenvalues, tol)
 
     p = select_lambda(sd, options, eligible=eligible)
     lam_p = sd.eigenvalues[p]

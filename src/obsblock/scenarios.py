@@ -61,12 +61,11 @@ def fig2_din(seed: int = 0, order: int = 2,
 
         graph = _undirected_graph(11, FIG2_UNDIRECTED_EDGES, draw, order)
         net = IntegratorNetwork.from_graph(graph, act, FIG2_MEASUREMENT)
-        A, B, _ = assemble(net)
-        sd = decompose(A, tol)
+        sd = decompose(assemble(net)[0], tol)
         if order == 2 and not sd.all_real():
             continue
         try:
-            check_controllability(A, B, sd.eigenvalues, tol)
+            check_controllability(net, sd.eigenvalues, tol)
         except ControllabilityError:
             continue
         return net

@@ -3,7 +3,9 @@
 The modal data is canonicalized so downstream modal replacement is
 deterministic: eigenvalues sorted by (real, imag), near-real values
 snapped, columns phase-fixed, and the column set made exactly
-self-conjugate by construction.
+self-conjugate by construction. The numerical-rank and eigenvalue
+multiset primitives shared by the designer and the verifier live here
+too, so both sides decide with the same rule.
 """
 
 from __future__ import annotations
@@ -14,6 +16,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .config import Tolerances, DEFAULT_TOLERANCES
+
+_EPS = np.finfo(float).eps
 
 
 @dataclass
@@ -32,7 +36,6 @@ class SpectralData:
     defective: np.ndarray
     clusters: list
     matrix_norm: float
-    condition_number: float
 
     @property
     def dim(self) -> int:
@@ -126,10 +129,36 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
             V[:, j] = V[:, i].conj()
 
     defective, clusters = _flag_defective(A, lam, tol)
-    cond = np.linalg.cond(V) if d else 1.0
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
                         pairing=pairing, defective=defective, clusters=clusters,
-                        matrix_norm=nrm, condition_number=float(cond))
+                        matrix_norm=nrm)
+
+
+def rank_cutoff(sv_max: float, shape, rtol: float | None) -> float:
+    """Singular values above this count toward the numerical rank.
+
+    rtol is relative to the largest singular value; None means
+    max(shape) * machine-eps (the rank-revealing default).
+    """
+    return (max(shape) * _EPS if rtol is None else rtol) * sv_max
+
+
+def numerical_rank(M: np.ndarray, rtol: float | None = None) -> int:
+    """Number of singular values of M above rank_cutoff; 0 for an empty
+    or zero matrix."""
+    if M.size == 0:
+        return 0
+    sv = la.svdvals(M)
+    return int((sv > rank_cutoff(sv[0], M.shape, rtol)).sum())
+
+
+def multiset_error(lam_a, lam_b) -> float:
+    """Largest deviation between two eigenvalue lists matched after
+    sorting by (real, imag)."""
+    key = lambda z: (z.real, z.imag)
+    a = np.array(sorted(np.asarray(lam_a, complex), key=key))
+    b = np.array(sorted(np.asarray(lam_b, complex), key=key))
+    return float(np.abs(a - b).max()) if a.size else 0.0
 
 
 def _flag_defective(A, lam, tol):
@@ -157,9 +186,9 @@ def _flag_defective(A, lam, tol):
         center = np.mean([lam[i] for i in cluster])
         M = A - center * np.eye(d)
         sv = la.svdvals(M)
-        cutoff = max(M.shape) * np.finfo(float).eps * sv[0] if sv[0] > 0 else 0.0
         # defectiveness gap sits well above roundoff; use a safety factor
-        geo = d - int((sv > max(cutoff, 1e3 * np.finfo(float).eps * sv[0])).sum())
+        cutoff = max(rank_cutoff(sv[0], M.shape, None), 1e3 * _EPS * sv[0])
+        geo = d - int((sv > cutoff).sum())
         if geo < alg:
             for i in cluster:
                 flags[i] = True

@@ -12,11 +12,9 @@ import numpy as np
 import scipy.linalg as la
 
 from .config import DEFAULT_TOLERANCES, Tolerances
-from .designer import BlockingDesign, _multiset_error
+from .designer import BlockingDesign
 from .model import assemble, closed_loop
-from .spectrum import SpectralData
-
-_EPS = np.finfo(float).eps
+from .spectrum import SpectralData, multiset_error, numerical_rank
 
 
 @dataclass
@@ -36,13 +34,6 @@ class VerificationReport:
     reasons: list = field(default_factory=list)
 
 
-def _numerical_rank(M: np.ndarray, rtol: float) -> int:
-    if M.size == 0:
-        return 0
-    sv = la.svdvals(M)
-    return int((sv > rtol * sv[0]).sum()) if sv[0] > 0 else 0
-
-
 def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam,
              tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Rank of [A_cl - lambda I; C]; below the state dimension means
@@ -50,7 +41,7 @@ def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam,
     A_cl = np.asarray(A_cl)
     d = A_cl.shape[0]
     M = np.vstack([A_cl - complex(lam) * np.eye(d), np.asarray(C, dtype=complex)])
-    return _numerical_rank(M, tol.rank_decision)
+    return numerical_rank(M, tol.rank_decision)
 
 
 def observability_rank(A_cl: np.ndarray, C: np.ndarray,
@@ -72,7 +63,7 @@ def observability_rank(A_cl: np.ndarray, C: np.ndarray,
         blocks.append(Ck / peak)
         Ck = blocks[-1] @ A_cl
     M = np.vstack(blocks) if blocks else np.zeros((0, d))
-    return _numerical_rank(M, tol.rank_decision)
+    return numerical_rank(M, tol.rank_decision)
 
 
 def preservation_audit(sd_open: SpectralData, design: BlockingDesign,
@@ -88,7 +79,7 @@ def preservation_audit(sd_open: SpectralData, design: BlockingDesign,
         A, B, _ = assemble(design.network)
         A_cl = closed_loop(A, B, design.F)
     lam_cl = la.eigvals(A_cl)
-    err = _multiset_error(sd_open.raw_eigenvalues, lam_cl)
+    err = multiset_error(sd_open.raw_eigenvalues, lam_cl)
     scale = max(1.0, sd_open.matrix_norm)
     residuals = []
     for i in design.preserved:

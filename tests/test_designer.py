@@ -1,19 +1,24 @@
 from __future__ import annotations
 
+import hashlib
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
-from obsblock.config import (DesignOptions, Tolerances,
+from obsblock.config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
                              VARIANT_DERIVATIVE)
-from obsblock.designer import (NullspaceBundle, build_candidate, design_blocking,
-                               nullspace_bundle, select_hp, select_lambda)
+from obsblock.designer import (NullspaceBundle, build_candidate,
+                               check_controllability, companion_pencil,
+                               design_blocking, nullspace_bundle, select_hp,
+                               select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
                              InvalidInputError, NotAnEigenvalueError)
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.graph import WeightedDigraph
-from obsblock.scenarios import generic_network, random_network
-from obsblock.spectrum import decompose
+from obsblock.scenarios import fig2_din, generic_network, random_network
+from obsblock.spectrum import decompose, numerical_rank
 from obsblock.verify import pbh_test
 
 
@@ -302,3 +307,140 @@ class TestUntargetedModesKeepRank:
         for i in design.preserved:
             lam = sd.eigenvalues[i]
             assert pbh_test(A, C, lam) == pbh_test(A_cl, C, lam) == d
+
+
+def full_pencil_uncontrollable(network, eigenvalues, tol=DEFAULT_TOLERANCES):
+    """Reference PBH loop on the d x (d+q) state pencil [A - lambda I, B].
+
+    Returns the first eigenvalue (in the given order, distinct up to
+    tol.lambda_match) at which the pencil is rank deficient, or None.
+    """
+    A, B, _ = assemble(network)
+    d = A.shape[0]
+    seen = []
+    for lam in eigenvalues:
+        if any(abs(lam - s) <= tol.lambda_match * max(1.0, abs(s)) for s in seen):
+            continue
+        seen.append(lam)
+        sv = la.svdvals(np.hstack([A - lam * np.eye(d), B]))
+        if sv[d - 1] <= tol.rank_decision * sv[0]:
+            return lam
+    return None
+
+
+def star_network(weights):
+    """Actuated centre 1 and two identical leaves 2, 3: the antisymmetric
+    leaf mode never sees the actuator."""
+    ws = tuple(weights)
+    edges = tuple((u, v, ws) for (u, v) in ((1, 2), (2, 1), (1, 3), (3, 1)))
+    return IntegratorNetwork.from_graph(WeightedDigraph(n=3, edges=edges), (1,), ())
+
+
+def undamped_star():
+    """The order-2 star without velocity coupling: every eigenvalue has
+    (numerically) zero real part, the uncontrollable pair sits at +-1j."""
+    star = star_network((1.0, 1.0))
+    return IntegratorNetwork(order=2, graph=star.graph, actuation=(1,),
+                             measurement=(),
+                             laplacians=(star.laplacians[0], np.zeros((3, 3))))
+
+
+def decoupled_zero_nodes():
+    return IntegratorNetwork(order=2, graph=WeightedDigraph(n=2), actuation=(1,),
+                             measurement=(), laplacians=(np.zeros((2, 2)),) * 2)
+
+
+UNCONTROLLABLE = {
+    "star order 2": lambda: star_network((1.0, 1.0)),
+    "star order 3": lambda: star_network((1.0, 2.0, 3.0)),
+    "undamped star": undamped_star,
+    "decoupled zero nodes": decoupled_zero_nodes,
+}
+
+
+def _agreement_network(family, seed):
+    n, order = 5 + seed % 5, 2 + seed % 3
+    if family == "generic":
+        return generic_network(n, order, seed=seed, m=1, q=3)
+    undirected = family == "undirected"
+    return random_network(n, order, density=0.4, seed=seed, m=1, q=3,
+                          overdamped=undirected, undirected=undirected)
+
+
+class TestCheckControllability:
+    @pytest.mark.parametrize("case", sorted(UNCONTROLLABLE))
+    def test_rejects_with_reference_eigenvalue(self, case):
+        net = UNCONTROLLABLE[case]()
+        eigs = decompose(assemble(net)[0]).eigenvalues
+        expected = full_pencil_uncontrollable(net, eigs)
+        assert expected is not None
+        with pytest.raises(ControllabilityError,
+                           match=re.escape(f"eigenvalue {expected:.6g}")):
+            check_controllability(net, eigs)
+
+    def test_star_order2_names_first_member_of_pair(self):
+        # antisymmetric leaf mode: lambda^2 + lambda + 1 = 0; the pair is
+        # checked once, at the member the sorted walk reaches first
+        net = star_network((1.0, 1.0))
+        with pytest.raises(ControllabilityError, match=re.escape("-0.5-0.866025j")):
+            check_controllability(net, decompose(assemble(net)[0]).eigenvalues)
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 2.0, 3.0)])
+    def test_rank_identity_at_uncontrollable_mode(self, weights):
+        # rank [A - lambda I, B] = (N-1) n + rank [P(lambda), Bhat]
+        net = star_network(weights)
+        A, B, _ = assemble(net)
+        lam = full_pencil_uncontrollable(net, decompose(A).eigenvalues)
+        d, n = A.shape[0], net.n
+        full = numerical_rank(np.hstack([A - lam * np.eye(d), B]), 1e-12)
+        reduced = numerical_rank(companion_pencil(net, lam), 1e-12)
+        assert (full, reduced) == (d - 1, n - 1)
+
+    def test_real_eigenvalue_pencil_is_real(self):
+        net = random_network(6, 3, seed=2, m=1, q=3)
+        assert companion_pencil(net, complex(-0.7, 0.0)).dtype == np.float64
+        assert np.iscomplexobj(companion_pencil(net, complex(-0.7, 0.3)))
+
+    @pytest.mark.parametrize("family", ["directed", "undirected", "generic"])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_agrees_with_full_pencil(self, family, seed):
+        net = _agreement_network(family, seed)
+        eigs = decompose(assemble(net)[0]).eigenvalues
+        expected = full_pencil_uncontrollable(net, eigs)
+        if expected is not None:
+            with pytest.raises(ControllabilityError,
+                               match=re.escape(f"eigenvalue {expected:.6g}")):
+                check_controllability(net, eigs)
+            return
+        check_controllability(net, eigs)
+        # controllable verdicts sit well clear of the cutoff
+        rtol = DEFAULT_TOLERANCES.rank_decision
+        for lam in eigs:
+            sv = la.svdvals(companion_pencil(net, lam))
+            assert sv[net.n - 1] / (rtol * sv[0]) > 10.0, lam
+
+
+# sha256 of the fig2_din edge weights (float.hex) per (seed, order), taken
+# before the controllability check moved to the companion pencil; the
+# generator redraws on ControllabilityError, so a verdict change shows here
+FIG2_WEIGHT_DIGESTS = {
+    (0, 2): "530e74e69edaa068b716d5aa571a4be7dcb353c6c1d8c3ad150824aa2f2e62b8",
+    (1, 2): "5474bc41486f457daae4702d2b536c640d3950cfe95db43634e66d7947690b24",
+    (2, 2): "efc0d2bb093e9c843bb0099af820292e70e61df1c474d7ede1aa3def0f281378",
+    (3, 2): "86821ca2a74287fbe5b1dd5ea0a1a1b2919712237daacbc64407882e84293385",
+    (4, 2): "40d1a1081ced9b76b4c96b1dbb0385fd60012fec637625548b7b20f933ad2358",
+    (0, 3): "d221878166780be1976c51253cd22f5f72c4b2e895ff303da8e47f3ac5fe6b6f",
+    (1, 3): "af0159ae9be5023fe9875c82693a772b2b8c95911bb319d65a91c7565300b64d",
+    (2, 3): "4baedd6befa20630cd305a0ae7471ad44fe3b451bcd4f10e7b64bd7c808c6765",
+    (3, 3): "18e506a36e26e7b80a5d124cd4d1e449b3a0e121c2d918434aa48556f413fff0",
+    (4, 3): "7ce0f7936d0661e5ecffad941b916541d58d498e68a882411b10c03939533d95",
+}
+
+
+@pytest.mark.parametrize("seed,order", sorted(FIG2_WEIGHT_DIGESTS))
+def test_fig2_din_generation_pinned(seed, order):
+    net = fig2_din(seed=seed, order=order)
+    text = repr(tuple((u, v, tuple(float(w).hex() for w in ws))
+                      for (u, v, ws) in net.graph.edges))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        FIG2_WEIGHT_DIGESTS[(seed, order)]
