@@ -15,7 +15,7 @@ import numpy as np
 from . import records
 from .config import (DesignOptions, Tolerances, VARIANT_DERIVATIVE,
                      VARIANT_POSITION)
-from .cutset import design_via_cutset
+from .cutset import CutsetDesign, design_via_cutset
 from .designer import design_blocking
 from .errors import EXIT_NUMERICAL, InvalidInputError, ObsBlockError
 from .graph import min_vertex_cut
@@ -67,6 +67,19 @@ def _emit(text: str, output):
         sys.stdout.write(text)
 
 
+def _audit(design, tol: Tolerances, seed: int):
+    """Run verify_design on a direct or cutset design.
+
+    A cutset design is audited against the base measurement set: that is
+    its transfer claim.
+    """
+    C = None
+    if isinstance(design, CutsetDesign):
+        design = design.design
+        C = assemble(design.network)[2]
+    return verify_design(design, C=C, tol=tol, rng=np.random.default_rng(seed))
+
+
 def cmd_gen(args) -> int:
     net = random_network(n=args.n, order=args.order, density=args.density,
                          seed=args.seed, m=args.m, q=args.q)
@@ -99,14 +112,9 @@ def cmd_design(args) -> int:
     options = _options(args)
     if args.cutset:
         design = design_via_cutset(net, options=options)
-        # audit against the base measurement set: that is the transfer claim
-        verification = verify_design(
-            design.design, C=assemble(net)[2], tol=options.tolerances,
-            rng=np.random.default_rng(args.seed))
     else:
         design = design_blocking(net, options)
-        verification = verify_design(design, tol=options.tolerances,
-                                     rng=np.random.default_rng(args.seed))
+    verification = _audit(design, options.tolerances, args.seed)
     if args.output:
         records.save_design(design, args.output)
     sys.stdout.write(records.report_text(design, verification))
@@ -119,11 +127,7 @@ def cmd_design(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
     design = records.load_design(args.input, tol)
-    is_cutset = hasattr(design, "certificate")
-    inner = design.design if is_cutset else design
-    C = assemble(inner.network)[2] if is_cutset else None
-    verification = verify_design(inner, C=C, tol=tol,
-                                 rng=np.random.default_rng(args.seed))
+    verification = _audit(design, tol, args.seed)
     payload = records.dumps(records.verification_to_dict(verification))
     if args.output:
         Path(args.output).write_text(payload)
@@ -146,8 +150,7 @@ def cmd_repro(args) -> int:
     net = fig2_din(seed=args.seed, order=args.order, tol=tol)
     options = DesignOptions(seed=args.seed, tolerances=tol)
     design = design_via_cutset(net, options=options)
-    verification = verify_design(design.design, C=assemble(net)[2], tol=tol,
-                                 rng=np.random.default_rng(args.seed))
+    verification = _audit(design, tol, args.seed)
 
     n, N = net.n, net.order
     blocked_nodes = sorted(set(design.certificate.plan.vcut)

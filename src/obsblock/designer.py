@@ -51,24 +51,11 @@ class NullspaceBundle:
         rows = [k * self.n + (r - 1) for r in self.meas_idx]
         return self.n1[rows, :]
 
-    def free_rows(self, k: int) -> np.ndarray:
-        meas = {k * self.n + (r - 1) for r in self.meas_idx}
-        rows = [k * self.n + j for j in range(self.n) if k * self.n + j not in meas]
-        return self.n1[rows, :]
-
-    # N=2 names from the construction: N3/N4 split the position block,
-    # N5/N6 the top-derivative block.
-    @property
-    def n3(self) -> np.ndarray:
-        return self.free_rows(0)
-
+    # N=2 names from the construction: N4 holds the measured rows of the
+    # position block, N6 those of the top-derivative block.
     @property
     def n4(self) -> np.ndarray:
         return self.meas_rows(0)
-
-    @property
-    def n5(self) -> np.ndarray:
-        return self.free_rows(self.order - 1)
 
     @property
     def n6(self) -> np.ndarray:

@@ -67,9 +67,6 @@ class WeightedDigraph:
         """Number of weights per edge (network order N); 0 for edgeless graphs."""
         return len(self.edges[0][2]) if self.edges else 0
 
-    def successors(self, u: int) -> list:
-        return [v for (a, v, _) in self.edges if a == u]
-
     def undirected_pairs(self) -> set:
         """Unordered node pairs joined by an edge in at least one direction."""
         return {frozenset((u, v)) for (u, v, _) in self.edges}

@@ -10,6 +10,7 @@ from obsblock.designer import design_blocking
 from obsblock.model import assemble, closed_loop
 from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose
+from obsblock import verify
 from obsblock.verify import (observability_rank, output_energy, pbh_test,
                              preservation_audit, verify_design)
 
@@ -145,6 +146,166 @@ class TestOutputEnergy:
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
             output_energy(np.eye(2), np.eye(2), np.ones(2), T=0.0)
+
+
+def stepwise_output_energy(A_cl, C, x0, T=10.0, dt=0.01):
+    """The former per-step witness loop, kept as the reference."""
+    A_cl = np.asarray(A_cl, dtype=float)
+    C = np.asarray(C, dtype=float)
+    x = np.asarray(x0, dtype=float).copy()
+    E = la.expm(A_cl * dt)
+    steps = int(round(T / dt))
+    acc = 0.0
+    prev = float(np.linalg.norm(C @ x) ** 2)
+    used = 0.0
+    M = np.eye(A_cl.shape[0])
+    growth = 1.0
+    for _ in range(steps):
+        x = E @ x
+        if not np.isfinite(x).all() or np.linalg.norm(x) > 1e150:
+            break
+        if growth < 1e100:
+            M = E @ M
+            growth = max(growth, float(np.linalg.norm(M)))
+        cur = float(np.linalg.norm(C @ x) ** 2)
+        acc += 0.5 * (prev + cur) * dt
+        prev = cur
+        used += dt
+    return acc, used, growth
+
+
+def _agreement_loops():
+    """(name, A_cl, C, blocked x0 or None) for the doubling/stepwise
+    comparison: designed Laplacian loops (Jordan block at zero), designed
+    generic loops (unstable modes) and plain unstable matrices, two of
+    which cut the horizon short."""
+    loops = []
+    for family, make in (("laplacian", random_network),
+                         ("generic", generic_network)):
+        for seed in range(14):
+            m = 1 + seed % 2
+            kwargs = {"density": 0.4} if family == "laplacian" else {}
+            net = make(n=6 + seed % 5, seed=seed, m=m, q=m + 2, **kwargs)
+            design = design_blocking(net, DesignOptions(seed=seed))
+            A, B, C = assemble(net)
+            x0 = np.real(design.v_hat)
+            if np.linalg.norm(x0) < 1e-8:
+                x0 = np.imag(design.v_hat)
+            loops.append((f"{family}-{seed}", closed_loop(A, B, design.F), C,
+                          x0 / np.linalg.norm(x0)))
+    rng = np.random.default_rng(5)
+    loops.append(("unstable-shift-2", rng.standard_normal((8, 8)) + 2 * np.eye(8),
+                  rng.standard_normal((2, 8)), None))
+    loops.append(("unstable-shift-40", rng.standard_normal((8, 8)) + 40 * np.eye(8),
+                  rng.standard_normal((2, 8)), None))
+    loops.append(("scalar-4000", np.array([[4000.0]]), np.eye(1), None))
+    return loops
+
+
+@pytest.fixture(scope="module")
+def agreement_runs():
+    rng = np.random.default_rng(21)
+    runs = []
+    for name, A_cl, C, x_blocked in _agreement_loops():
+        starts = [("random", rng.standard_normal(A_cl.shape[0]))]
+        if x_blocked is not None:
+            starts.append(("blocked", x_blocked))
+        for kind, x0 in starts:
+            x0 = x0 / np.linalg.norm(x0)
+            with np.errstate(over="ignore"):   # the reference's norm test
+                ref = stepwise_output_energy(A_cl, C, x0)
+            runs.append((f"{name}/{kind}", kind, output_energy(A_cl, C, x0), ref))
+    return runs
+
+
+class TestOutputEnergyDoubling:
+    """The doubling trajectory against the former stepwise loop."""
+
+    def test_agreement_set_covers_the_cases(self, agreement_runs):
+        kinds = [kind for (_, kind, _, _) in agreement_runs]
+        assert len(agreement_runs) - kinds.count("blocked") >= 30
+        assert kinds.count("blocked") == 28
+        assert any(new[1] < 10.0 for (_, _, new, _) in agreement_runs)
+        assert any(ref[2] >= 1e100 for (_, _, _, ref) in agreement_runs)
+
+    def test_energy_matches_stepwise(self, agreement_runs):
+        for label, _, (energy, used, growth), (e_ref, _, _) in agreement_runs:
+            # dark states sit at roundoff level, so they are compared on
+            # the scale the verdict uses: their blocked-energy bound
+            scale = max(e_ref, 1e-10 * used * max(1.0, growth ** 2))
+            assert abs(energy - e_ref) <= 1e-9 * scale, label
+
+    def test_horizon_matches_stepwise(self, agreement_runs):
+        dt = 0.01
+        for label, _, (_, used, _), (_, used_ref, _) in agreement_runs:
+            assert used == round(used_ref / dt) * dt, label
+
+    def test_growth_never_exceeds_stepwise(self, agreement_runs):
+        for label, _, (_, _, growth), (_, _, g_ref) in agreement_runs:
+            assert 0.0 < growth <= g_ref * (1 + 1e-12), label
+
+    def test_blocked_energy_non_negative(self, agreement_runs):
+        for label, kind, (energy, _, _), _ in agreement_runs:
+            if kind == "blocked":
+                assert energy >= 0.0, label
+
+    @pytest.mark.parametrize("rate, used", [(400.0, 0.86), (4000.0, 0.08)])
+    def test_horizon_cut_is_exact(self, rate, used):
+        # |x(k dt)| = exp(rate k dt) first exceeds 1e150 at k = used/dt + 1
+        _, got, _ = output_energy(np.array([[rate]]), np.eye(1), np.ones(1),
+                                  T=10.0, dt=0.01)
+        assert got == used
+
+    @pytest.mark.parametrize("T, dt", [(10.0, 0.01), (2.0, 0.01), (5.0, 0.005),
+                                       (1.0, 0.1)])
+    def test_full_horizon_is_exact(self, T, dt):
+        _, used, _ = output_energy(-np.eye(2), np.eye(2), np.ones(2), T=T, dt=dt)
+        assert used == T
+
+    def test_growth_samples_the_last_step(self):
+        # ||E^j||_F = sqrt(2 + (j dt)^2) for a Jordan block at zero rises
+        # with j, so the largest sample is the last step, k = 1000
+        A = np.array([[0.0, 1.0], [0.0, 0.0]])
+        _, _, growth = output_energy(A, np.eye(2), np.ones(2), T=10.0, dt=0.01)
+        assert growth == pytest.approx(np.sqrt(102.0), rel=1e-12)
+
+    def test_growth_samples_the_cut_step(self, monkeypatch):
+        # a cut with growth under the cap: with the guard lowered to 1e3,
+        # x(t) = e^t is cut after k = 690 steps and E^690 is the largest
+        # sample, not the E^1000 of the full horizon
+        monkeypatch.setattr(verify, "_STATE_OVERFLOW", 1e3)
+        _, used, growth = output_energy(np.eye(1), np.eye(1), np.ones(1),
+                                        T=10.0, dt=0.01)
+        assert used == 6.9
+        assert growth == pytest.approx(np.exp(6.9), rel=1e-12)
+
+    def test_overflowing_power_keeps_full_horizon(self):
+        # E^p overflows for p >= 178, but the state never touches the
+        # unstable coordinate; stepping must not turn 0 * inf into a cut
+        A = np.diag([400.0, -1.0])
+        x0 = np.array([0.0, 1.0])
+        energy, used, growth = output_energy(A, np.eye(2), x0)
+        e_ref, used_ref, g_ref = stepwise_output_energy(A, np.eye(2), x0)
+        assert used == 10.0 and round(used_ref / 0.01) == 1000
+        assert energy == pytest.approx(e_ref, rel=1e-12)
+        assert growth <= g_ref
+        energy, used, _ = output_energy(A, np.eye(2), np.zeros(2))
+        assert (energy, used) == (0.0, 10.0)
+
+    def test_perturbed_gain_fails_energy_check(self):
+        # perturb the gain entry that acts on the blocked state's largest
+        # coordinate; an entry acting on a near-zero coordinate leaves
+        # the state nearly dark and is caught by the spectrum checks
+        net = random_network(n=8, seed=6, m=2, q=4)
+        design = design_blocking(net, DesignOptions(seed=6))
+        report = verify_design(design)
+        assert report.verdict, report.reasons
+        column = int(np.argmax(np.abs(np.real(design.v_hat))))
+        design.gain.matrix[0, column] += 1e-3
+        report = verify_design(design)
+        assert report.output_energy > report.blocked_energy_bound
+        assert any(r.startswith("blocked-state output energy")
+                   for r in report.reasons), report.reasons
 
 
 class TestVerifyDesign:
