@@ -155,7 +155,7 @@ def cmd_repro(args) -> int:
     n, N = net.n, net.order
     blocked_nodes = sorted(set(design.certificate.plan.vcut)
                            | set(design.certificate.plan.v2))
-    v = design.v_hat
+    v = design.design.v_hat
     deviations = [(r, k, abs(v[(r - 1) + k * n]))
                   for r in blocked_nodes for k in range(N)]
     worst = max(d for (_, _, d) in deviations)

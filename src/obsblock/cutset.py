@@ -52,9 +52,6 @@ class CutsetDesign:
     design: BlockingDesign
     certificate: TransferCertificate
 
-    def __getattr__(self, name):
-        return getattr(self.design, name)
-
 
 def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p,
                  tol: Tolerances = DEFAULT_TOLERANCES) -> LgCondition:

@@ -7,11 +7,12 @@ truth for reordering, the graph itself is never mutated.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 import math
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components, maximum_flow
 
 from .errors import InvalidInputError, OrderMismatchError
 
@@ -67,10 +68,6 @@ class WeightedDigraph:
         """Number of weights per edge (network order N); 0 for edgeless graphs."""
         return len(self.edges[0][2]) if self.edges else 0
 
-    def undirected_pairs(self) -> set:
-        """Unordered node pairs joined by an edge in at least one direction."""
-        return {frozenset((u, v)) for (u, v, _) in self.edges}
-
 
 def laplacian(g: WeightedDigraph, k: int) -> np.ndarray:
     """Weighted Laplacian for derivative order k.
@@ -99,27 +96,20 @@ def laplacian_stack(g: WeightedDigraph, order: int) -> list:
     return [laplacian(g, k) if g.edges else np.zeros((g.n, g.n)) for k in range(order)]
 
 
+def _edge_matrix(g: WeightedDigraph, drop=()) -> csr_matrix:
+    """0-based n x n adjacency with a 1 at (u-1, v-1) for each edge u -> v
+    that touches no node in drop."""
+    drop = set(drop)
+    uv = np.array([(u - 1, v - 1) for (u, v, _) in g.edges
+                   if u not in drop and v not in drop], dtype=int).reshape(-1, 2)
+    return csr_matrix((np.ones(len(uv), dtype=np.int32), (uv[:, 0], uv[:, 1])),
+                      shape=(g.n, g.n))
+
+
 def is_strongly_connected(g: WeightedDigraph) -> bool:
     """True iff every node reaches every other along directed edges."""
-    if g.n == 1:
-        return True
-    fwd = [[] for _ in range(g.n + 1)]
-    rev = [[] for _ in range(g.n + 1)]
-    for (u, v, _) in g.edges:
-        fwd[u].append(v)
-        rev[v].append(u)
-    for adj in (fwd, rev):
-        seen = {1}
-        stack = [1]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        if len(seen) != g.n:
-            return False
-    return True
+    return connected_components(_edge_matrix(g), directed=True,
+                                connection="strong", return_labels=False) == 1
 
 
 @dataclass(frozen=True)
@@ -163,86 +153,34 @@ class CutsetPlan:
                 raise InvalidInputError(f"edge ({u},{v}) crosses the cut")
 
 
-class _SplitFlow:
-    """Edmonds-Karp on the node-split graph; unit node capacities.
+_INF = 1 << 30  # "never cut"; fits the int32 capacities maximum_flow uses
 
-    Protected nodes (actuation) get infinite internal capacity so they
-    are never cut; measurement nodes stay cuttable. Edges become
-    infinite-capacity arcs between out/in copies in both directions of
-    the underlying undirected adjacency, because a valid separator must
-    kill edges between the partitions in either direction.
+
+def _split_network(g: WeightedDigraph, actuation, measurement) -> csr_matrix:
+    """Node-split capacity matrix for the separating vertex cut.
+
+    Node v (0-based i) becomes an in-copy i and an out-copy n + i joined
+    by an internal arc of capacity 1, or _INF for actuation nodes, which
+    are never cut; measurement nodes stay cuttable. Every undirected
+    adjacency becomes _INF arcs out-copy -> in-copy in both directions,
+    because a valid separator must kill edges between the partitions in
+    either direction. The source 2n feeds the actuation in-copies and
+    the measurement out-copies drain into the sink 2n + 1. Row i holds
+    only the internal arc, so M.data[M.indptr[i]] is node i's capacity.
     """
-
-    INF = 1 << 30
-
-    def __init__(self, g: WeightedDigraph, sources, sinks, removed):
-        self.n = g.n
-        # node v: in-copy = 2v, out-copy = 2v+1 (0-based v); s = 0, t = 1
-        self.size = 2 * g.n + 2
-        self.cap = {}
-        sources, sinks, removed = set(sources), set(sinks), set(removed)
-        for v in range(1, g.n + 1):
-            if v in removed:
-                continue
-            c = self.INF if v in sources else 1
-            self._add(2 * v, 2 * v + 1, c)
-        for pair in g.undirected_pairs():
-            u, v = sorted(pair)
-            if u in removed or v in removed:
-                continue
-            self._add(2 * u + 1, 2 * v, self.INF)
-            self._add(2 * v + 1, 2 * u, self.INF)
-        for a in sources - removed:
-            self._add(0, 2 * a, self.INF)
-        for b in sinks - removed:
-            self._add(2 * b + 1, 1, self.INF)
-        self.adj = [[] for _ in range(self.size)]
-        for (x, y) in self.cap:
-            self.adj[x].append(y)
-
-    def _add(self, x, y, c):
-        self.cap[(x, y)] = self.cap.get((x, y), 0) + c
-        self.cap.setdefault((y, x), 0)
-
-    def max_flow(self) -> int:
-        total = 0
-        while True:
-            parent = {0: None}
-            queue = deque([0])
-            while queue and 1 not in parent:
-                x = queue.popleft()
-                for y in self.adj[x]:
-                    if y not in parent and self.cap[(x, y)] > 0:
-                        parent[y] = x
-                        queue.append(y)
-            if 1 not in parent:
-                return total
-            path = []
-            y = 1
-            while parent[y] is not None:
-                path.append((parent[y], y))
-                y = parent[y]
-            push = min(self.cap[e] for e in path)
-            for e in path:
-                self.cap[e] -= push
-                self.cap[(e[1], e[0])] += push
-            total += push
-
-    def source_side(self) -> set:
-        """0-based split-node ids reachable from s in the residual graph."""
-        seen = {0}
-        stack = [0]
-        while stack:
-            x = stack.pop()
-            for y in self.adj[x]:
-                if y not in seen and self.cap[(x, y)] > 0:
-                    seen.add(y)
-                    stack.append(y)
-        return seen
-
-
-def _min_cut_size(g: WeightedDigraph, actuation, measurement, removed) -> int:
-    return _SplitFlow(g, actuation, measurement, removed).max_flow()
+    n = g.n
+    adj = _edge_matrix(g)
+    pairs = (adj + adj.T).tocoo()
+    act = np.asarray(actuation) - 1
+    meas = np.asarray(measurement) - 1
+    nodes = np.arange(n)
+    internal = np.ones(n, dtype=np.int32)
+    internal[act] = _INF
+    rows = np.concatenate([nodes, n + pairs.row, np.full(len(act), 2 * n), n + meas])
+    cols = np.concatenate([n + nodes, pairs.col, act, np.full(len(meas), 2 * n + 1)])
+    caps = np.concatenate([internal,
+                           np.full(pairs.nnz + len(act) + len(meas), _INF, np.int32)])
+    return csr_matrix((caps, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
 
 
 def min_vertex_cut(g: WeightedDigraph, actuation, measurement) -> CutsetPlan:
@@ -270,18 +208,25 @@ def min_vertex_cut(g: WeightedDigraph, actuation, measurement) -> CutsetPlan:
     if not is_strongly_connected(g):
         raise InvalidInputError("graph is not strongly connected")
 
-    k = _min_cut_size(g, actuation, measurement, removed=())
+    M = _split_network(g, actuation, measurement)
+
+    def flow() -> int:
+        return maximum_flow(M, 2 * g.n, 2 * g.n + 1).flow_value
+
+    k = flow()
     # lexicographically smallest minimum cut: force candidates in id order
+    # by cutting their internal arc, and restore it when that costs extra
     forced = []
-    if k > 0:
-        for v in range(1, g.n + 1):
-            if len(forced) == k:
-                break
-            if v in actuation:
-                continue
-            if len(forced) + 1 + _min_cut_size(
-                    g, actuation, measurement, removed=forced + [v]) == k:
-                forced.append(v)
+    for v in range(1, g.n + 1):
+        if len(forced) == k:
+            break
+        if v in actuation:
+            continue
+        M.data[M.indptr[v - 1]] = 0
+        if len(forced) + 1 + flow() == k:
+            forced.append(v)
+        else:
+            M.data[M.indptr[v - 1]] = 1
     if len(forced) != k:
         raise InvalidInputError("internal cut refinement failed")  # pragma: no cover
 
@@ -295,35 +240,13 @@ def min_vertex_cut(g: WeightedDigraph, actuation, measurement) -> CutsetPlan:
 
 def _partition_after_removal(g, cut, actuation, measurement):
     """Components of g minus cut, assigned to sides; free components join V1."""
+    labels = connected_components(_edge_matrix(g, drop=cut), directed=True,
+                                  connection="weak")[1]
+    act_sides = {labels[a - 1] for a in actuation}
+    meas_sides = {labels[b - 1] for b in measurement if b not in cut}
+    if act_sides & meas_sides:
+        raise InvalidInputError("cut does not separate actuation from measurement")
     alive = [v for v in range(1, g.n + 1) if v not in cut]
-    neigh = {v: set() for v in alive}
-    for pair in g.undirected_pairs():
-        u, v = tuple(pair)
-        if u in neigh and v in neigh:
-            neigh[u].add(v)
-            neigh[v].add(u)
-    unvisited = set(alive)
-    v1, v2 = [], []
-    while unvisited:
-        start = min(unvisited)
-        comp = {start}
-        stack = [start]
-        unvisited.discard(start)
-        while stack:
-            x = stack.pop()
-            for y in neigh[x]:
-                if y in unvisited:
-                    unvisited.discard(y)
-                    comp.add(y)
-                    stack.append(y)
-        has_act = bool(comp & set(actuation))
-        has_meas = bool(comp & set(measurement))
-        if has_act and has_meas:
-            raise InvalidInputError("cut does not separate actuation from measurement")
-        if has_meas:
-            v2.extend(comp)
-        else:
-            v1.extend(comp)
-    return sorted(v1), sorted(v2)
-
-
+    v2 = [v for v in alive if labels[v - 1] in meas_sides]
+    v1 = [v for v in alive if labels[v - 1] not in meas_sides]
+    return v1, v2

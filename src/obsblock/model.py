@@ -176,8 +176,12 @@ def dump_matrices(network: IntegratorNetwork) -> str:
 
 
 def network_to_dict(network: IntegratorNetwork) -> dict:
-    """Plain-dict form matching the network file schema."""
-    return {
+    """Plain-dict form matching the network file schema.
+
+    The coupling matrices are written under "couplings" only when they
+    differ from the Laplacians of the edge weights.
+    """
+    data = {
         "order": network.order,
         "n": network.n,
         "edges": [
@@ -187,6 +191,10 @@ def network_to_dict(network: IntegratorNetwork) -> dict:
         "actuation": list(network.actuation),
         "measurement": list(network.measurement),
     }
+    stack = laplacian_stack(network.graph, network.order)
+    if not all(np.array_equal(L, S) for L, S in zip(network.laplacians, stack)):
+        data["couplings"] = [L.tolist() for L in network.laplacians]
+    return data
 
 
 def network_from_dict(data: dict) -> IntegratorNetwork:
@@ -199,6 +207,9 @@ def network_from_dict(data: dict) -> IntegratorNetwork:
         )
         actuation = tuple(int(a) for a in data["actuation"])
         measurement = tuple(int(b) for b in data["measurement"])
+        couplings = data.get("couplings")
+        if couplings is not None:
+            couplings = tuple(np.array(L, dtype=float) for L in couplings)
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFileError(f"malformed network data: {exc}") from exc
     for (u, v, ws) in edges:
@@ -206,11 +217,13 @@ def network_from_dict(data: dict) -> IntegratorNetwork:
             raise NetworkFileError(
                 f"edge ({u},{v}) carries {len(ws)} weights, file order is {order}")
     graph = WeightedDigraph(n=n, edges=edges)
-    return IntegratorNetwork.from_graph(graph, actuation, measurement, order=order)
+    return IntegratorNetwork(order=order, graph=graph, actuation=actuation,
+                             measurement=measurement, laplacians=couplings)
 
 
 def load_network(path) -> IntegratorNetwork:
-    """Read a network file (JSON with order/n/edges/actuation/measurement)."""
+    """Read a network file (JSON with order/n/edges/actuation/measurement
+    and optional couplings)."""
     try:
         text = Path(path).read_text()
     except OSError as exc:

@@ -93,12 +93,12 @@ def test_criterion_3_fig2_cutset_reproduction():
         net = fig2_din(seed=seed)
         result = design_via_cutset(net, options=DesignOptions(seed=seed))
         assert result.certificate.plan.vcut == (5,)
-        v = result.v_hat
+        v = result.design.v_hat
         n = net.n
         for r in (5, 6, 7, 8, 9, 11):
             for k in range(2):
                 assert abs(v[r - 1 + k * n]) < 1e-8, (seed, r, k)
-        assert result.residuals["spectrum_match"] < 1e-6, seed
+        assert result.design.residuals["spectrum_match"] < 1e-6, seed
     elapsed = time.monotonic() - start
     assert elapsed < 10.0
     print(f"\nACCEPTANCE 3: PASS fig2 zero pattern over 10 weight draws "

@@ -10,7 +10,7 @@ from obsblock.config import DesignOptions
 from obsblock.cutset import CutsetDesign, design_via_cutset
 from obsblock.designer import design_blocking
 from obsblock.model import load_network
-from obsblock.scenarios import fig2_din, random_network
+from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.verify import verify_design
 
 
@@ -147,6 +147,16 @@ class TestRecords:
         assert abs(loaded.lambda_p - design.lambda_p) < 1e-15
         assert np.array_equal(loaded.F, design.F)
         assert loaded.preserved == design.preserved
+        assert verify_design(loaded).verdict
+
+    def test_generic_design_roundtrip_verifies(self, tmp_path):
+        net = generic_network(n=7, seed=2, m=1, q=3)
+        design = design_blocking(net, DesignOptions(seed=2))
+        path = tmp_path / "g.json"
+        records.save_design(design, path)
+        loaded = records.load_design(path)
+        assert all(np.array_equal(a, b) for a, b in
+                   zip(loaded.network.laplacians, net.laplacians))
         assert verify_design(loaded).verdict
 
     def test_cutset_roundtrip_keeps_certificate(self, tmp_path):

@@ -78,21 +78,21 @@ class TestDesignViaCutset:
         result = design_via_cutset(net, options=DesignOptions(seed=0))
         plan = result.certificate.plan
         assert plan.vcut == (5,)
-        v = result.v_hat
+        v = result.design.v_hat
         n = net.n
         for r in (5, 6, 7, 8, 9, 11):
             for k in range(2):
                 assert abs(v[r - 1 + k * n]) < 1e-8
         _, _, C = assemble(net)
         assert np.abs(C @ v).max() < 1e-8
-        assert result.residuals["spectrum_match"] < 1e-6
+        assert result.design.residuals["spectrum_match"] < 1e-6
 
     def test_fig2_base_model_pbh_deficient(self):
         net = fig2_din(seed=3)
         result = design_via_cutset(net, options=DesignOptions(seed=3))
         A, B, C = assemble(net)
-        A_cl = closed_loop(A, B, result.F)
-        assert pbh_test(A_cl, C, result.lambda_p) <= 2 * net.n - 1
+        A_cl = closed_loop(A, B, result.design.F)
+        assert pbh_test(A_cl, C, result.design.lambda_p) <= 2 * net.n - 1
 
     def test_crafted_override_rejected_with_alternatives(self):
         net = fig2_din(seed=5)
@@ -118,24 +118,24 @@ class TestDesignViaCutset:
         assert len(plan.vcut) == 2
         result = design_via_cutset(net, plan, DesignOptions(seed=7))
         blocked = set(plan.vcut) | set(plan.v2)
-        v = result.v_hat
+        v = result.design.v_hat
         for r in blocked:
             for k in range(2):
                 assert abs(v[r - 1 + k * net.n]) < 1e-8
         A, B, C = assemble(net)
-        assert pbh_test(closed_loop(A, B, result.F), C,
-                        result.lambda_p) <= 2 * net.n - 1
+        assert pbh_test(closed_loop(A, B, result.design.F), C,
+                        result.design.lambda_p) <= 2 * net.n - 1
 
     def test_order3_cutset_generic(self):
         net = cut_friendly_network(4, 3, order=3, seed=9, m=1, q=3, generic=True)
         plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
         assert len(plan.vcut) == 1
         result = design_via_cutset(net, plan, DesignOptions(seed=9))
-        v = result.v_hat
+        v = result.design.v_hat
         for r in set(plan.vcut) | set(plan.v2):
             for k in range(3):
                 assert abs(v[r - 1 + k * net.n]) < 1e-8
-        assert result.residuals["spectrum_match"] < 1e-6
+        assert result.design.residuals["spectrum_match"] < 1e-6
 
     def test_eq_10_12_consistency(self):
         # far-partition blocks of the produced eigenvector satisfy the
@@ -143,11 +143,11 @@ class TestDesignViaCutset:
         net = fig2_din(seed=6)
         result = design_via_cutset(net, options=DesignOptions(seed=6))
         plan = result.certificate.plan
-        lam = result.lambda_p
+        lam = result.design.lambda_p
         n = net.n
         idx = [v - 1 for v in plan.v2]
-        vs2 = result.v_hat[idx]
-        vd2 = result.v_hat[[i + n for i in idx]]
+        vs2 = result.design.v_hat[idx]
+        vd2 = result.design.v_hat[[i + n for i in idx]]
         assert np.abs(vd2 - lam * vs2).max() < 1e-10
         Lg = result.certificate.condition
         assert np.abs(vs2).max() < 1e-8   # forced to zero by the condition
@@ -178,15 +178,15 @@ class TestDesignViaCutset:
 
         # same eigenvalue is targeted and the gains match after carrying
         # the renumbering through states and actuator rows
-        assert abs(result.lambda_p - result2.lambda_p) < 1e-9
+        assert abs(result.design.lambda_p - result2.design.lambda_p) < 1e-9
         P = np.zeros((net.n, net.n))
         for old, new in relabel.items():
             P[new - 1, old - 1] = 1.0
         Pb = np.kron(np.eye(2), P)
         row = {a: i for i, a in enumerate(net.actuation)}
         row2 = {a: i for i, a in enumerate(net2.actuation)}
-        F1 = np.asarray(result.F)
-        F2 = np.asarray(result2.F)
+        F1 = np.asarray(result.design.F)
+        F2 = np.asarray(result2.design.F)
         for a in net.actuation:
             lhs = F2[row2[relabel[a]]]
             rhs = F1[row[a]] @ Pb.T

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from obsblock.errors import InvalidInputError, OrderMismatchError
-from obsblock.graph import (CutsetPlan, WeightedDigraph, is_strongly_connected,
-                            laplacian, min_vertex_cut)
-from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT, fig2_din)
+from obsblock.graph import (CutsetPlan, WeightedDigraph, _partition_after_removal,
+                            is_strongly_connected, laplacian, min_vertex_cut)
+from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
+                                cut_friendly_network, fig2_din)
 
 from conftest import exhaustive_min_cut, random_digraph, undirected_separates
 
@@ -28,6 +31,23 @@ def poly_det3(L):
             term = np.convolve(term, factor)
         total[4 - len(term):] += sign * term
     return total
+
+
+def reaches_all(g) -> bool:
+    """Plain BFS oracle: every node reaches every other along directed edges."""
+    succ = {v: [] for v in range(1, g.n + 1)}
+    for (u, v, _) in g.edges:
+        succ[u].append(v)
+    for start in succ:
+        seen, queue = {start}, deque([start])
+        while queue:
+            for y in succ[queue.popleft()]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        if len(seen) != g.n:
+            return False
+    return True
 
 
 class TestLaplacian:
@@ -90,6 +110,15 @@ class TestConnectivity:
     def test_single_node(self):
         assert is_strongly_connected(WeightedDigraph(n=1))
 
+    @pytest.mark.parametrize("ensure_strong", [True, False])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reachability_oracle(self, seed, ensure_strong):
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(2, 12))
+        g = random_digraph(n, rng, density=float(rng.uniform(0.1, 0.5)),
+                           ensure_strong=ensure_strong)
+        assert is_strongly_connected(g) == reaches_all(g)
+
 
 def undirected(n, pairs, order=1):
     edges = []
@@ -122,6 +151,22 @@ class TestMinVertexCut:
         assert plan.vcut == exhaustive_min_cut(g, [1], [4]) == (4,)
         assert len(plan.vcut) <= 1
 
+    def test_actuation_nodes_never_cut(self):
+        # cutting actuation node 1 alone would separate; the cut must not
+        g = undirected(5, [(1, 2), (1, 3), (2, 4), (2, 5), (3, 4), (3, 5)])
+        plan = min_vertex_cut(g, [1], [4, 5])
+        assert plan.vcut == exhaustive_min_cut(g, [1], [4, 5]) == (2, 3)
+
+    def test_free_component_joins_v1(self):
+        g = undirected(4, [(1, 2), (2, 3), (2, 4)])
+        plan = min_vertex_cut(g, [1], [3])
+        assert (plan.v1, plan.vcut, plan.v2) == ((1, 4), (2,), (3,))
+
+    def test_partition_rejects_non_separating_cut(self):
+        g = undirected(3, [(1, 2), (2, 3)])
+        with pytest.raises(InvalidInputError, match="does not separate"):
+            _partition_after_removal(g, set(), [1], [3])
+
     def test_overlap_rejected(self):
         g = undirected(3, [(1, 2), (2, 3)])
         with pytest.raises(InvalidInputError):
@@ -132,14 +177,20 @@ class TestMinVertexCut:
         with pytest.raises(InvalidInputError):
             min_vertex_cut(g, [1], [3])
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_matches_exhaustive_oracle(self, seed):
+    @pytest.mark.parametrize("seed, ensure_strong", [
+        *(pytest.param(s, True, id=f"{s}") for s in range(12)),
+        *(pytest.param(s, False, id=f"{s}-no-ring") for s in range(12))])
+    def test_matches_exhaustive_oracle(self, seed, ensure_strong):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(5, 10))
-        g = random_digraph(n, rng, density=0.3)
+        g = random_digraph(n, rng, density=0.3, ensure_strong=ensure_strong)
         nodes = list(rng.permutation(np.arange(1, n + 1)))
         actuation = [int(x) for x in nodes[:2]]
         measurement = [int(x) for x in nodes[2:4]]
+        if not reaches_all(g):
+            with pytest.raises(InvalidInputError, match="strongly connected"):
+                min_vertex_cut(g, actuation, measurement)
+            return
         plan = min_vertex_cut(g, actuation, measurement)
         oracle = exhaustive_min_cut(g, actuation, measurement)
         assert len(plan.vcut) == len(oracle)
@@ -158,6 +209,18 @@ class TestMinVertexCut:
         for (u, v, _) in g.edges:
             assert not (u in s1 and v in s2)
             assert not (u in s2 and v in s1)
+
+    @pytest.mark.parametrize("n1, n2, cut_size", [(20, 30, 1), (40, 40, 2),
+                                                   (50, 50, 3)])
+    def test_bridges_of_cut_friendly_network(self, n1, n2, cut_size):
+        # m = cut_size, so the measurement set is a second minimum cut and
+        # the smaller bridge ids must win the lexicographic tie
+        net = cut_friendly_network(n1, n2, cut_size=cut_size, m=cut_size)
+        plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
+        bridges = tuple(range(n1 + 1, n1 + cut_size + 1))
+        assert plan.vcut == bridges
+        assert plan.v1 == tuple(range(1, n1 + 1))
+        assert plan.v2 == tuple(range(n1 + cut_size + 1, net.n + 1))
 
     def test_plan_validation(self):
         g = undirected(3, [(1, 2), (2, 3)])

@@ -9,8 +9,9 @@ from obsblock.cutset import design_via_cutset
 from obsblock.errors import InvalidInputError, ModelAssemblyError, NetworkFileError
 from obsblock.graph import WeightedDigraph, min_vertex_cut
 from obsblock.model import (IntegratorNetwork, assemble, closed_loop,
-                            cutset_output, load_network, save_network)
-from obsblock.scenarios import fig2_din, random_network
+                            cutset_output, load_network, network_from_dict,
+                            network_to_dict, save_network)
+from obsblock.scenarios import fig2_din, generic_network, random_network
 
 from conftest import random_digraph
 
@@ -133,7 +134,7 @@ class TestClosedLoop:
         net = fig2_din(seed=2)
         design = design_via_cutset(net, options=DesignOptions(seed=2))
         A, B, _ = assemble(net)
-        A_cl = closed_loop(A, B, design.F)
+        A_cl = closed_loop(A, B, design.design.F)
         key = lambda z: (z.real, z.imag)
         lam_o = sorted(la.eigvals(A), key=key)
         lam_c = sorted(la.eigvals(A_cl), key=key)
@@ -165,6 +166,28 @@ class TestNetworkFile:
         assert back.graph.edges == net.graph.edges
         assert back.actuation == net.actuation
         assert back.measurement == net.measurement
+        assert "couplings" not in network_to_dict(net)
+
+    def test_generic_couplings_roundtrip(self, tmp_path):
+        net = generic_network(n=7, seed=3, m=1, q=3)
+        data = network_to_dict(net)
+        assert len(data["couplings"]) == net.order
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        for back in (network_from_dict(data), load_network(path)):
+            assert back.graph.edges == net.graph.edges
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(back.laplacians, net.laplacians))
+            assert not back.is_laplacian_form()
+
+    def test_malformed_couplings(self):
+        data = network_to_dict(generic_network(n=5, seed=0, m=1, q=2))
+        data["couplings"] = [[[1.0, 2.0], [3.0]]] * 2
+        with pytest.raises(NetworkFileError):
+            network_from_dict(data)
+        data["couplings"] = [np.ones((5, 5)).tolist()] * 2
+        with pytest.raises(ModelAssemblyError):
+            network_from_dict(data)
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"
