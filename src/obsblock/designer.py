@@ -69,11 +69,7 @@ class BlockingDesign:
     lambda_p: complex
     lambda_index: int
     variant: str
-    h_p: np.ndarray
     v_hat: np.ndarray
-    z_p: np.ndarray
-    V: np.ndarray
-    Z: np.ndarray
     gain: FeedbackGain
     preserved: tuple
     repaired: tuple
@@ -204,8 +200,8 @@ def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION,
 def build_candidate(bundle: NullspaceBundle, h: np.ndarray):
     """Replacement eigenvector and input direction (v_hat, z_p) from h.
 
-    v_hat is normalized to unit length and phase-canonicalized; z and h
-    are scaled consistently so (A - lambda I) v_hat + B z stays zero.
+    v_hat is normalized to unit length and phase-canonicalized; z is
+    scaled consistently so (A - lambda I) v_hat + B z stays zero.
     """
     v_hat = bundle.n1 @ h
     z = bundle.n2 @ h
@@ -215,7 +211,7 @@ def build_candidate(bundle: NullspaceBundle, h: np.ndarray):
     mags = np.abs(v_hat)
     idx = int(np.argmax(mags > 1e-8 * mags.max()))
     phase = np.exp(-1j * np.angle(v_hat[idx])) / nrm
-    return v_hat * phase, z * phase, h * phase
+    return v_hat * phase, z * phase
 
 
 def _repair_draw(rng, q: int, make_real: bool) -> np.ndarray:
@@ -245,14 +241,15 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                       options: DesignOptions, measured_nodes) -> BlockingDesign:
     """Modal replacement steps: swap, independence repair, gain recovery.
 
-    `candidate` is the (v_hat, z, h) triple for column p; the conjugate
+    `candidate` is the (v_hat, z) pair for column p; the conjugate
     column is handled automatically for complex targets, and a snapped
-    defective pair consumes a second seeded draw.
+    defective pair consumes a second seeded draw. The modal matrices
+    (V, Z) stay local: F and the network determine them.
     """
     tol = options.tolerances
     d = sd.dim
     q = B.shape[1]
-    v_hat, z_p, h_p = candidate
+    v_hat, z_p = candidate
     lam_p = sd.eigenvalues[p]
     partner = int(sd.pairing[p])
 
@@ -381,7 +378,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     _enforce_postconditions(residuals, tol)
     return BlockingDesign(
         lambda_p=complex(lam_p), lambda_index=p, variant=options.variant,
-        h_p=h_p, v_hat=v_hat, z_p=z_p, V=V, Z=Z, gain=gain,
+        v_hat=v_hat, gain=gain,
         preserved=tuple(preserved), repaired=tuple(repaired),
         replaced=tuple(replaced), cond_V=float(cond_V), residuals=residuals,
         measured_nodes=tuple(measured_nodes), open_loop=sd, network=network)

@@ -165,16 +165,6 @@ def closed_loop(A: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
     return A + B @ F
 
 
-def dump_matrices(network: IntegratorNetwork) -> str:
-    """Dense row-major text of (A, B, C) for debugging."""
-    A, B, C = assemble(network)
-    chunks = []
-    for name, M in (("A", A), ("B", B), ("C", C)):
-        chunks.append(f"{name} {M.shape[0]}x{M.shape[1]}")
-        chunks.extend(" ".join(repr(float(x)) for x in row) for row in M)
-    return "\n".join(chunks) + "\n"
-
-
 def network_to_dict(network: IntegratorNetwork) -> dict:
     """Plain-dict form matching the network file schema.
 

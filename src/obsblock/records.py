@@ -21,7 +21,10 @@ from .model import FeedbackGain, assemble, network_from_dict, network_to_dict
 from .spectrum import decompose
 from .verify import VerificationReport
 
-FORMAT = "obsblock-design/1"
+FORMAT = "obsblock-design/2"
+# /1 records also carried the designer's modal matrices (h_p, z_p, V, Z);
+# they load through the same path and those keys are ignored.
+READ_FORMATS = ("obsblock-design/1", FORMAT)
 
 
 def _carray(a) -> dict:
@@ -51,11 +54,7 @@ def design_to_dict(design) -> dict:
         "variant": design.variant,
         "lambda_p": _complex(design.lambda_p),
         "lambda_index": design.lambda_index,
-        "h_p": _carray(design.h_p),
         "v_hat": _carray(design.v_hat),
-        "z_p": _carray(design.z_p),
-        "V": _carray(design.V),
-        "Z": _carray(design.Z),
         "F": np.asarray(design.F).tolist(),
         "realness_residual": design.gain.realness_residual,
         "preserved": list(design.preserved),
@@ -97,7 +96,7 @@ def _certificate_to_dict(cert: TransferCertificate) -> dict:
 
 def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
     """Rebuild a design record; the open-loop modal data is recomputed."""
-    if data.get("format") != FORMAT:
+    if data.get("format") not in READ_FORMATS:
         raise NetworkFileError(f"not a design record (format {data.get('format')!r})")
     try:
         network = network_from_dict(data["network"])
@@ -109,11 +108,7 @@ def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
             lambda_p=complex(*data["lambda_p"]),
             lambda_index=int(data["lambda_index"]),
             variant=data["variant"],
-            h_p=_from_carray(data["h_p"]),
             v_hat=_from_carray(data["v_hat"]),
-            z_p=_from_carray(data["z_p"]),
-            V=_from_carray(data["V"]),
-            Z=_from_carray(data["Z"]),
             gain=gain,
             preserved=tuple(data["preserved"]),
             repaired=tuple(data["repaired"]),

@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 
 import numpy as np
+import pytest
 
 from obsblock import records
 from obsblock.cli import main
 from obsblock.config import DesignOptions
 from obsblock.cutset import CutsetDesign, design_via_cutset
 from obsblock.designer import design_blocking
-from obsblock.model import load_network
+from obsblock.model import assemble, load_network
 from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.verify import verify_design
 
@@ -168,6 +169,56 @@ class TestRecords:
         assert isinstance(loaded, CutsetDesign)
         assert loaded.certificate.plan.vcut == (5,)
         assert loaded.certificate.condition.satisfied
+
+    def test_records_carry_no_modal_matrices(self):
+        direct = design_blocking(random_network(n=7, seed=4, m=1, q=3),
+                                 DesignOptions(seed=4))
+        cut = design_via_cutset(fig2_din(seed=2), options=DesignOptions(seed=2))
+        for design in (direct, cut):
+            data = records.design_to_dict(design)
+            assert data["format"] == "obsblock-design/2"
+            assert not {"h_p", "z_p", "V", "Z"} & set(data)
+
+    def test_format_1_record_loads_and_verifies_the_same(self):
+        design = design_blocking(random_network(n=7, seed=4, m=1, q=3),
+                                 DesignOptions(seed=4))
+        data = records.design_to_dict(design)
+        old = dict(data, format="obsblock-design/1")
+        for key in ("h_p", "z_p", "V", "Z"):
+            old[key] = {"real": [[0.0]], "imag": [[0.0]]}
+        new_loaded = records.design_from_dict(json.loads(records.dumps(data)))
+        old_loaded = records.design_from_dict(json.loads(records.dumps(old)))
+        assert np.array_equal(old_loaded.F, new_loaded.F)
+        report = records.verification_to_dict(verify_design(old_loaded))
+        assert report == records.verification_to_dict(verify_design(new_loaded))
+        assert report["verdict"] == "pass"
+
+    @pytest.mark.parametrize("kind", ["directed", "generic", "fig2-cutset"])
+    def test_reloaded_record_verifies_like_the_design(self, kind):
+        # the record carries everything verify_design reads
+        if kind == "directed":
+            design = design_blocking(random_network(n=8, seed=3, m=2, q=4),
+                                     DesignOptions(seed=3))
+        elif kind == "generic":
+            design = design_blocking(generic_network(n=7, seed=2, m=1, q=3),
+                                     DesignOptions(seed=2))
+        else:
+            design = design_via_cutset(fig2_din(seed=2),
+                                       options=DesignOptions(seed=2))
+        loaded = records.design_from_dict(
+            json.loads(records.dumps(records.design_to_dict(design))))
+
+        def audit(d):
+            C = None
+            if isinstance(d, CutsetDesign):
+                d = d.design
+                C = assemble(d.network)[2]
+            report = verify_design(d, C=C, rng=np.random.default_rng(0))
+            return records.verification_to_dict(report)
+
+        report = audit(loaded)
+        assert report == audit(design)
+        assert report["verdict"] == "pass"
 
     def test_report_text_mentions_core_fields(self):
         net = random_network(n=6, seed=4, m=1, q=3)

@@ -141,21 +141,6 @@ class TestClosedLoop:
         assert max(abs(a - b) for a, b in zip(lam_o, lam_c)) < 1e-6
 
 
-def test_matrix_debug_dump_roundtrips():
-    from obsblock.model import dump_matrices
-    net = random_network(n=4, seed=1, m=1, q=2)
-    text = dump_matrices(net)
-    A, B, C = assemble(net)
-    lines = iter(text.splitlines())
-    for M in (A, B, C):
-        header = next(lines)
-        assert header.endswith(f"{M.shape[0]}x{M.shape[1]}")
-        got = np.array([[float(x) for x in next(lines).split()]
-                        for _ in range(M.shape[0])])
-        got = got.reshape(M.shape)
-        assert np.array_equal(got, M)
-
-
 class TestNetworkFile:
     def test_roundtrip(self, tmp_path):
         net = random_network(n=6, seed=1, m=2, q=3)
