@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from obsblock import records
 from obsblock.config import DesignOptions
 from obsblock.designer import (assemble_and_gain, build_candidate,
                                design_blocking, nullspace_bundle, select_hp,
                                select_lambda)
 from obsblock.errors import (DefectiveSpectrumError, GenerationError,
-                             InsufficientActuationError, NotAnEigenvalueError)
+                             InsufficientActuationError, NotAnEigenvalueError,
+                             RepairFailureError)
 from obsblock.model import assemble, closed_loop
 from obsblock.scenarios import random_network
 from obsblock.spectrum import decompose
-from obsblock.verify import pbh_test
+from obsblock.verify import pbh_test, verify_design
 
 
 def test_repair_path_replaces_duplicated_column():
@@ -44,6 +48,58 @@ def test_repair_path_replaces_duplicated_column():
     A_cl = closed_loop(A, B, design.F)
     _, _, C = assemble(net)
     assert pbh_test(A_cl, C, design.lambda_p) <= 2 * net.n - 1
+
+
+def test_conjugate_pair_repair_redraws_both_columns():
+    # the pair (12, 13) duplicates the pair (2, 3), which enters the
+    # greedy subset first; the repair draws one complex direction for the
+    # pair and sets its conjugate on the partner column
+    net = random_network(n=8, seed=28, m=1, q=3)
+    A, B, C = assemble(net)
+    opts = DesignOptions(seed=28)
+    sd = decompose(A, opts.tolerances)
+    p = select_lambda(sd, opts)
+    assert p == 9
+    assert (sd.pairing[2], sd.pairing[12]) == (3, 13)
+    sd.modal_matrix[:, 12] = sd.modal_matrix[:, 2]
+    sd.modal_matrix[:, 13] = sd.modal_matrix[:, 3]
+
+    bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
+                              net.n, 2, opts.tolerances)
+    candidate = build_candidate(bundle, select_hp(bundle))
+    design = assemble_and_gain(net, sd, p, candidate, bundle, A, B, opts,
+                               net.measurement)
+    assert design.repaired == (12, 13)
+    assert design.residuals["spectrum_match"] < 1e-6
+    assert pbh_test(closed_loop(A, B, design.F), C, design.lambda_p) \
+        <= 2 * net.n - 1
+    assert hashlib.sha256(design.F.tobytes()).hexdigest() == \
+        "5c4868f9eb0fa74dfef7dc71298b70655463e29315d26fc5ccc595baede7a3c0"
+
+
+def test_snapped_pair_draws_an_independent_second_column():
+    # column 12 is a real eigenvalue with a complex eigenvector paired to
+    # column 13; the second column is a real draw from the same null space
+    net = random_network(n=7, order=2, seed=1, m=1, q=3, density=0.4)
+    design = design_blocking(net, DesignOptions(
+        seed=1, lambda_selection=("index", 12)))
+    assert design.replaced == (12, 13)
+    assert verify_design(design).verdict
+    record = records.dumps(records.design_to_dict(design)).encode()
+    assert hashlib.sha256(record).hexdigest() == \
+        "bd6f40c8e79f0761aee3abfc98a9a068336c0197a2ab57c0de5a6cdfd4806d39"
+
+
+def test_snapped_pair_at_zero_fails_on_a_balanced_graph():
+    net = random_network(n=6, seed=0, m=1, q=3, density=0.4,
+                         undirected=True, overdamped=True)
+    with pytest.raises(RepairFailureError) as info:
+        design_blocking(net, DesignOptions(seed=0,
+                                           lambda_selection=("index", 10)))
+    assert str(info.value) == (
+        "no independent second direction for the snapped defective pair at "
+        "7.07736e-17+0j (structural for weight-balanced graphs at lambda = 0)")
+    assert info.value.rank_gap == 0
 
 
 def test_explicit_zero_lambda_succeeds_on_unbalanced_digraph():
