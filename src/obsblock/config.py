@@ -21,9 +21,6 @@ class Tolerances:
     ----------
     rank_decision : float
         Relative singular-value cutoff for PBH / observability verdicts.
-    independence : float or None
-        Relative cutoff for null-space and modal independence ranks.
-        None means max_dim * machine-eps (rank-revealing default).
     snap_imag : float
         Imaginary parts below snap_imag * ||A|| are snapped to real.
     cluster : float
@@ -49,7 +46,6 @@ class Tolerances:
     """
 
     rank_decision: float = 1e-12
-    independence: float | None = None
     snap_imag: float = 1e-8
     cluster: float = 1e-7
     spectrum_match: float = 1e-6
@@ -85,7 +81,6 @@ class DesignOptions:
     lambda_selection: object = "default"
     seed: int = 0
     q_check: str = "strict"
-    strict_defective: bool = False
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):

@@ -28,7 +28,6 @@ class LgCondition:
     """Spectral eligibility of one eigenvalue for the cutset transfer."""
 
     lambda_p: complex
-    lg: np.ndarray
     lg_eigenvalues: np.ndarray
     satisfied: bool
     margin: float
@@ -64,8 +63,7 @@ def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p,
     N = network.order
     idx = [v - 1 for v in plan.v2]
     if not idx:
-        return LgCondition(lambda_p=lam, lg=np.zeros((0, 0), complex),
-                           lg_eigenvalues=np.array([], complex),
+        return LgCondition(lambda_p=lam, lg_eigenvalues=np.array([], complex),
                            satisfied=True, margin=np.inf, tolerance=0.0)
     Lg = np.zeros((len(idx), len(idx)), dtype=complex)
     for k, L in enumerate(network.laplacians):
@@ -73,7 +71,7 @@ def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p,
     eig_lg = la.eigvals(Lg)
     margin = float(np.abs((lam ** N) - eig_lg).min())
     threshold = float(tol.lg_margin * (1.0 + la.norm(Lg, 2)))
-    return LgCondition(lambda_p=lam, lg=Lg, lg_eigenvalues=eig_lg,
+    return LgCondition(lambda_p=lam, lg_eigenvalues=eig_lg,
                        satisfied=bool(margin > threshold), margin=margin,
                        tolerance=threshold)
 

@@ -16,16 +16,16 @@ import scipy.linalg as la
 
 from .config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
                      VARIANT_DERIVATIVE, VARIANT_POSITION)
-from .errors import (ControllabilityError, DefectiveSpectrumError,
-                     DegenerateCandidateError, IllConditionedDesignError,
-                     InsufficientActuationError, InvalidInputError,
-                     NoEligibleEigenvalueError, NotAnEigenvalueError,
-                     RepairFailureError)
+from .errors import (ControllabilityError, DegenerateCandidateError,
+                     IllConditionedDesignError, InsufficientActuationError,
+                     InvalidInputError, NoEligibleEigenvalueError,
+                     NotAnEigenvalueError, RepairFailureError)
 from .model import FeedbackGain, IntegratorNetwork, assemble
 from .spectrum import (SpectralData, decompose, match_eigenvalue,
                        multiset_error, numerical_rank, rank_cutoff)
 
 _EPS = np.finfo(float).eps
+_REPAIR_DRAWS = 50      # seeded null-space draws per column before giving up
 
 
 @dataclass
@@ -38,7 +38,6 @@ class NullspaceBundle:
     can carve out their constraint block.
     """
 
-    lam: complex
     full: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
@@ -86,13 +85,13 @@ class BlockingDesign:
         return self.gain.matrix
 
 
-def _null_basis(M: np.ndarray, rtol: float | None) -> np.ndarray:
+def _null_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis; canonical basis for a zero matrix."""
     rows, cols = M.shape
     if rows == 0 or not np.abs(M).max() > 0.0:
         return np.eye(cols, dtype=complex)
     U, sv, Vh = la.svd(M, full_matrices=True)
-    r = int((sv > rank_cutoff(sv[0], M.shape, rtol)).sum())
+    r = int((sv > rank_cutoff(sv[0], M.shape, None)).sum())
     return Vh[r:, :].conj().T
 
 
@@ -132,8 +131,7 @@ def check_controllability(network: IntegratorNetwork, eigenvalues,
                 f"(A, B) uncontrollable at eigenvalue {lam:.6g}")
 
 
-def nullspace_bundle(A, B, lam, meas_idx, n: int, order: int,
-                     tol: Tolerances = DEFAULT_TOLERANCES) -> NullspaceBundle:
+def nullspace_bundle(A, B, lam, meas_idx, n: int, order: int) -> NullspaceBundle:
     """Null space of [A - lambda*I, B] with the design row partition.
 
     Raises ControllabilityError when the null-space dimension differs
@@ -144,17 +142,16 @@ def nullspace_bundle(A, B, lam, meas_idx, n: int, order: int,
     if q < 1:
         raise InsufficientActuationError("need at least one actuation node")
     S = np.hstack([A - lam * np.eye(d), B]).astype(complex)
-    basis = _null_basis(S, tol.independence)
+    basis = _null_basis(S)
     if basis.shape[1] != q:
         raise ControllabilityError(
             f"null space of [A - lambda I, B] has dimension {basis.shape[1]}, "
             f"expected q = {q}; (A, B) is not controllable at {lam:.6g}")
-    return NullspaceBundle(lam=lam, full=basis, n1=basis[:d, :], n2=basis[d:, :],
+    return NullspaceBundle(full=basis, n1=basis[:d, :], n2=basis[d:, :],
                            n=n, order=order, q=q, meas_idx=tuple(meas_idx))
 
 
-def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION,
-              tol: Tolerances = DEFAULT_TOLERANCES) -> np.ndarray:
+def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION) -> np.ndarray:
     """Direction in the constraint-block null space, unit norm.
 
     Among null directions of N4 (or N6 for the derivative variant) the
@@ -167,7 +164,7 @@ def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION,
         block = bundle.n6
     else:
         raise InvalidInputError(f"unknown variant {variant!r}")
-    K = _null_basis(block, tol.independence)
+    K = _null_basis(block)
     if K.shape[1] == 0:
         raise InsufficientActuationError(
             f"constraint block has trivial null space (q = {bundle.q}, "
@@ -214,9 +211,28 @@ def build_candidate(bundle: NullspaceBundle, h: np.ndarray):
     return v_hat * phase, z * phase
 
 
-def _repair_draw(rng, q: int, make_real: bool) -> np.ndarray:
-    h = rng.standard_normal(q) + (0.0 if make_real else 1j * rng.standard_normal(q))
-    return h
+def _draw_columns(rng, bundle: NullspaceBundle, M: np.ndarray, width: int,
+                  real: bool):
+    """Seeded draws from the null space of [A - lambda I, B] until one
+    extends M to full column rank.
+
+    A draw h gives the unit column v = N1 h / ||N1 h|| (followed by its
+    conjugate when width is 2) and the input direction z = N2 h / ||N1 h||.
+    Returns (the extended M, v, z), or None after _REPAIR_DRAWS draws.
+    """
+    d = M.shape[0]
+    q = bundle.q
+    for _ in range(_REPAIR_DRAWS):
+        h = rng.standard_normal(q) + (0.0 if real else 1j * rng.standard_normal(q))
+        v = bundle.n1 @ h
+        nn = np.linalg.norm(v)
+        if nn <= d * _EPS:
+            continue
+        v = v / nn
+        trial = np.column_stack([M, v, v.conj()][:width + 1])
+        if numerical_rank(trial) == M.shape[1] + width:
+            return trial, v, bundle.n2 @ h / nn
+    return None
 
 
 def _greedy_units(sd: SpectralData, targets):
@@ -261,7 +277,6 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     V[:, p] = v_hat
     Z[:, p] = z_p
     rng = np.random.default_rng(np.random.SeedSequence([options.seed, p, 0xB10C]))
-    repair_budget = 50
 
     if partner != p:
         replaced.append(partner)
@@ -271,81 +286,53 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
         else:
             # snapped defective pair at a real eigenvalue: second column is a
             # fresh draw from the same null space, accepted on independence
-            ok = False
-            for _ in range(repair_budget):
-                h2 = _repair_draw(rng, q, make_real=True)
-                cand = bundle.n1 @ h2
-                nn = np.linalg.norm(cand)
-                if nn <= d * _EPS:
-                    continue
-                trial = V.copy()
-                trial[:, partner] = cand / nn
-                if numerical_rank(trial, tol.independence) == d:
-                    V[:, partner] = cand / nn
-                    Z[:, partner] = bundle.n2 @ h2 / nn
-                    pairing[p] = p
-                    pairing[partner] = partner
-                    ok = True
-                    break
-            if not ok:
+            drawn = _draw_columns(rng, bundle, np.delete(V, partner, axis=1), 1,
+                                  real=True)
+            if drawn is None:
                 raise RepairFailureError(
                     "no independent second direction for the snapped defective "
                     f"pair at {lam_p:.6g} (structural for weight-balanced graphs "
                     "at lambda = 0)",
-                    rank_gap=d - numerical_rank(V, tol.independence))
+                    rank_gap=d - numerical_rank(V))
+            _, V[:, partner], Z[:, partner] = drawn
+            pairing[p] = p
+            pairing[partner] = partner
 
-    preserved: list = []
-    repaired: list = []
+    failed = []     # units the greedy subset leaves out, in greedy order
     # Step 5: does the plain swap keep a basis?
-    if numerical_rank(V, tol.independence) == d:
+    if numerical_rank(V) == d:
         preserved = [i for i in range(d) if i not in replaced]
     else:
-        # Steps 7-9: greedy self-conjugate independent subset, candidates first
+        # Steps 7-9: greedy self-conjugate independent subset, candidates
+        # first; every unit left out is redrawn, in ascending index order
         kept = list(replaced)
         M = V[:, kept]
         for unit in _greedy_units(sd, replaced):
             trial = np.hstack([M, V[:, list(unit)]])
-            if numerical_rank(trial, tol.independence) == len(kept) + len(unit):
+            if numerical_rank(trial) == len(kept) + len(unit):
                 kept.extend(unit)
                 M = trial
             else:
-                repaired.extend(unit)
+                failed.append(unit)
         preserved = [i for i in kept if i not in replaced]
         bundles = {}
-        for unit in _single_and_pair_units(repaired, pairing):
-            k = unit[0]
-            lam_k = sd.eigenvalues[k]
+        for unit in sorted(failed):
+            lam_k = sd.eigenvalues[unit[0]]
             bk = bundles.get(complex(lam_k))
             if bk is None:
                 bk = nullspace_bundle(A, B, lam_k, measured_nodes,
-                                      network.n, network.order, tol)
+                                      network.n, network.order)
                 bundles[complex(lam_k)] = bk
-            ok = False
-            for _ in range(repair_budget):
-                h_k = _repair_draw(rng, q, make_real=lam_k.imag == 0.0
-                                   and len(unit) == 1)
-                cand = bk.n1 @ h_k
-                nn = np.linalg.norm(cand)
-                if nn <= d * _EPS:
-                    continue
-                cols = [cand / nn]
-                if len(unit) == 2:
-                    cols.append(cols[0].conj())
-                trial = np.hstack([M] + [c[:, None] for c in cols])
-                if numerical_rank(trial, tol.independence) == len(kept) + len(unit):
-                    M = trial
-                    kept.extend(unit)
-                    V[:, unit[0]] = cols[0]
-                    Z[:, unit[0]] = bk.n2 @ h_k / nn
-                    if len(unit) == 2:
-                        V[:, unit[1]] = cols[0].conj()
-                        Z[:, unit[1]] = (bk.n2 @ h_k / nn).conj()
-                    ok = True
-                    break
-            if not ok:
+            drawn = _draw_columns(rng, bk, M, len(unit),
+                                  real=lam_k.imag == 0.0 and len(unit) == 1)
+            if drawn is None:
                 raise RepairFailureError(
                     f"independence repair failed at eigenvalue {lam_k:.6g}",
-                    rank_gap=d - numerical_rank(M, tol.independence))
+                    rank_gap=d - numerical_rank(M))
+            M, v, z = drawn
+            V[:, unit[0]], Z[:, unit[0]] = v, z
+            if len(unit) == 2:
+                V[:, unit[1]], Z[:, unit[1]] = v.conj(), z.conj()
 
     F_raw, cond_V = _real_gain(V, Z, pairing, tol)
     realness = float(np.abs(F_raw.imag).max()) if np.iscomplexobj(F_raw) else 0.0
@@ -379,7 +366,8 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     return BlockingDesign(
         lambda_p=complex(lam_p), lambda_index=p, variant=options.variant,
         v_hat=v_hat, gain=gain,
-        preserved=tuple(preserved), repaired=tuple(repaired),
+        preserved=tuple(preserved),
+        repaired=tuple(i for unit in failed for i in unit),
         replaced=tuple(replaced), cond_V=float(cond_V), residuals=residuals,
         measured_nodes=tuple(measured_nodes), open_loop=sd, network=network)
 
@@ -398,22 +386,6 @@ def _enforce_postconditions(residuals, tol: Tolerances) -> None:
         if residuals[key] > budget:
             raise IllConditionedDesignError(
                 f"{label} {residuals[key]:.3e} exceeds {budget:g}")
-
-
-def _single_and_pair_units(indices, pairing):
-    units = []
-    seen = set()
-    for i in sorted(indices):
-        if i in seen:
-            continue
-        j = int(pairing[i])
-        if j != i and j in indices:
-            units.append((i, j) if i < j else (j, i))
-            seen.update((i, j))
-        else:
-            units.append((i,))
-            seen.add(i)
-    return units
 
 
 def _real_gain(V, Z, pairing, tol: Tolerances):
@@ -476,10 +448,13 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
                   eligible=None) -> int:
     """Resolve the lambda-selection policy to a modal column index.
 
-    Default policy: smallest-magnitude nonzero real eigenvalue whose
-    cluster is non-defective (and passes `eligible` when given), then
-    the smallest conjugate pair. Explicit index/value overrides skip
-    the defectiveness screen; strict mode re-enables it.
+    Default policy: the first usable candidate in the order real
+    eigenvalues by (|lambda|, index), then upper-half conjugate pairs by
+    (|lambda|, index). A candidate is usable when it is nonzero, its
+    cluster is non-defective, it is not a snapped pair and it passes
+    `eligible` when given; `eligible` is called only until the first
+    usable candidate is found. Explicit index/value overrides skip
+    these screens.
     """
     tol = options.tolerances
     sel = options.lambda_selection
@@ -503,22 +478,16 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
                 return False
             return eligible is None or eligible(sd.eigenvalues[i], i)
 
-        reals = [i for i in range(sd.dim) if sd.is_real(i) and usable(i)]
-        if reals:
-            p = min(reals, key=lambda i: (abs(sd.eigenvalues[i]), i))
-        else:
-            pairs = [i for i in range(sd.dim)
-                     if sd.eigenvalues[i].imag > 0 and usable(i)]
-            if not pairs:
-                raise NoEligibleEigenvalueError(
-                    "no non-defective eigenvalue satisfies the selection policy")
-            p = min(pairs, key=lambda i: (abs(sd.eigenvalues[i]), i))
+        walk = sorted((i for i in range(sd.dim) if sd.eigenvalues[i].imag >= 0),
+                      key=lambda i: (sd.eigenvalues[i].imag > 0,
+                                     abs(sd.eigenvalues[i]), i))
+        p = next((i for i in walk if usable(i)), None)
+        if p is None:
+            raise NoEligibleEigenvalueError(
+                "no non-defective eigenvalue satisfies the selection policy")
     else:
         raise InvalidInputError(f"bad lambda selection {sel!r}")
 
-    if options.strict_defective and sd.defective[p]:
-        raise DefectiveSpectrumError(
-            f"eigenvalue {sd.eigenvalues[p]:.6g} belongs to a defective cluster")
     if options.variant == VARIANT_DERIVATIVE and abs(sd.eigenvalues[p]) <= screen:
         raise InvalidInputError(
             "the measure-derivative variant requires a nonzero eigenvalue")
@@ -542,7 +511,7 @@ def design_blocking(network: IntegratorNetwork,
     the decomposition.
 
     Raises the specific precondition error (actuation count,
-    controllability, defectiveness) or a numerical error from the
+    controllability, lambda selection) or a numerical error from the
     replacement steps.
     """
     tol = options.tolerances
@@ -577,8 +546,8 @@ def design_blocking(network: IntegratorNetwork,
                         "measure-position variant but outside the nonzero-"
                         "eigenvalue wording of the design guarantee")
     bundle = nullspace_bundle(A, B, lam_p, measured_nodes, network.n,
-                              network.order, tol)
-    h = select_hp(bundle, options.variant, tol)
+                              network.order)
+    h = select_hp(bundle, options.variant)
     candidate = build_candidate(bundle, h)
     design = assemble_and_gain(network, sd, p, candidate, bundle, A, B,
                                options, measured_nodes)

@@ -43,12 +43,6 @@ class ControllabilityError(ObsBlockError):
     exit_code = EXIT_PRECONDITION
 
 
-class DefectiveSpectrumError(ObsBlockError):
-    """Targeted eigenvalue cluster is defective and the variant cannot proceed."""
-
-    exit_code = EXIT_PRECONDITION
-
-
 class DegenerateCandidateError(ObsBlockError):
     """Every admissible h yields a (numerically) zero replacement eigenvector."""
 

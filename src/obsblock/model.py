@@ -120,10 +120,6 @@ class FeedbackGain:
             raise ModelAssemblyError("gain matrix contains non-finite entries")
         object.__setattr__(self, "matrix", M)
 
-    @property
-    def shape(self):
-        return self.matrix.shape
-
 
 def assemble(network: IntegratorNetwork):
     """State-space triple (A, B, C) of the network.

@@ -120,30 +120,35 @@ def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
             network=network,
             warnings=tuple(data.get("warnings", ())),
         )
+        cert = _certificate_from_dict(data["cutset"]) if "cutset" in data else None
     except (KeyError, TypeError, ValueError) as exc:
         raise NetworkFileError(f"malformed design record: {exc}") from exc
-    if "cutset" not in data:
-        return design
-    c = data["cutset"]
+    d = network.n * network.order
+    if design.v_hat.shape != (d,) or design.F.shape != (network.q, d):
+        raise NetworkFileError(
+            f"malformed design record: v_hat has shape {design.v_hat.shape} and "
+            f"F {design.F.shape}, expected ({d},) and ({network.q}, {d})")
+    return design if cert is None else CutsetDesign(design=design, certificate=cert)
+
+
+def _certificate_from_dict(c: dict) -> TransferCertificate:
     plan = CutsetPlan(v1=tuple(c["plan"]["v1"]), vcut=tuple(c["plan"]["vcut"]),
                       v2=tuple(c["plan"]["v2"]),
                       permutation=tuple(c["plan"]["permutation"]))
     margin = c["lg"]["margin"]
     cond = LgCondition(
         lambda_p=complex(*c["lg"]["lambda_p"]),
-        lg=np.zeros((0, 0), dtype=complex),
         lg_eigenvalues=_from_carray(c["lg"]["eigenvalues"]),
         satisfied=bool(c["lg"]["satisfied"]),
         margin=np.inf if margin is None else float(margin),
         tolerance=float(c["lg"]["tolerance"]),
     )
-    cert = TransferCertificate(
+    return TransferCertificate(
         plan=plan, condition=cond,
         cut_zero_pattern=float(c["cut_zero_pattern"]),
         far_zero_pattern=float(c["far_zero_pattern"]),
         base_output_infnorm=float(c["base_output_infnorm"]),
         derivative_relation_residual=float(c["derivative_relation_residual"]))
-    return CutsetDesign(design=design, certificate=cert)
 
 
 def save_design(design, path) -> None:

@@ -34,7 +34,6 @@ class SpectralData:
     modal_matrix: np.ndarray
     pairing: np.ndarray
     defective: np.ndarray
-    clusters: list
     matrix_norm: float
 
     @property
@@ -128,9 +127,8 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
             V[:, i] = _canonical_phase(V[:, i])
             V[:, j] = V[:, i].conj()
 
-    defective, clusters = _flag_defective(A, lam, tol)
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
-                        pairing=pairing, defective=defective, clusters=clusters,
+                        pairing=pairing, defective=_flag_defective(A, lam, tol),
                         matrix_norm=nrm)
 
 
@@ -192,7 +190,7 @@ def _flag_defective(A, lam, tol):
         if geo < alg:
             for i in cluster:
                 flags[i] = True
-    return flags, clusters
+    return flags
 
 
 def check_stacked_structure(sd: SpectralData, n: int, N: int) -> float:

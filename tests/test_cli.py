@@ -101,6 +101,26 @@ class TestExitCodes:
         bad.write_text("{\"format\": \"other\"}")
         assert main(["verify", "--input", str(bad)]) == 4
 
+    @pytest.mark.parametrize("defect", [
+        "cutset-plan-without-v2", "lg-eigenvalues-plain-list",
+        "v_hat-too-short", "F-wrong-shape"])
+    def test_malformed_cutset_record_is_io_error(self, defect, tmp_path, capsys):
+        data = records.design_to_dict(
+            design_via_cutset(fig2_din(seed=0), options=DesignOptions(seed=0)))
+        if defect == "cutset-plan-without-v2":
+            del data["cutset"]["plan"]["v2"]
+        elif defect == "lg-eigenvalues-plain-list":
+            data["cutset"]["lg"]["eigenvalues"] = [0.0, 1.0]
+        elif defect == "v_hat-too-short":
+            for part in ("real", "imag"):
+                data["v_hat"][part] = data["v_hat"][part][:-1]
+        else:
+            data["F"] = [row[:-1] for row in data["F"]]
+        path = tmp_path / "bad.json"
+        path.write_text(records.dumps(data))
+        assert main(["verify", "--input", str(path)]) == 4
+        assert "error: malformed design record" in capsys.readouterr().err
+
     def test_insufficient_actuation_is_precondition(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
         main(["gen", "--n", "7", "--m", "2", "--q", "2", "--seed", "1",

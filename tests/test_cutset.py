@@ -13,6 +13,7 @@ from obsblock.graph import CutsetPlan, WeightedDigraph, min_vertex_cut
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
                                 cut_friendly_network, fig2_din, random_network)
+from obsblock.spectrum import multiset_error
 from obsblock.verify import pbh_test
 
 
@@ -59,17 +60,20 @@ class TestLgCondition:
             cond = lg_condition(net, plan, lam)
             assert not cond.satisfied
             # the construction makes lambda^2 an exact L_g eigenvalue
-            assert cond.margin < 1e-8 * (1 + la.norm(cond.lg, 2))
+            assert cond.margin < 1e-8 * (1 + np.abs(cond.lg_eigenvalues).max())
 
     def test_exact_n2_formula(self):
-        net = random_network(n=7, seed=3, m=1, q=3)
-        plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
+        net = fig2_din(seed=3)
+        plan = min_vertex_cut(net.graph, FIG2_ACTUATION, FIG2_MEASUREMENT)
         lam = -0.8
         cond = lg_condition(net, plan, lam)
         idx = [v - 1 for v in plan.v2]
-        expected = -(net.laplacians[0][np.ix_(idx, idx)]
-                     + lam * net.laplacians[1][np.ix_(idx, idx)])
-        assert np.allclose(cond.lg, expected)
+        assert idx
+        expected = la.eigvals(-(net.laplacians[0][np.ix_(idx, idx)]
+                                + lam * net.laplacians[1][np.ix_(idx, idx)]))
+        assert multiset_error(cond.lg_eigenvalues, expected) < 1e-12
+        assert cond.margin == pytest.approx(np.abs(lam ** 2 - expected).min(),
+                                            rel=1e-12)
 
 
 class TestDesignViaCutset:

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import hashlib
 import re
+from functools import lru_cache
 
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
 
 from obsblock.config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
                              VARIANT_DERIVATIVE)
@@ -14,7 +16,8 @@ from obsblock.designer import (NullspaceBundle, build_candidate,
                                design_blocking, nullspace_bundle, select_hp,
                                select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
-                             InvalidInputError, NotAnEigenvalueError)
+                             InvalidInputError, NoEligibleEigenvalueError,
+                             NotAnEigenvalueError)
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.graph import WeightedDigraph
 from obsblock.scenarios import fig2_din, generic_network, random_network
@@ -106,8 +109,7 @@ class TestSelectHp:
                        [0, 0, 0],
                        [0, 1, 0],
                        [0, 0, 1]], dtype=complex)
-        bundle = NullspaceBundle(lam=0.0 + 0j,
-                                 full=np.vstack([n1, np.zeros((q, q))]),
+        bundle = NullspaceBundle(full=np.vstack([n1, np.zeros((q, q))]),
                                  n1=n1, n2=np.zeros((q, q), complex),
                                  n=2, order=2, q=q, meas_idx=(2,))
         assert np.abs(bundle.n4).max() == 0.0
@@ -320,6 +322,72 @@ class TestUntargetedModesKeepRank:
         for i in design.preserved:
             lam = sd.eigenvalues[i]
             assert pbh_test(A, C, lam) == pbh_test(A_cl, C, lam) == d
+
+
+def two_pass_default(sd, tol, eligible):
+    """Reference default policy: screen every candidate, then take the
+    smallest usable real eigenvalue, else the smallest usable upper-half
+    pair, both by (|lambda|, index); None when nothing is usable."""
+    screen = tol.lambda_match * max(1.0, sd.matrix_norm)
+
+    def usable(i):
+        if sd.defective[i] or abs(sd.eigenvalues[i]) <= screen:
+            return False
+        if sd.is_vector_paired(i):
+            return False
+        return eligible(sd.eigenvalues[i], i)
+
+    key = lambda i: (abs(sd.eigenvalues[i]), i)
+    reals = [i for i in range(sd.dim) if sd.is_real(i) and usable(i)]
+    if reals:
+        return min(reals, key=key)
+    pairs = [i for i in range(sd.dim) if sd.eigenvalues[i].imag > 0 and usable(i)]
+    return min(pairs, key=key) if pairs else None
+
+
+WALK_NETWORKS = {
+    "laplacian directed order 2": lambda: random_network(n=6, seed=1, m=1, q=3),
+    "laplacian undirected order 3": lambda: random_network(
+        n=5, order=3, seed=2, m=1, q=3, undirected=True, overdamped=True),
+    "generic order 2": lambda: generic_network(n=6, seed=2, m=1, q=3),
+    "generic order 3": lambda: generic_network(n=5, order=3, seed=4, m=1, q=3),
+}
+
+
+@lru_cache(maxsize=None)
+def walk_spectrum(name):
+    return decompose(assemble(WALK_NETWORKS[name]())[0])
+
+
+class TestSelectLambdaWalk:
+    def test_networks_have_real_and_complex_candidates(self):
+        spectra = [walk_spectrum(name) for name in WALK_NETWORKS]
+        assert any(not sd.all_real() for sd in spectra)
+        assert any(sd.defective.any() for sd in spectra)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_matches_two_pass_reference_and_stops_early(self, data):
+        sd = walk_spectrum(data.draw(st.sampled_from(sorted(WALK_NETWORKS))))
+        allowed = data.draw(st.sets(st.sampled_from(range(sd.dim))))
+        calls = []
+
+        def eligible(lam, i):
+            assert lam == sd.eigenvalues[i]
+            calls.append(i)
+            return i in allowed
+
+        expected = two_pass_default(sd, DEFAULT_TOLERANCES,
+                                    lambda lam, i: i in allowed)
+        if expected is None:
+            with pytest.raises(NoEligibleEigenvalueError):
+                select_lambda(sd, DesignOptions(), eligible)
+        else:
+            assert select_lambda(sd, DesignOptions(), eligible) == expected
+            key = lambda i: (sd.eigenvalues[i].imag > 0, abs(sd.eigenvalues[i]), i)
+            assert all(key(i) <= key(expected) for i in calls)
+            assert calls[-1] == expected
+        assert len(calls) == len(set(calls))
 
 
 def full_pencil_uncontrollable(network, eigenvalues, tol=DEFAULT_TOLERANCES):

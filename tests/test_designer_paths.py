@@ -12,7 +12,7 @@ from obsblock.config import DesignOptions
 from obsblock.designer import (assemble_and_gain, build_candidate,
                                design_blocking, nullspace_bundle, select_hp,
                                select_lambda)
-from obsblock.errors import (DefectiveSpectrumError, GenerationError,
+from obsblock.errors import (GenerationError,
                              InsufficientActuationError, NotAnEigenvalueError,
                              RepairFailureError)
 from obsblock.model import assemble, closed_loop
@@ -39,7 +39,7 @@ def test_repair_path_replaces_duplicated_column():
     sd.modal_matrix[:, dup_to] = sd.modal_matrix[:, dup_from]
 
     bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
-                              net.n, 2, opts.tolerances)
+                              net.n, 2)
     candidate = build_candidate(bundle, select_hp(bundle))
     design = assemble_and_gain(net, sd, p, candidate, bundle, A, B, opts,
                                net.measurement)
@@ -65,7 +65,7 @@ def test_conjugate_pair_repair_redraws_both_columns():
     sd.modal_matrix[:, 13] = sd.modal_matrix[:, 3]
 
     bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
-                              net.n, 2, opts.tolerances)
+                              net.n, 2)
     candidate = build_candidate(bundle, select_hp(bundle))
     design = assemble_and_gain(net, sd, p, candidate, bundle, A, B, opts,
                                net.measurement)
@@ -120,17 +120,6 @@ def test_explicit_zero_lambda_succeeds_on_unbalanced_digraph():
         break
     else:
         pytest.fail("no directed instance admitted the zero-eigenvalue design")
-
-
-def test_strict_defective_rejects_zero_cluster():
-    net = random_network(n=6, seed=3, m=1, q=3)
-    sd = decompose(assemble(net)[0])
-    zero_cols = [i for i in range(sd.dim) if sd.defective[i]]
-    assert zero_cols
-    with pytest.raises(DefectiveSpectrumError):
-        design_blocking(net, DesignOptions(
-            seed=3, strict_defective=True,
-            lambda_selection=("index", zero_cols[0])))
 
 
 def test_q_equal_m_fails_by_rank_nullity_when_warned():
