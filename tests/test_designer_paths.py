@@ -7,7 +7,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from obsblock import records
+from obsblock import designer, records
 from obsblock.config import DesignOptions
 from obsblock.designer import (assemble_and_gain, build_candidate,
                                design_blocking, nullspace_bundle, select_hp,
@@ -75,6 +75,45 @@ def test_conjugate_pair_repair_redraws_both_columns():
         <= 2 * net.n - 1
     assert hashlib.sha256(design.F.tobytes()).hexdigest() == \
         "5c4868f9eb0fa74dfef7dc71298b70655463e29315d26fc5ccc595baede7a3c0"
+
+
+def test_snapped_pair_left_out_of_the_subset_is_redrawn_as_a_pair(monkeypatch):
+    # the snapped pair (12, 13) at lambda = 0 is the first greedy unit;
+    # with column 12 a copy of the kept candidate column the pair is left
+    # out, and the repair draws one complex direction for the pair and
+    # sets its conjugate on the partner column
+    net = random_network(n=7, seed=1, m=1, q=3, density=0.4)
+    A, B, C = assemble(net)
+    opts = DesignOptions(seed=1)
+    sd = decompose(A, opts.tolerances)
+    p = select_lambda(sd, opts)
+    assert p == 3
+    assert sd.is_vector_paired(12) and sd.pairing[12] == 13
+    bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
+                              net.n, 2)
+    candidate = build_candidate(bundle, select_hp(bundle))
+    sd.modal_matrix[:, 12] = candidate[0]
+
+    seen = {}
+    real_gain = designer._real_gain
+
+    def spy(V, Z, pairing, tol):
+        seen["V"] = V.copy()
+        return real_gain(V, Z, pairing, tol)
+
+    monkeypatch.setattr(designer, "_real_gain", spy)
+    design = assemble_and_gain(net, sd, p, candidate, bundle, A, B, opts,
+                               net.measurement)
+    assert design.repaired == (12, 13)
+    V = seen["V"]
+    assert np.array_equal(V[:, 13], V[:, 12].conj())
+    assert np.abs(V[:, 12].imag).max() > 0.1
+    assert design.gain.realness_residual == 0.0
+    assert design.residuals["spectrum_match"] < 1e-6
+    assert pbh_test(closed_loop(A, B, design.F), C, design.lambda_p) \
+        <= 2 * net.n - 1
+    assert hashlib.sha256(design.F.tobytes()).hexdigest() == \
+        "dc9865fbdb704d39dc1032383cd96c8cd51b2bd3b0084847d95f33dd4614a34a"
 
 
 def test_snapped_pair_draws_an_independent_second_column():
