@@ -110,23 +110,157 @@ def companion_pencil(network: IntegratorNetwork, lam) -> np.ndarray:
     return np.hstack([P, network.input_matrix_block()])
 
 
-def check_controllability(network: IntegratorNetwork, eigenvalues,
+def _conjugate_classes(eigenvalues, tol: Tolerances) -> np.ndarray:
+    """First column of each conjugate class, in column order: a column
+    within lambda_match of an earlier class's first column (compared in
+    the upper half plane) shares that class's verdict."""
+    up = eigenvalues.real + 1j * np.abs(eigenvalues.imag)
+    near = np.tril(np.abs(up[:, None] - up[None, :])
+                   <= tol.lambda_match * np.maximum(1.0, np.abs(up))[None, :], -1)
+    first = np.ones(up.size, dtype=bool)
+    for i in np.flatnonzero(near.any(axis=1)):
+        first[i] = not (near[i] & first).any()
+    return np.flatnonzero(first)
+
+
+def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
+               tol: Tolerances = DEFAULT_TOLERANCES):
+    """Certify PBH classes controllable from the modal data, with no SVD.
+
+    Returns (classes, bound, cutoff). classes holds the first column of
+    each conjugate class, in the order check_controllability walks them;
+    bound[k] is a lower bound on the smallest singular value of the
+    companion pencil [P(z), Bhat] at z = eigenvalues[classes[k]], and
+    cutoff[k] a value above which the pencil's own rank test cannot come
+    out deficient. bound > cutoff certifies the class; any other class
+    is undecided, never uncontrollable.
+
+    Derivation, with w and v the unit left and right eigenvectors of z:
+
+    * Companion to state. For a unit x in C^n, Horner's rule for P gives
+      y^* = x^* [Q_0(z), ..., Q_{N-2}(z), I] with Q_{N-2} = zI + L_{N-1}
+      and Q_{k-1} = z Q_k + L_k, and y^* [A - zI, B] =
+      [-x^* P(z), 0, ..., 0, x^* Bhat]. As ||y|| >= 1,
+      sigma_min([P(z), Bhat]) >= sigma_min([A - zI, B]).
+    * State bound. Let M = A - zI, rho = ||w^* M|| (the left residual) and
+      M' = M - w w^* M, so w^* M' = 0 and, by Weyl, the singular values
+      of M' and [M', B] are within rho of those of M and [M, B]. Split a
+      unit u = alpha w + r with r orthogonal to w and t = ||r||. Then
+      ||u^* M'|| >= s t for s <= sigma_{d-1}(M'), and ||u^* B|| >=
+      |alpha| b - t c with b = ||w^* B|| and c = ||B||. Both are entries of
+      G = [[0, s], [b, -c]] applied to the unit vector (|alpha|, t) (where
+      the second is negative, s t exceeds its value where the second
+      vanishes), and sigma_min(G) is at least |det G| / ||G||_F:
+      sigma_min([M, B]) >= b s / sqrt(b^2 + c^2 + s^2) - rho.
+    * s. For x orthogonal to v, x^* = x^* (A - zI) S(z) with the reduced
+      resolvent S(z) = sum_{j != i} v_j w_j^* / (w_j^* v_j (lambda_j - z)),
+      so sigma_{d-1}(M') >= 1 / ||S(z)|| - rho. The triangle inequality
+      bounds ||S(z)|| by sum_j kappa_j / |lambda_j - z|, with
+      kappa_j = 1 / |w_j^* v_j|.
+    * Clusters. Eigenvalue j is known to its first-order perturbation disk
+      of radius kappa_j eta_j, eta_j the larger of its right and left
+      residuals, and its distance to z shrinks by that radius. Eigenvalues
+      whose disks overlap form a cluster. Its eigenvectors are each
+      ill-determined (the structural zero Jordan chain of a Laplacian
+      network has kappa near 1e7 and more), but its block of S(z),
+      V_C diag(1 / (w_j^* v_j (lambda_j - z))) W_C^*, is not: its norm is
+      that of R_V diag(...) R_W^* for the QR factors of V_C and W_C. A
+      class inside a cluster gets bound 0 and always goes to the pencil.
+    * Cutoff. sigma_max([P(z), Bhat]) <= sbar = |z|^N
+      + sum_k |z|^k ||L_k||_F + ||Bhat||. Forming P(z) by Horner and the
+      SVD move its singular values by at most
+      delta = (2N + n + q) eps sbar, so the rank test at rank_decision
+      reports full rank once the exact sigma_min exceeds
+      cutoff = rank_decision sbar + (1 + rank_decision) delta.
+
+    The lambda_j are the eigensolver's raw eigenvalues and z is the
+    (snapped) eigenvalue the pencil runs at; the eigen-data enter at face
+    value, and their residuals are the slack.
+    """
+    n, N, q = network.n, network.order, network.q
+    V, W = sd.modal_matrix, sd.left_modal_matrix
+    mu = sd.raw_eigenvalues
+    classes = _conjugate_classes(sd.eigenvalues, tol)
+    z = sd.eigenvalues[classes]
+
+    # A V and A^T W from the companion blocks: identity above the
+    # diagonal, -L_k in the last block row
+    stack = np.hstack(network.laplacians)
+    AV = np.vstack([V[n:], -stack @ V])
+    ATW = -stack.T @ W[-n:]
+    ATW[n:] += W[:-n]
+    eta = np.maximum(np.linalg.norm(AV - V * mu, axis=0),
+                     np.linalg.norm(ATW - W * mu.conj(), axis=0))
+    gram = (W.conj() * V).sum(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = 1.0 / np.abs(gram)
+        radius = np.where(np.isfinite(kappa), kappa * eta, np.inf)
+    overlap = np.abs(mu[:, None] - mu[None, :]) <= radius[:, None] + radius[None, :]
+    label = np.arange(sd.dim)
+    for j in np.flatnonzero(overlap.sum(axis=1) > 1):
+        label[np.isin(label, label[overlap[j]])] = label[j]
+    size = np.bincount(label)
+    single = size[label] == 1
+
+    # ||S(z)|| per singleton class: triangle sum over singletons, exact
+    # block norm per cluster
+    cand = np.flatnonzero(single[classes])
+    i, zc = classes[cand], z[cand]
+    others = single[None, :] & (np.arange(sd.dim)[None, :] != i[:, None])
+    gap = np.abs(mu[None, :] - zc[:, None]) - radius[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        resolvent = np.where(others, np.where(gap > 0, kappa / gap, np.inf),
+                             0.0).sum(axis=1)
+    for c in np.flatnonzero(size > 1):
+        C = np.flatnonzero(label == c)
+        if not np.isfinite(kappa[C]).all():
+            resolvent[:] = np.inf      # no eigenbasis: nothing to certify
+            break
+        RV = np.linalg.qr(V[:, C], mode="r")
+        RW = np.linalg.qr(W[:, C], mode="r")
+        scale = 1.0 / (gram[C][None, :] * (mu[C][None, :] - zc[:, None]))
+        block = (RV[None] * scale[:, None, :]) @ RW.conj().T
+        resolvent += np.linalg.norm(block, 2, axis=(1, 2))
+
+    b = np.linalg.norm(W[-n:][np.array(network.actuation, dtype=int) - 1][:, i],
+                       axis=0)
+    # Bhat has one unit column per actuator: ||Bhat||^2 is the largest
+    # number of actuators on one node
+    c2 = float(np.bincount(network.actuation).max()) if q else 0.0
+    rho = np.linalg.norm(ATW[:, i] - W[:, i] * zc.conj(), axis=0)
+    with np.errstate(divide="ignore"):
+        s = 1.0 / resolvent - rho
+    bound = np.zeros(classes.size)
+    ok = s > 0
+    bound[cand[ok]] = (b[ok] / np.sqrt(1.0 + (b[ok] ** 2 + c2) / s[ok] ** 2)
+                       - rho[ok])
+
+    mag = np.abs(z)
+    sbar = (mag ** N + sum(mag ** k * la.norm(L) for k, L in
+                           enumerate(network.laplacians))
+            + np.sqrt(c2))
+    delta = (2 * N + n + q) * _EPS * sbar
+    cutoff = tol.rank_decision * sbar + (1.0 + tol.rank_decision) * delta
+    return classes, bound, cutoff
+
+
+def check_controllability(network: IntegratorNetwork, sd: SpectralData,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> None:
     """PBH test at every distinct eigenvalue; raises on rank deficiency.
 
-    Runs on the companion pencil (see companion_pencil): rank deficient
-    when its smallest singular value is at most tol.rank_decision times
-    its largest. Conjugate eigenvalues share a verdict, so each conjugate
-    class is checked once, at its first member in the given order.
+    Conjugate eigenvalues share a verdict, so each conjugate class is
+    checked once, at its first member in column order. pbh_screen
+    certifies most classes from the left and right eigenvectors of `sd`;
+    the rest run on the companion pencil (see companion_pencil), in the
+    same order, and are rank deficient when its smallest singular value
+    is at most tol.rank_decision times its largest. The screen only
+    skips classes the pencil would pass, so the verdict and the
+    eigenvalue named on failure are those of the pencil sweep alone.
     """
-    n = network.n
-    seen = []
-    for lam in eigenvalues:
-        up = complex(lam.real, abs(lam.imag))  # one point per conjugate class
-        if any(abs(up - s) <= tol.lambda_match * max(1.0, abs(s)) for s in seen):
-            continue
-        seen.append(up)
-        if numerical_rank(companion_pencil(network, lam), tol.rank_decision) < n:
+    classes, bound, cutoff = pbh_screen(network, sd, tol)
+    for i in classes[bound <= cutoff]:
+        lam = sd.eigenvalues[i]
+        if numerical_rank(companion_pencil(network, lam), tol.rank_decision) < network.n:
             raise ControllabilityError(
                 f"(A, B) uncontrollable at eigenvalue {lam:.6g}")
 
@@ -535,7 +669,7 @@ def design_blocking(network: IntegratorNetwork,
             raise InsufficientActuationError(msg)
         warnings.append(msg)
 
-    check_controllability(network, sd.eigenvalues, tol)
+    check_controllability(network, sd, tol)
 
     p = select_lambda(sd, options, eligible=eligible)
     lam_p = sd.eigenvalues[p]

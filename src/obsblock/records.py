@@ -102,20 +102,23 @@ def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
         network = network_from_dict(data["network"])
         A, B, _ = assemble(network)
         sd = decompose(A, tol)
-        gain = FeedbackGain(matrix=np.asarray(data["F"], dtype=float),
-                            realness_residual=float(data["realness_residual"]))
+        F = np.asarray(data["F"], dtype=float)
+        v_hat = _from_carray(data["v_hat"])
+        if not (np.isfinite(F).all() and np.isfinite(v_hat).all()):
+            raise NetworkFileError("malformed design record: non-finite F or v_hat")
         design = BlockingDesign(
             lambda_p=complex(*data["lambda_p"]),
             lambda_index=int(data["lambda_index"]),
             variant=data["variant"],
-            v_hat=_from_carray(data["v_hat"]),
-            gain=gain,
-            preserved=tuple(data["preserved"]),
-            repaired=tuple(data["repaired"]),
-            replaced=tuple(data["replaced"]),
+            v_hat=v_hat,
+            gain=FeedbackGain(matrix=F,
+                              realness_residual=float(data["realness_residual"])),
+            preserved=tuple(map(int, data["preserved"])),
+            repaired=tuple(map(int, data["repaired"])),
+            replaced=tuple(map(int, data["replaced"])),
             cond_V=float(data["cond_V"]),
             residuals=dict(data["residuals"]),
-            measured_nodes=tuple(data["measured_nodes"]),
+            measured_nodes=tuple(map(int, data["measured_nodes"])),
             open_loop=sd,
             network=network,
             warnings=tuple(data.get("warnings", ())),
@@ -128,6 +131,15 @@ def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
         raise NetworkFileError(
             f"malformed design record: v_hat has shape {design.v_hat.shape} and "
             f"F {design.F.shape}, expected ({d},) and ({network.q}, {d})")
+    for key, values, low, high in (
+            ("lambda_index", (design.lambda_index,), 0, d - 1),
+            ("preserved", design.preserved, 0, d - 1),
+            ("repaired", design.repaired, 0, d - 1),
+            ("replaced", design.replaced, 0, d - 1),
+            ("measured_nodes", design.measured_nodes, 1, network.n)):
+        if not all(low <= i <= high for i in values):
+            raise NetworkFileError(f"malformed design record: {key} "
+                                   f"{list(values)} outside {low}..{high}")
     return design if cert is None else CutsetDesign(design=design, certificate=cert)
 
 

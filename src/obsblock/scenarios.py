@@ -65,7 +65,7 @@ def fig2_din(seed: int = 0, order: int = 2,
         if order == 2 and not sd.all_real():
             continue
         try:
-            check_controllability(net, sd.eigenvalues, tol)
+            check_controllability(net, sd, tol)
         except ControllabilityError:
             continue
         return net

@@ -121,6 +121,25 @@ class TestExitCodes:
         assert main(["verify", "--input", str(path)]) == 4
         assert "error: malformed design record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key,value", [
+        ("preserved", [999]), ("lambda_index", 999), ("repaired", [-1]),
+        ("replaced", [14]), ("measured_nodes", [8]), ("F", "nan"),
+        ("F", "inf"), ("v_hat", "nan")])
+    def test_bad_index_or_non_finite_record_is_io_error(self, key, value,
+                                                        tmp_path, capsys):
+        net = random_network(n=7, seed=1, m=1, q=3)
+        data = records.design_to_dict(design_blocking(net, DesignOptions(seed=1)))
+        if key == "F":
+            data["F"][0][0] = float(value)
+        elif key == "v_hat":
+            data["v_hat"]["imag"][0] = float(value)
+        else:
+            data[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(records.dumps(data))
+        assert main(["verify", "--input", str(path)]) == 4
+        assert "error: malformed design record" in capsys.readouterr().err
+
     def test_insufficient_actuation_is_precondition(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
         main(["gen", "--n", "7", "--m", "2", "--q", "2", "--seed", "1",

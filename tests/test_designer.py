@@ -7,13 +7,14 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from obsblock.config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
                              VARIANT_DERIVATIVE)
-from obsblock.designer import (NullspaceBundle, build_candidate,
-                               check_controllability, companion_pencil,
-                               design_blocking, nullspace_bundle, select_hp,
+from obsblock.designer import (NullspaceBundle, _conjugate_classes,
+                               build_candidate, check_controllability,
+                               companion_pencil, design_blocking,
+                               nullspace_bundle, pbh_screen, select_hp,
                                select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
                              InvalidInputError, NoEligibleEigenvalueError,
@@ -439,6 +440,48 @@ UNCONTROLLABLE = {
 }
 
 
+def dumbbell_network(bridge, order):
+    """Two triangles joined by one weak edge 3-4: the slowest nonzero
+    mode sits next to the zero Jordan chain, so the chain's block of the
+    reduced resolvent dominates the screen's bound there."""
+    edges = []
+    for a, b, w in ((1, 2, 1.0), (2, 3, 2.0), (1, 3, 1.5), (4, 5, 1.0),
+                    (5, 6, 2.0), (4, 6, 1.5), (3, 4, bridge)):
+        ws = (w,) * (order - 1) + (3.0 * w,)
+        edges += [(a, b, ws), (b, a, ws)]
+    return IntegratorNetwork.from_graph(WeightedDigraph(n=6, edges=tuple(edges)),
+                                        (1,), (3,))
+
+
+def reference_classes(eigenvalues, tol=DEFAULT_TOLERANCES):
+    """The class walk of the pencil sweep: one point per conjugate class,
+    skipping eigenvalues within lambda_match of an earlier point."""
+    seen, first = [], []
+    for i, lam in enumerate(eigenvalues):
+        up = complex(lam.real, abs(lam.imag))
+        if any(abs(up - s) <= tol.lambda_match * max(1.0, abs(s)) for s in seen):
+            continue
+        seen.append(up)
+        first.append(i)
+    return first
+
+
+def assert_screen_sound(net, sd):
+    """Every screen bound is a lower bound on the pencil's smallest
+    singular value, every cutoff covers the pencil's own rank cutoff, and
+    the classes are those of the reference walk."""
+    classes, bound, cutoff = pbh_screen(net, sd)
+    assert list(classes) == reference_classes(sd.eigenvalues)
+    rtol = DEFAULT_TOLERANCES.rank_decision
+    for i, low, cut in zip(classes, bound, cutoff):
+        sv = la.svdvals(companion_pencil(net, sd.eigenvalues[i]))
+        assert low <= sv[net.n - 1], sd.eigenvalues[i]
+        assert cut >= rtol * sv[0], sd.eigenvalues[i]
+        if low > cut:
+            assert sv[net.n - 1] > rtol * sv[0], sd.eigenvalues[i]
+    return classes, bound, cutoff
+
+
 def _agreement_network(family, seed):
     n, order = 5 + seed % 5, 2 + seed % 3
     if family == "generic":
@@ -452,19 +495,19 @@ class TestCheckControllability:
     @pytest.mark.parametrize("case", sorted(UNCONTROLLABLE))
     def test_rejects_with_reference_eigenvalue(self, case):
         net = UNCONTROLLABLE[case]()
-        eigs = decompose(assemble(net)[0]).eigenvalues
-        expected = full_pencil_uncontrollable(net, eigs)
+        sd = decompose(assemble(net)[0])
+        expected = full_pencil_uncontrollable(net, sd.eigenvalues)
         assert expected is not None
         with pytest.raises(ControllabilityError,
                            match=re.escape(f"eigenvalue {expected:.6g}")):
-            check_controllability(net, eigs)
+            check_controllability(net, sd)
 
     def test_star_order2_names_first_member_of_pair(self):
         # antisymmetric leaf mode: lambda^2 + lambda + 1 = 0; the pair is
         # checked once, at the member the sorted walk reaches first
         net = star_network((1.0, 1.0))
         with pytest.raises(ControllabilityError, match=re.escape("-0.5-0.866025j")):
-            check_controllability(net, decompose(assemble(net)[0]).eigenvalues)
+            check_controllability(net, decompose(assemble(net)[0]))
 
     @pytest.mark.parametrize("weights", [(1.0, 1.0), (1.0, 2.0, 3.0)])
     def test_rank_identity_at_uncontrollable_mode(self, weights):
@@ -486,19 +529,71 @@ class TestCheckControllability:
     @pytest.mark.parametrize("seed", range(12))
     def test_agrees_with_full_pencil(self, family, seed):
         net = _agreement_network(family, seed)
-        eigs = decompose(assemble(net)[0]).eigenvalues
+        sd = decompose(assemble(net)[0])
+        eigs = sd.eigenvalues
+        assert_screen_sound(net, sd)
         expected = full_pencil_uncontrollable(net, eigs)
         if expected is not None:
             with pytest.raises(ControllabilityError,
                                match=re.escape(f"eigenvalue {expected:.6g}")):
-                check_controllability(net, eigs)
+                check_controllability(net, sd)
             return
-        check_controllability(net, eigs)
+        check_controllability(net, sd)
         # controllable verdicts sit well clear of the cutoff
         rtol = DEFAULT_TOLERANCES.rank_decision
         for lam in eigs:
             sv = la.svdvals(companion_pencil(net, lam))
             assert sv[net.n - 1] / (rtol * sv[0]) > 10.0, lam
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(["directed", "undirected", "generic"]),
+           n=st.integers(4, 12), order=st.integers(2, 4),
+           seed=st.integers(0, 10_000))
+    def test_screen_passes_only_full_rank_pencils(self, family, n, order, seed):
+        if family == "generic":
+            net = generic_network(n, order, seed=seed, m=1, q=3)
+        else:
+            undirected = family == "undirected"
+            net = random_network(n, order, density=0.4, seed=seed, m=1, q=3,
+                                 overdamped=undirected, undirected=undirected)
+        assert_screen_sound(net, decompose(assemble(net)[0]))
+
+    @pytest.mark.parametrize("order", [2, 3])
+    @pytest.mark.parametrize("bridge", [1e-2, 1e-4])
+    def test_screen_bound_holds_next_to_the_zero_chain(self, bridge, order):
+        net = dumbbell_network(bridge, order)
+        sd = decompose(assemble(net)[0])
+        _, bound, cutoff = assert_screen_sound(net, sd)
+        assert (bound > cutoff).any()
+        check_controllability(net, sd)
+
+    def test_screen_sends_a_hidden_mode_to_the_pencil(self):
+        # identical leaves: the antisymmetric leaf mode has a left
+        # eigenvector that vanishes on the actuated centre, ||w^* B|| ~ 0
+        net = star_network((1.0, 1.0))
+        sd = decompose(assemble(net)[0])
+        expected = full_pencil_uncontrollable(net, sd.eigenvalues)
+        classes, bound, cutoff = assert_screen_sound(net, sd)
+        k = [sd.eigenvalues[i] for i in classes].index(expected)
+        w = sd.left_modal_matrix[:, classes[k]]
+        assert abs(w[net.n]) < 1e-12 and np.abs(w[net.n + 1:]).min() > 0.1
+        assert bound[k] <= cutoff[k]
+        assert (bound > cutoff).any()
+        with pytest.raises(ControllabilityError,
+                           match=re.escape(f"eigenvalue {expected:.6g}")):
+            check_controllability(net, sd)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
+                              st.integers(0, 4)),
+                    min_size=1, max_size=12))
+    @example([(0, 0, 0), (0, 0, 1), (0, 0, 2)])
+    def test_classes_match_the_reference_walk(self, points):
+        # steps of 0.6 lambda_match make chains of near points in which
+        # the ends are apart: the walk's order decides which ones merge
+        lam = np.array([complex(re + 6e-7 * k, im) for re, im, k in points])
+        assert list(_conjugate_classes(lam, DEFAULT_TOLERANCES)) == \
+            reference_classes(lam)
 
 
 # sha256 of the fig2_din edge weights (float.hex) per (seed, order), taken

@@ -82,6 +82,26 @@ class TestDecompose:
                 assert sd.eigenvalues[j] == np.conj(sd.eigenvalues[i])
                 assert np.array_equal(sd.modal_matrix[:, j],
                                       sd.modal_matrix[:, i].conj())
+                assert np.array_equal(sd.left_modal_matrix[:, j],
+                                      sd.left_modal_matrix[:, i].conj())
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_network(n=8, seed=12, m=2, q=4),
+        lambda: random_network(n=7, order=3, seed=2, m=1, q=3,
+                               undirected=True, overdamped=True),
+        lambda: generic_network(n=7, order=3, seed=3, m=2, q=4)])
+    def test_left_eigenvectors_follow_their_columns(self, make):
+        A, _, _ = assemble(make())
+        sd = decompose(A)
+        W = sd.left_modal_matrix
+        assert np.allclose(np.linalg.norm(W, axis=0), 1.0)
+        resid = np.linalg.norm(W.conj().T @ A - sd.raw_eigenvalues[:, None]
+                               * W.conj().T, axis=1)
+        assert resid.max() < 1e-12 * max(1.0, sd.matrix_norm)
+        # asking for the left vectors leaves the right eigen-data bit-identical
+        lam, V = la.eig(A)
+        lam_l, _, V_l = la.eig(A, left=True)
+        assert np.array_equal(lam, lam_l) and np.array_equal(V, V_l)
 
     def test_real_eigenvalues_with_real_vectors_self_paired(self):
         net = generic_network(n=6, seed=4, m=1, q=3)
