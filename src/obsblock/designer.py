@@ -480,9 +480,11 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     gain = FeedbackGain(matrix=F, realness_residual=realness)
 
     A_cl = A + B @ F
+    # cast once: a real @ complex product re-casts the whole matrix per call
+    A_cx = A_cl.astype(complex)
     scale = max(1.0, sd.matrix_norm)
-    cand_res = float(np.linalg.norm(A_cl @ v_hat - lam_p * v_hat) / scale)
-    pres_res = [float(np.linalg.norm(A_cl @ sd.modal_matrix[:, i]
+    cand_res = float(np.linalg.norm(A_cx @ v_hat - lam_p * v_hat) / scale)
+    pres_res = [float(np.linalg.norm(A_cx @ sd.modal_matrix[:, i]
                                      - sd.eigenvalues[i] * sd.modal_matrix[:, i]) / scale)
                 for i in preserved]
     lam_cl = la.eigvals(A_cl)

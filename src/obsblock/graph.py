@@ -69,6 +69,25 @@ class WeightedDigraph:
         return len(self.edges[0][2]) if self.edges else 0
 
 
+def edge_arrays(g: WeightedDigraph):
+    """0-based tail and head ids and the (edges x order) weight array of g,
+    in edge order."""
+    m = len(g.edges)
+    tails = np.fromiter((u - 1 for (u, _, _) in g.edges), dtype=np.intp, count=m)
+    heads = np.fromiter((v - 1 for (_, v, _) in g.edges), dtype=np.intp, count=m)
+    weights = np.array([ws for (_, _, ws) in g.edges], dtype=float).reshape(m, g.order)
+    return tails, heads, weights
+
+
+def _coupling(n: int, tails, heads, w) -> np.ndarray:
+    # edges are unique, so each off-diagonal entry is written once; the
+    # diagonal accumulates in edge order
+    L = np.zeros((n, n))
+    np.subtract.at(L, (heads, tails), w)
+    np.add.at(L, (heads, heads), w)
+    return L
+
+
 def laplacian(g: WeightedDigraph, k: int) -> np.ndarray:
     """Weighted Laplacian for derivative order k.
 
@@ -81,28 +100,32 @@ def laplacian(g: WeightedDigraph, k: int) -> np.ndarray:
         raise OrderMismatchError(f"derivative order {k} outside 0..{n_orders - 1}")
     if not g.edges and k < 0:
         raise OrderMismatchError(f"derivative order {k} negative")
-    L = np.zeros((g.n, g.n))
-    for (u, v, ws) in g.edges:
-        w = ws[k]
-        L[v - 1, u - 1] -= w
-        L[v - 1, v - 1] += w
-    return L
+    if not g.edges:
+        return np.zeros((g.n, g.n))
+    tails, heads, weights = edge_arrays(g)
+    return _coupling(g.n, tails, heads, weights[:, k])
 
 
 def laplacian_stack(g: WeightedDigraph, order: int) -> list:
     """All N Laplacians of a graph whose edges carry N weights."""
     if g.edges and g.order != order:
         raise OrderMismatchError(f"graph carries {g.order} weights per edge, need {order}")
-    return [laplacian(g, k) if g.edges else np.zeros((g.n, g.n)) for k in range(order)]
+    if not g.edges:
+        return [np.zeros((g.n, g.n)) for _ in range(order)]
+    tails, heads, weights = edge_arrays(g)
+    return [_coupling(g.n, tails, heads, weights[:, k]) for k in range(order)]
 
 
 def _edge_matrix(g: WeightedDigraph, drop=()) -> csr_matrix:
     """0-based n x n adjacency with a 1 at (u-1, v-1) for each edge u -> v
     that touches no node in drop."""
-    drop = set(drop)
-    uv = np.array([(u - 1, v - 1) for (u, v, _) in g.edges
-                   if u not in drop and v not in drop], dtype=int).reshape(-1, 2)
-    return csr_matrix((np.ones(len(uv), dtype=np.int32), (uv[:, 0], uv[:, 1])),
+    tails, heads, _ = edge_arrays(g)
+    if drop:
+        dropped = np.zeros(g.n, dtype=bool)
+        dropped[np.fromiter(drop, dtype=np.intp) - 1] = True
+        keep = ~(dropped[tails] | dropped[heads])
+        tails, heads = tails[keep], heads[keep]
+    return csr_matrix((np.ones(len(tails), dtype=np.int32), (tails, heads)),
                       shape=(g.n, g.n))
 
 
@@ -183,6 +206,25 @@ def _split_network(g: WeightedDigraph, actuation, measurement) -> csr_matrix:
     return csr_matrix((caps, (rows, cols)), shape=(2 * n + 2, 2 * n + 2))
 
 
+def _cut_candidates(M: csr_matrix, flow: csr_matrix, n: int) -> np.ndarray:
+    """Ascending 1-based ids of the nodes that lie in some minimum vertex cut.
+
+    For any maximum flow, an arc lies in some minimum cut exactly when it
+    is saturated and the residual graph has no path from its tail to its
+    head (Picard & Queyranne, Math. Prog. Study 13, 1980). A saturated
+    arc has a residual reverse arc, so that means its ends sit in
+    different strong components. Actuation arcs carry _INF and are never
+    saturated, so actuation nodes never appear.
+    """
+    residual = (M - flow).tocsr()
+    residual.eliminate_zeros()
+    labels = connected_components(residual, directed=True, connection="strong")[1]
+    nodes = np.arange(n)
+    through = np.asarray(flow[nodes, n + nodes]).ravel()
+    saturated = through == M.data[M.indptr[:n]]
+    return np.flatnonzero(saturated & (labels[:n] != labels[n:2 * n])) + 1
+
+
 def min_vertex_cut(g: WeightedDigraph, actuation, measurement) -> CutsetPlan:
     """Minimum-cardinality vertex cut separating actuation from measurement.
 
@@ -209,22 +251,19 @@ def min_vertex_cut(g: WeightedDigraph, actuation, measurement) -> CutsetPlan:
         raise InvalidInputError("graph is not strongly connected")
 
     M = _split_network(g, actuation, measurement)
-
-    def flow() -> int:
-        return maximum_flow(M, 2 * g.n, 2 * g.n + 1).flow_value
-
-    k = flow()
+    source, sink = 2 * g.n, 2 * g.n + 1
+    first = maximum_flow(M, source, sink)
+    k = first.flow_value
     # lexicographically smallest minimum cut: force candidates in id order
-    # by cutting their internal arc, and restore it when that costs extra
+    # by cutting their internal arc, and restore it when that costs extra;
+    # a node in no minimum cut always costs extra, so only candidates run
     forced = []
-    for v in range(1, g.n + 1):
+    for v in _cut_candidates(M, first.flow, g.n):
         if len(forced) == k:
             break
-        if v in actuation:
-            continue
         M.data[M.indptr[v - 1]] = 0
-        if len(forced) + 1 + flow() == k:
-            forced.append(v)
+        if len(forced) + 1 + maximum_flow(M, source, sink).flow_value == k:
+            forced.append(int(v))
         else:
             M.data[M.indptr[v - 1]] = 1
     if len(forced) != k:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, ModelAssemblyError, NetworkFileError
-from .graph import CutsetPlan, WeightedDigraph, laplacian_stack
+from .graph import CutsetPlan, WeightedDigraph, edge_arrays, laplacian_stack
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,18 @@ class IntegratorNetwork:
             if len(mats) != self.order:
                 raise ModelAssemblyError(
                     f"need {self.order} coupling matrices, got {len(mats)}")
-            allowed = {(v - 1, u - 1) for (u, v, _) in self.graph.edges}
+            tails, heads, _ = edge_arrays(self.graph)
+            coupled = np.eye(n, dtype=bool)
+            coupled[heads, tails] = True
             for k, L in enumerate(mats):
                 if L.shape != (n, n):
                     raise ModelAssemblyError(
                         f"coupling matrix {k} has shape {L.shape}, expected {(n, n)}")
-                off = np.argwhere(L != 0.0)
-                for i, j in off:
-                    if i != j and (int(i), int(j)) not in allowed:
-                        raise ModelAssemblyError(
-                            f"matrix {k} couples nodes {j + 1}->{i + 1} without an edge")
+                stray = np.argwhere((L != 0.0) & ~coupled)
+                if stray.size:
+                    i, j = stray[0]
+                    raise ModelAssemblyError(
+                        f"matrix {k} couples nodes {j + 1}->{i + 1} without an edge")
         object.__setattr__(self, "laplacians", mats)
 
     @classmethod

@@ -196,7 +196,12 @@ def verification_to_dict(report: VerificationReport) -> dict:
 
 
 def dumps(data: dict) -> str:
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    """Single-line JSON with sorted keys and compact separators.
+
+    Without indent json.dumps runs CPython's C encoder. Records written
+    with indent=2 before hold the same content and load the same way.
+    """
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _sig4(x) -> str:

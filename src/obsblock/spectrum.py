@@ -59,23 +59,14 @@ class SpectralData:
         return np.linalg.norm(R, axis=0)
 
 
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate so the first significant entry is real positive."""
-    mags = np.abs(v)
-    top = mags.max()
-    if top == 0.0:
-        return v
-    idx = int(np.argmax(mags > 1e-8 * top))
-    return v * np.exp(-1j * np.angle(v[idx]))
-
-
 def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     """Full eigendecomposition of a real state matrix.
 
     One eigensolve returns both eigenvector sets: the left ones add a
     back-substitution (about 15 % of the solve) and leave the eigenvalues
     and right eigenvectors bit-identical. Right columns are unit 2-norm with
-    canonical phase, left columns unit 2-norm. Imaginary parts of
+    canonical phase (first entry above 1e-8 of the largest made real
+    positive), left columns unit 2-norm. Imaginary parts of
     eigenvalues below snap_imag * ||A|| are snapped to zero; conjugate
     partners (matched by eigenvalue, then by eigenvector proximity) are
     overwritten with exact conjugates, left and right, so both sets are
@@ -86,6 +77,7 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     lam, W, V = la.eig(A, left=True)
     nrm = la.norm(A, 2) if d else 0.0
     scale = max(1.0, nrm)
+    match = tol.lambda_match * scale
 
     raw = lam.copy()
     lam = np.where(np.abs(lam.imag) <= tol.snap_imag * scale, lam.real + 0j, lam)
@@ -96,50 +88,86 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     lam, raw, V, W = lam[order], raw[order], V[:, order], W[:, order]
 
     pairing = np.arange(d)
-    # conjugate pairs by eigenvalue, tightest eigenvector match first
-    unpaired = [i for i in range(d) if lam[i].imag > 0]
-    taken = set()
-    for i in unpaired:
-        cands = [j for j in range(d)
-                 if j not in taken and lam[j].imag < 0
-                 and abs(lam[j] - lam[i].conjugate()) <= tol.lambda_match * scale]
-        if not cands:
-            continue
-        j = min(cands, key=lambda j: np.linalg.norm(V[:, j] - V[:, i].conj()))
-        lam[j] = lam[i].conjugate()
-        pairing[i], pairing[j] = j, i
-        taken.add(j)
-        taken.add(i)
+    _pair_conjugates(lam, V, pairing, match)
+    _pair_snapped(lam, V, pairing, match, tol.realness)
 
-    # snapped defective pairs: real eigenvalue, essentially complex eigenvector
-    for i in range(d):
-        if pairing[i] != i or lam[i].imag != 0:
-            continue
-        if np.abs(V[:, i].imag).max() <= tol.realness * max(np.abs(V[:, i].real).max(), 1e-300):
-            V[:, i] = V[:, i].real / np.linalg.norm(V[:, i].real) + 0j
-            continue
-        mates = [j for j in range(d)
-                 if j != i and pairing[j] == j and lam[j].imag == 0
-                 and abs(lam[j] - lam[i]) <= tol.lambda_match * scale
-                 and np.linalg.norm(V[:, j] - V[:, i].conj()) < 1e-6]
-        if mates:
-            j = mates[0]
-            pairing[i], pairing[j] = j, i
-
-    # canonical phase, then force exact conjugacy onto partners
-    for i in range(d):
-        j = pairing[i]
-        if j == i:
-            V[:, i] = _canonical_phase(V[:, i])
-        elif i < j:
-            V[:, i] = _canonical_phase(V[:, i])
-            V[:, j] = V[:, i].conj()
-            W[:, j] = W[:, i].conj()
+    # canonical phase on each self-paired or leading column, then exact
+    # conjugates onto the partners
+    lead = np.flatnonzero(pairing >= np.arange(d))
+    U = V[:, lead]
+    mags = np.abs(U)
+    top = mags.max(axis=0, initial=0.0)
+    first = np.argmax(mags > 1e-8 * top, axis=0)
+    nz = top != 0.0
+    rot = np.exp(-1j * np.angle(U[first[nz], np.flatnonzero(nz)]))
+    V[:, lead[nz]] = U[:, nz] * rot
+    mated = lead[pairing[lead] != lead]
+    V[:, pairing[mated]] = V[:, mated].conj()
+    W[:, pairing[mated]] = W[:, mated].conj()
 
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
                         left_modal_matrix=W,
                         pairing=pairing, defective=_flag_defective(A, lam, tol),
                         matrix_norm=nrm)
+
+
+def _pair_conjugates(lam, V, pairing, match) -> None:
+    """Pair each eigenvalue with positive imaginary part, in column order,
+    with a free negative one within match of its conjugate: the only
+    candidate, or the one whose eigenvector is closest to the conjugate
+    (first on ties). The partner's eigenvalue becomes the exact conjugate.
+    """
+    pos = np.flatnonzero(lam.imag > 0)
+    neg = np.flatnonzero(lam.imag < 0)
+    near = np.abs(lam[neg][None, :] - lam[pos][:, None].conj()) <= match
+    free = np.ones(neg.size, dtype=bool)
+    for i, row in zip(pos, near):
+        cands = np.flatnonzero(row & free)
+        if cands.size == 0:
+            continue
+        c = cands[0]
+        if cands.size > 1:
+            vi = V[:, i].conj()
+            c = cands[np.argmin([np.linalg.norm(V[:, neg[k]] - vi) for k in cands])]
+        j = neg[c]
+        lam[j] = lam[i].conjugate()
+        pairing[i], pairing[j] = j, i
+        free[c] = False
+
+
+def _pair_snapped(lam, V, pairing, match, realness) -> None:
+    """Realify or mate the unpaired columns with a real eigenvalue.
+
+    A column whose eigenvector is real up to `realness` becomes the
+    normalized real part. A column whose eigenvector is essentially
+    complex (a snapped defective pair) pairs with the first unpaired real
+    column, in column order, of matching eigenvalue whose eigenvector is
+    within 1e-6 of its conjugate. Columns are visited in ascending order,
+    so a real column before the searching one is compared in realified
+    form and is realified even if it is taken as a mate later.
+    """
+    single = np.flatnonzero((pairing == np.arange(lam.size)) & (lam.imag == 0))
+    S = V[:, single]
+    flat = (np.abs(S.imag).max(axis=0, initial=0.0)
+            <= realness * np.maximum(np.abs(S.real).max(axis=0, initial=0.0), 1e-300))
+    real_cols = single[flat]
+    norms = np.array([np.linalg.norm(V[:, i].real) for i in real_cols])
+    R = V[:, real_cols].real / norms + 0j
+    realified = dict(zip(real_cols.tolist(), R.T))
+    for i in single[~flat]:
+        if pairing[i] != i:
+            continue
+        vi = V[:, i].conj()
+        for j in single[np.abs(lam[single] - lam[i]) <= match]:
+            if j == i or pairing[j] != j:
+                continue
+            vj = realified.get(int(j), V[:, j]) if j < i else V[:, j]
+            if np.linalg.norm(vj - vi) < 1e-6:
+                pairing[i], pairing[j] = j, i
+                break
+    # a real column taken by an earlier complex column was never realified
+    keep = pairing[real_cols] >= real_cols
+    V[:, real_cols[keep]] = R[:, keep]
 
 
 def rank_cutoff(sv_max: float, shape, rtol: float | None) -> float:
@@ -170,36 +198,31 @@ def multiset_error(lam_a, lam_b) -> float:
 
 
 def _flag_defective(A, lam, tol):
-    """Compare numerical rank of A - lam*I against algebraic multiplicity."""
-    d = lam.size
-    scale = max(1.0, np.abs(lam).max()) if d else 1.0
-    width = tol.cluster * scale
-    order = sorted(range(d), key=lambda i: (lam[i].real, lam[i].imag))
-    clusters = []
-    current = [order[0]] if d else []
-    for i in order[1:]:
-        if abs(lam[i] - lam[current[-1]]) <= width:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    if current:
-        clusters.append(current)
+    """Compare numerical rank of A - lam*I against algebraic multiplicity.
 
+    Clusters are runs of the (real, imag)-sorted eigenvalues whose
+    consecutive gaps are within cluster * max(1, max |lam|).
+    """
+    d = lam.size
     flags = np.zeros(d, dtype=bool)
-    for cluster in clusters:
-        alg = len(cluster)
-        if alg < 2:
+    if d == 0:
+        return flags
+    width = tol.cluster * max(1.0, np.abs(lam).max())
+    order = np.lexsort((lam.imag, lam.real))
+    sorted_lam = lam[order]
+    breaks = np.flatnonzero(~(np.abs(np.diff(sorted_lam)) <= width)) + 1
+    bounds = np.concatenate(([0], breaks, [d]))
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        if b - a < 2:
             continue
-        center = np.mean([lam[i] for i in cluster])
+        center = sorted_lam[a:b].mean()
         M = A - center * np.eye(d)
         sv = la.svdvals(M)
         # defectiveness gap sits well above roundoff; use a safety factor
         cutoff = max(rank_cutoff(sv[0], M.shape, None), 1e3 * _EPS * sv[0])
         geo = d - int((sv > cutoff).sum())
-        if geo < alg:
-            for i in cluster:
-                flags[i] = True
+        if geo < b - a:
+            flags[order[a:b]] = True
     return flags
 
 

@@ -81,11 +81,12 @@ def preservation_audit(sd_open: SpectralData, design: BlockingDesign,
     lam_cl = la.eigvals(A_cl)
     err = multiset_error(sd_open.raw_eigenvalues, lam_cl)
     scale = max(1.0, sd_open.matrix_norm)
+    A_cx = np.asarray(A_cl, dtype=complex)   # cast once, not once per column
     residuals = []
     for i in design.preserved:
         v = sd_open.modal_matrix[:, i]
         residuals.append(float(
-            np.linalg.norm(A_cl @ v - sd_open.eigenvalues[i] * v) / scale))
+            np.linalg.norm(A_cx @ v - sd_open.eigenvalues[i] * v) / scale))
     return float(err), residuals
 
 

@@ -232,6 +232,27 @@ class TestRecords:
         assert report == records.verification_to_dict(verify_design(new_loaded))
         assert report["verdict"] == "pass"
 
+    @pytest.mark.parametrize("kind", ["direct", "cutset"])
+    def test_indented_format_2_record_loads_the_same_design(self, kind, tmp_path):
+        # records used to be written with indent=2; they hold the same
+        # content as the compact single-line records written now
+        if kind == "direct":
+            design = design_blocking(random_network(n=7, seed=4, m=1, q=3),
+                                     DesignOptions(seed=4))
+        else:
+            design = design_via_cutset(fig2_din(seed=2),
+                                       options=DesignOptions(seed=2))
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        records.save_design(design, compact)
+        data = records.design_to_dict(design)
+        indented.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n")
+        assert compact.read_text().count("\n") == 1
+        assert json.loads(compact.read_text()) == json.loads(indented.read_text())
+        from_compact = records.load_design(compact)
+        from_indented = records.load_design(indented)
+        assert records.design_to_dict(from_indented) == data
+        assert records.design_to_dict(from_compact) == data
+
     @pytest.mark.parametrize("kind", ["directed", "generic", "fig2-cutset"])
     def test_reloaded_record_verifies_like_the_design(self, kind):
         # the record carries everything verify_design reads

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -124,8 +125,12 @@ def test_snapped_pair_draws_an_independent_second_column():
         seed=1, lambda_selection=("index", 12)))
     assert design.replaced == (12, 13)
     assert verify_design(design).verdict
-    record = records.dumps(records.design_to_dict(design)).encode()
-    assert hashlib.sha256(record).hexdigest() == \
+    record = records.dumps(records.design_to_dict(design))
+    assert hashlib.sha256(record.encode()).hexdigest() == \
+        "d8ed6692943b0c813a5f2fc5cd81364c91610d9107b193490edbbd4662c49d93"
+    # the content is the one pinned when records were written with indent=2
+    indented = json.dumps(json.loads(record), indent=2, sort_keys=True) + "\n"
+    assert hashlib.sha256(indented.encode()).hexdigest() == \
         "bd6f40c8e79f0761aee3abfc98a9a068336c0197a2ab57c0de5a6cdfd4806d39"
 
 

@@ -5,9 +5,13 @@ from collections import deque
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
+from scipy.sparse.csgraph import maximum_flow
 
+from obsblock import graph
 from obsblock.errors import InvalidInputError, OrderMismatchError
-from obsblock.graph import (CutsetPlan, WeightedDigraph, _partition_after_removal,
+from obsblock.graph import (CutsetPlan, WeightedDigraph, _cut_candidates,
+                            _partition_after_removal, _split_network,
                             is_strongly_connected, laplacian, min_vertex_cut)
 from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
                                 cut_friendly_network, fig2_din)
@@ -50,7 +54,87 @@ def reaches_all(g) -> bool:
     return True
 
 
+def reference_laplacian(g, k):
+    """The per-edge loop: each edge adds its weight to the head's diagonal."""
+    L = np.zeros((g.n, g.n))
+    for (u, v, ws) in g.edges:
+        L[v - 1, u - 1] -= ws[k]
+        L[v - 1, v - 1] += ws[k]
+    return L
+
+
+def reference_min_vertex_cut(g, actuation, measurement):
+    """The forcing loop without the residual-graph screen: one extra
+    max-flow for every non-actuation node, in id order."""
+    actuation, measurement = sorted(set(actuation)), sorted(set(measurement))
+    M = _split_network(g, actuation, measurement)
+
+    def flow():
+        return maximum_flow(M, 2 * g.n, 2 * g.n + 1).flow_value
+
+    k = flow()
+    forced = []
+    for v in range(1, g.n + 1):
+        if len(forced) == k:
+            break
+        if v in actuation:
+            continue
+        M.data[M.indptr[v - 1]] = 0
+        if len(forced) + 1 + flow() == k:
+            forced.append(v)
+        else:
+            M.data[M.indptr[v - 1]] = 1
+    v1, v2 = _partition_after_removal(g, set(forced), actuation, measurement)
+    return tuple(sorted(v1)), tuple(forced), tuple(sorted(v2))
+
+
+def in_some_minimum_cut(g, actuation, measurement):
+    """Nodes whose removal alone leaves the cut size one smaller, by one
+    max-flow per node on a fresh split network."""
+    M = _split_network(g, sorted(actuation), sorted(measurement))
+    k = maximum_flow(M, 2 * g.n, 2 * g.n + 1).flow_value
+    found = []
+    for v in range(1, g.n + 1):
+        if v in actuation:
+            continue
+        cut = M.copy()
+        cut.data[cut.indptr[v - 1]] = 0
+        if 1 + maximum_flow(cut, 2 * g.n, 2 * g.n + 1).flow_value == k:
+            found.append(v)
+    return found
+
+
+@st.composite
+def separable_digraphs(draw):
+    """Strongly connected digraphs on 3..12 nodes with disjoint nonempty
+    actuation and measurement sets; symmetric draws give tied cuts."""
+    n = draw(st.integers(3, 12))
+    symmetric = draw(st.booleans())
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1)
+             if (u < v if symmetric else u != v)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    ring = draw(st.permutations(range(1, n + 1)))
+    edges = set(chosen) | {(ring[i], ring[(i + 1) % n]) for i in range(n)}
+    if symmetric:
+        edges |= {(v, u) for (u, v) in edges}
+    g = WeightedDigraph(n=n, edges=tuple((u, v, (1.0,)) for (u, v) in sorted(edges)))
+    nodes = draw(st.permutations(range(1, n + 1)))
+    q = draw(st.integers(1, n - 2))
+    m = draw(st.integers(1, n - q))
+    return g, sorted(nodes[:q]), sorted(nodes[q:q + m])
+
+
 class TestLaplacian:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_the_per_edge_loop_bit_for_bit(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        g = random_digraph(int(rng.integers(2, 30)), rng,
+                           density=float(rng.uniform(0.1, 0.9)), order=3)
+        for k in range(3):
+            assert laplacian(g, k).tobytes() == reference_laplacian(g, k).tobytes()
+        empty = laplacian(WeightedDigraph(n=3), 0)
+        assert empty.tobytes() == np.zeros((3, 3)).tobytes()
+
     def test_two_node_symmetric(self):
         g = WeightedDigraph(n=2, edges=((1, 2, (1.0,)), (2, 1, (1.0,))))
         L = laplacian(g, 0)
@@ -221,6 +305,46 @@ class TestMinVertexCut:
         assert plan.vcut == bridges
         assert plan.v1 == tuple(range(1, n1 + 1))
         assert plan.v2 == tuple(range(n1 + cut_size + 1, net.n + 1))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(separable_digraphs())
+    def test_screened_refinement_matches_the_full_forcing_loop(self, case):
+        g, actuation, measurement = case
+        plan = min_vertex_cut(g, actuation, measurement)
+        assert (plan.v1, plan.vcut, plan.v2) == reference_min_vertex_cut(
+            g, actuation, measurement)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(separable_digraphs())
+    def test_candidates_are_the_nodes_in_some_minimum_cut(self, case):
+        g, actuation, measurement = case
+        M = _split_network(g, actuation, measurement)
+        result = maximum_flow(M, 2 * g.n, 2 * g.n + 1)
+        assert list(_cut_candidates(M, result.flow, g.n)) == \
+            in_some_minimum_cut(g, actuation, measurement)
+
+    @pytest.mark.parametrize("n1, n2, cut_size, m", [
+        (6, 6, 1, 1), (8, 7, 2, 2), (10, 10, 3, 3), (12, 9, 2, 1)])
+    def test_screened_refinement_breaks_ties_like_the_full_loop(
+            self, n1, n2, cut_size, m):
+        net = cut_friendly_network(n1, n2, cut_size=cut_size, m=m)
+        plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
+        assert (plan.v1, plan.vcut, plan.v2) == reference_min_vertex_cut(
+            net.graph, net.actuation, net.measurement)
+
+    def test_refinement_runs_one_flow_per_candidate(self, monkeypatch):
+        net = cut_friendly_network(50, 50, cut_size=1)
+        candidates = in_some_minimum_cut(net.graph, net.actuation, net.measurement)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return maximum_flow(*args, **kwargs)
+
+        monkeypatch.setattr(graph, "maximum_flow", counted)
+        plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
+        assert plan.vcut == (51,)
+        assert len(calls) <= 1 + len(candidates) < 10
 
     def test_plan_validation(self):
         g = undirected(3, [(1, 2), (2, 3)])

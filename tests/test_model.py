@@ -79,6 +79,42 @@ class TestAssemble:
             IntegratorNetwork(order=2, graph=g, actuation=(1,), measurement=(3,),
                               laplacians=(bad, bad))
 
+    def test_sparsity_error_names_the_first_stray_entry(self):
+        # matrix 0 respects the edges; matrix 1 couples 3->1 and 1->3, and
+        # the row-major first stray entry (row 0, column 2) is reported
+        g = WeightedDigraph(n=3, edges=((1, 2, (1.0, 1.0)), (2, 1, (1.0, 1.0)),
+                                        (2, 3, (1.0, 1.0))))
+        good = np.array([[1.0, -1.0, 0.0], [-1.0, 1.0, 0.0], [0.0, -1.0, 1.0]])
+        bad = good.copy()
+        bad[0, 2] = bad[2, 0] = -0.5
+        with pytest.raises(ModelAssemblyError,
+                           match=r"^matrix 1 couples nodes 3->1 without an edge$"):
+            IntegratorNetwork(order=2, graph=g, actuation=(1,), measurement=(3,),
+                              laplacians=(good, bad))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_sparsity_error_matches_the_per_entry_scan(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 9))
+        g = random_digraph(n, rng, density=0.3)
+        mats = [L.copy() for L in
+                IntegratorNetwork.from_graph(g, (1,), (n,)).laplacians]
+        k = int(rng.integers(0, 2))
+        mats[k][rng.random((n, n)) < 0.3] = 2.0
+        allowed = {(v - 1, u - 1) for (u, v, _) in g.edges}
+        stray = [(i, j) for i, j in np.argwhere(mats[k] != 0.0)
+                 if i != j and (int(i), int(j)) not in allowed]
+        if not stray:
+            IntegratorNetwork(order=2, graph=g, actuation=(1,), measurement=(n,),
+                              laplacians=tuple(mats))
+            return
+        i, j = stray[0]
+        with pytest.raises(ModelAssemblyError) as info:
+            IntegratorNetwork(order=2, graph=g, actuation=(1,), measurement=(n,),
+                              laplacians=tuple(mats))
+        assert str(info.value) == \
+            f"matrix {k} couples nodes {j + 1}->{i + 1} without an edge"
+
 
 class TestCutsetOutput:
     def test_fig2_selects_node5_rows(self):

@@ -3,13 +3,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.linalg as la
+from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
 
-from obsblock.config import Tolerances
+from obsblock.config import DEFAULT_TOLERANCES, Tolerances
 from obsblock.graph import WeightedDigraph
 from obsblock.model import IntegratorNetwork, assemble
 from obsblock.scenarios import fig2_din, generic_network, random_network
-from obsblock.spectrum import check_stacked_structure, decompose, match_eigenvalue
+from obsblock.spectrum import (SpectralData, check_stacked_structure, decompose,
+                               match_eigenvalue, rank_cutoff)
 
 from conftest import random_digraph
 
@@ -25,7 +27,188 @@ def symmetric_graph(n, rng, order=2):
     return WeightedDigraph(n=n, edges=tuple(edges))
 
 
+def _reference_phase(v):
+    mags = np.abs(v)
+    top = mags.max()
+    if top == 0.0:
+        return v
+    idx = int(np.argmax(mags > 1e-8 * top))
+    return v * np.exp(-1j * np.angle(v[idx]))
+
+
+def _reference_flag_defective(A, lam, tol):
+    d = lam.size
+    scale = max(1.0, np.abs(lam).max()) if d else 1.0
+    width = tol.cluster * scale
+    order = sorted(range(d), key=lambda i: (lam[i].real, lam[i].imag))
+    clusters = []
+    current = [order[0]] if d else []
+    for i in order[1:]:
+        if abs(lam[i] - lam[current[-1]]) <= width:
+            current.append(i)
+        else:
+            clusters.append(current)
+            current = [i]
+    if current:
+        clusters.append(current)
+    flags = np.zeros(d, dtype=bool)
+    for cluster in clusters:
+        if len(cluster) < 2:
+            continue
+        center = np.mean([lam[i] for i in cluster])
+        M = A - center * np.eye(d)
+        sv = la.svdvals(M)
+        cutoff = max(rank_cutoff(sv[0], M.shape, None),
+                     1e3 * np.finfo(float).eps * sv[0])
+        if d - int((sv > cutoff).sum()) < len(cluster):
+            flags[cluster] = True
+    return flags
+
+
+def reference_decompose(A, tol=DEFAULT_TOLERANCES):
+    """decompose with its pairing, realification, phase and clustering
+    steps as per-column Python loops."""
+    A = np.asarray(A, dtype=float)
+    d = A.shape[0]
+    lam, W, V = la.eig(A, left=True)
+    nrm = la.norm(A, 2) if d else 0.0
+    scale = max(1.0, nrm)
+    raw = lam.copy()
+    lam = np.where(np.abs(lam.imag) <= tol.snap_imag * scale, lam.real + 0j, lam)
+    V = V.astype(complex) / np.linalg.norm(V, axis=0)
+    W = W.astype(complex) / np.linalg.norm(W, axis=0)
+    order = np.lexsort((lam.imag, lam.real))
+    lam, raw, V, W = lam[order], raw[order], V[:, order], W[:, order]
+    pairing = np.arange(d)
+    taken = set()
+    for i in [i for i in range(d) if lam[i].imag > 0]:
+        cands = [j for j in range(d)
+                 if j not in taken and lam[j].imag < 0
+                 and abs(lam[j] - lam[i].conjugate()) <= tol.lambda_match * scale]
+        if not cands:
+            continue
+        j = min(cands, key=lambda j: np.linalg.norm(V[:, j] - V[:, i].conj()))
+        lam[j] = lam[i].conjugate()
+        pairing[i], pairing[j] = j, i
+        taken.update((i, j))
+    for i in range(d):
+        if pairing[i] != i or lam[i].imag != 0:
+            continue
+        if np.abs(V[:, i].imag).max() <= tol.realness * max(
+                np.abs(V[:, i].real).max(), 1e-300):
+            V[:, i] = V[:, i].real / np.linalg.norm(V[:, i].real) + 0j
+            continue
+        mates = [j for j in range(d)
+                 if j != i and pairing[j] == j and lam[j].imag == 0
+                 and abs(lam[j] - lam[i]) <= tol.lambda_match * scale
+                 and np.linalg.norm(V[:, j] - V[:, i].conj()) < 1e-6]
+        if mates:
+            pairing[i], pairing[mates[0]] = mates[0], i
+    for i in range(d):
+        j = pairing[i]
+        if j == i:
+            V[:, i] = _reference_phase(V[:, i])
+        elif i < j:
+            V[:, i] = _reference_phase(V[:, i])
+            V[:, j] = V[:, i].conj()
+            W[:, j] = W[:, i].conj()
+    return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
+                        left_modal_matrix=W, pairing=pairing,
+                        defective=_reference_flag_defective(A, lam, tol),
+                        matrix_norm=nrm)
+
+
+def spectral_bytes(sd):
+    return [np.asarray(getattr(sd, f)).tobytes() for f in (
+        "eigenvalues", "raw_eigenvalues", "modal_matrix", "left_modal_matrix",
+        "pairing", "defective", "matrix_norm")]
+
+
+# block kinds: a real eigenvalue, a rotation block a +- bi (repeats give
+# several conjugate candidates per row), a rotation whose imaginary part
+# falls under the snap budget (a snapped pair), and a 2x2 Jordan block
+_VALUES = st.sampled_from([-1.0, -0.5, 0.0, 0.5])
+_BLOCKS = st.one_of(
+    st.tuples(st.just("real"), _VALUES, st.just(0.0)),
+    st.tuples(st.just("rotation"), _VALUES, st.sampled_from([1.0, 2.0])),
+    st.tuples(st.just("snapped"), _VALUES, st.sampled_from([1e-10, 1e-12])),
+    st.tuples(st.just("jordan"), _VALUES, st.just(1.0)))
+
+
+def block_matrix(blocks, seed, basis):
+    diag = []
+    for kind, a, b in blocks:
+        if kind == "real":
+            diag.append(np.array([[a]]))
+        elif kind == "jordan":
+            diag.append(np.array([[a, b], [0.0, a]]))
+        else:
+            diag.append(np.array([[a, b], [-b, a]]))
+    D = la.block_diag(*diag)
+    d = D.shape[0]
+    rng = np.random.default_rng(seed)
+    if basis == "permutation":
+        P = np.eye(d)[rng.permutation(d)]
+        return P @ D @ P.T
+    if basis == "orthogonal":
+        Q = la.qr(rng.standard_normal((d, d)))[0]
+        return Q @ D @ Q.T
+    T = np.eye(d) + 0.3 * rng.standard_normal((d, d))
+    return T @ D @ la.inv(T)
+
+
 class TestDecompose:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(blocks=st.lists(_BLOCKS, min_size=1, max_size=8),
+           seed=st.integers(0, 2**16),
+           basis=st.sampled_from(["permutation", "orthogonal", "similar"]))
+    def test_matches_the_per_column_loops_bit_for_bit(self, blocks, seed, basis):
+        A = block_matrix(blocks, seed, basis)
+        assert spectral_bytes(decompose(A)) == spectral_bytes(reference_decompose(A))
+
+    @pytest.mark.parametrize("make", [
+        lambda: random_network(n=7, order=2, seed=1, m=1, q=3, density=0.4),
+        lambda: random_network(n=6, seed=0, m=1, q=3, density=0.4,
+                               undirected=True, overdamped=True),
+        lambda: random_network(n=7, order=3, seed=2, m=1, q=3,
+                               undirected=True, overdamped=True),
+        lambda: generic_network(n=9, order=3, seed=3, m=2, q=4),
+        lambda: fig2_din(seed=0, order=3)])
+    def test_network_matrices_match_the_per_column_loops(self, make):
+        A, _, _ = assemble(make())
+        assert spectral_bytes(decompose(A)) == spectral_bytes(reference_decompose(A))
+
+    def test_repeated_rotations_and_snapped_pairs_take_their_branches(self):
+        A = block_matrix([("rotation", 0.5, 1.0)] * 3 + [("snapped", 0.0, 1e-10)]
+                         + [("real", -1.0, 0.0)] * 2, seed=5, basis="orthogonal")
+        sd = decompose(A)
+        assert spectral_bytes(sd) == spectral_bytes(reference_decompose(A))
+        # every row of 0.5 + 1i sees all three columns of 0.5 - 1i
+        pos = np.flatnonzero(sd.eigenvalues.imag > 0)
+        neg = np.flatnonzero(sd.eigenvalues.imag < 0)
+        assert len(pos) == len(neg) == 3
+        assert (np.abs(sd.raw_eigenvalues[neg][None, :]
+                       - sd.raw_eigenvalues[pos][:, None].conj()) < 1e-12).all()
+        assert sorted(sd.pairing[pos]) == list(neg)
+        # the snapped pair sits after the two real -1 columns
+        assert [i for i in range(sd.dim) if sd.is_vector_paired(i)] == [2, 3]
+
+    @pytest.mark.parametrize("eps, eta, delta, split", [
+        (1e-7, 1e-8, -1e-7, 1e-9), (1e-7, 1e-9, -1e-8, 1e-10)])
+    def test_real_column_before_a_snapped_pair_is_realified_then_mated(
+            self, eps, eta, delta, split):
+        # eigenvectors x -+ i*eps*y of 1 +- i*split (snapped) and a real
+        # x + eta*z of 1 + delta just below them: the first snapped column
+        # takes the realified real column as its mate
+        x, y, z = np.eye(3)
+        V = np.stack([x + 1j * eps * y, x - 1j * eps * y, x + eta * z], axis=1)
+        lam = np.array([1 + 1j * split, 1 - 1j * split, 1 + delta])
+        A = (V @ np.diag(lam) @ la.inv(V)).real
+        sd = decompose(A)
+        assert spectral_bytes(sd) == spectral_bytes(reference_decompose(A))
+        assert list(sd.pairing) == [1, 0, 2]
+        assert not sd.modal_matrix[:, 0].imag.any()
+
     def test_jordan_block_flagged_defective(self):
         sd = decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert sd.dim == 2
