@@ -19,7 +19,7 @@ from .cutset import CutsetDesign, design_via_cutset
 from .designer import design_blocking
 from .errors import EXIT_NUMERICAL, InvalidInputError, ObsBlockError
 from .graph import min_vertex_cut
-from .model import assemble, cutset_output, load_network, save_network
+from .model import cutset_output, load_network, save_network
 from .scenarios import SCENARIOS, fig2_din, random_network
 from .spectrum import check_stacked_structure
 from .verify import verify_design
@@ -30,13 +30,15 @@ _VARIANTS = {"n4": VARIANT_POSITION, "n6": VARIANT_DERIVATIVE}
 def _parse_lambda(text: str):
     if text == "default":
         return "default"
-    if text.startswith("index:"):
-        return ("index", int(text[len("index:"):]))
-    if text.startswith("value:"):
-        parts = text[len("value:"):].split(",")
-        re_part = float(parts[0])
-        im_part = float(parts[1]) if len(parts) > 1 else 0.0
-        return ("value", complex(re_part, im_part))
+    kind, _, arg = text.partition(":")
+    parts = arg.split(",")
+    try:
+        if kind == "index":
+            return ("index", int(arg))
+        if kind == "value" and len(parts) <= 2:
+            return ("value", complex(*map(float, parts)))
+    except ValueError:
+        pass
     raise InvalidInputError(
         f"bad --lambda {text!r}; use default, index:<k> or value:<re>[,<im>]")
 
@@ -68,16 +70,14 @@ def _emit(text: str, output):
 
 
 def _audit(design, tol: Tolerances, seed: int):
-    """Run verify_design on a direct or cutset design.
+    """Run verify_design on a direct design or a cutset result's design.
 
-    A cutset design is audited against the base measurement set: that is
-    its transfer claim.
+    verify_design's default C is the base measurement set, so a cutset
+    design is audited on its transfer claim.
     """
-    C = None
     if isinstance(design, CutsetDesign):
         design = design.design
-        C = assemble(design.network)[2]
-    return verify_design(design, C=C, tol=tol, rng=np.random.default_rng(seed))
+    return verify_design(design, tol=tol, rng=np.random.default_rng(seed))
 
 
 def cmd_gen(args) -> int:
@@ -152,14 +152,14 @@ def cmd_repro(args) -> int:
     design = design_via_cutset(net, options=options)
     verification = _audit(design, tol, args.seed)
 
-    n, N = net.n, net.order
+    N = net.order
     blocked_nodes = sorted(set(design.certificate.plan.vcut)
                            | set(design.certificate.plan.v2))
-    v = design.design.v_hat
-    deviations = [(r, k, abs(v[(r - 1) + k * n]))
-                  for r in blocked_nodes for k in range(N)]
+    entries = design.design.v_hat[net.state_index(blocked_nodes)]
+    deviations = [(r, k, abs(entries[k, j]))
+                  for j, r in enumerate(blocked_nodes) for k in range(N)]
     worst = max(d for (_, _, d) in deviations)
-    structure = check_stacked_structure(design.design.open_loop, n, N)
+    structure = check_stacked_structure(design.design.open_loop, net.n, N)
 
     lines = [records.report_text(design, verification)]
     lines.append(f"scenario {args.scenario} (order {N}, seed {args.seed})")

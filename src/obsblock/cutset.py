@@ -146,26 +146,17 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
 
 def _certify(network, plan, design, cond) -> TransferCertificate:
     """Zero-pattern and derivative-relation evidence for the transfer."""
-    n, N = network.n, network.order
     v = design.v_hat
-    lam = design.lambda_p
-    cut_pat = max((abs(v[(r - 1) + k * n]) for r in plan.vcut for k in range(N)),
-                  default=0.0)
-    far_pat = max((abs(v[(r - 1) + k * n]) for r in plan.v2 for k in range(N)),
-                  default=0.0)
-    Cbase = np.kron(np.eye(N), network.output_matrix_block())
-    base_out = float(np.abs(Cbase @ v).max()) if Cbase.size else 0.0
+    cut = v[network.state_index(plan.vcut).ravel()]
+    far = v[network.state_index(plan.v2)]          # order x |V2|
+    base = v[network.state_index().ravel()]
     # Lemma relation on the far partition: each derivative block is
     # lambda times the previous one
-    rel = 0.0
-    idx = [r - 1 for r in plan.v2]
-    for k in range(1, N):
-        top = v[[i + k * n for i in idx]]
-        bot = v[[i + (k - 1) * n for i in idx]]
-        if idx:
-            rel = max(rel, float(np.abs(top - lam * bot).max()))
-    return TransferCertificate(plan=plan, condition=cond,
-                               cut_zero_pattern=float(cut_pat),
-                               far_zero_pattern=float(far_pat),
-                               base_output_infnorm=base_out,
-                               derivative_relation_residual=rel)
+    rel = (float(np.abs(far[1:] - design.lambda_p * far[:-1]).max())
+           if far.size else 0.0)
+    return TransferCertificate(
+        plan=plan, condition=cond,
+        cut_zero_pattern=float(max((abs(x) for x in cut), default=0.0)),
+        far_zero_pattern=float(max((abs(x) for x in far.ravel()), default=0.0)),
+        base_output_infnorm=float(np.abs(base).max()) if base.size else 0.0,
+        derivative_relation_residual=rel)

@@ -21,8 +21,8 @@ from .errors import (ControllabilityError, DegenerateCandidateError,
                      InvalidInputError, NoEligibleEigenvalueError,
                      NotAnEigenvalueError, RepairFailureError)
 from .model import FeedbackGain, IntegratorNetwork, assemble
-from .spectrum import (SpectralData, decompose, match_eigenvalue,
-                       multiset_error, numerical_rank, rank_cutoff)
+from .spectrum import (SpectralData, closed_loop_audit, decompose,
+                       match_eigenvalue, numerical_rank, rank_cutoff)
 
 _EPS = np.finfo(float).eps
 _REPAIR_DRAWS = 50      # seeded null-space draws per column before giving up
@@ -480,23 +480,15 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     gain = FeedbackGain(matrix=F, realness_residual=realness)
 
     A_cl = A + B @ F
-    # cast once: a real @ complex product re-casts the whole matrix per call
-    A_cx = A_cl.astype(complex)
+    spec_err, pres_res = closed_loop_audit(sd, A_cl, preserved)
     scale = max(1.0, sd.matrix_norm)
-    cand_res = float(np.linalg.norm(A_cx @ v_hat - lam_p * v_hat) / scale)
-    pres_res = [float(np.linalg.norm(A_cx @ sd.modal_matrix[:, i]
-                                     - sd.eigenvalues[i] * sd.modal_matrix[:, i]) / scale)
-                for i in preserved]
-    lam_cl = la.eigvals(A_cl)
-    spec_err = multiset_error(sd.raw_eigenvalues, lam_cl)
-    zero_pat = _zero_pattern(v_hat, measured_nodes, network.n, network.order)
-
+    measured = v_hat[network.state_index(measured_nodes).ravel()]
     residuals = {
-        "candidate": cand_res,
+        "candidate": float(np.linalg.norm(A_cl @ v_hat - lam_p * v_hat) / scale),
         "preserved_max": max(pres_res, default=0.0),
         "preserved": pres_res,
         "spectrum_match": spec_err,
-        "zero_pattern": zero_pat,
+        "zero_pattern": float(max((abs(x) for x in measured), default=0.0)),
     }
     _enforce_postconditions(residuals, tol)
     return BlockingDesign(
@@ -568,12 +560,6 @@ def _real_gain(V, Z, pairing, tol: Tolerances):
     F = la.solve(Vr.T, Zr.T).T
     F -= la.solve(Vr.T, (F @ Vr - Zr).T).T       # one refinement step
     return F, cond
-
-
-def _zero_pattern(v_hat, measured_nodes, n, order) -> float:
-    entries = [abs(v_hat[(r - 1) + k * n]) for r in measured_nodes
-               for k in range(order)]
-    return float(max(entries, default=0.0))
 
 
 def _zero_screen(sd: SpectralData, tol: Tolerances) -> float:

@@ -1,7 +1,9 @@
 """Order-N integrator network state-space assembly.
 
-State ordering is all positions, then all first derivatives, and so on;
-the index arithmetic j <-> j + k*n throughout the package depends on it.
+State ordering is all positions, then all first derivatives, and so on:
+node j's k-th derivative is state k*n + j - 1 (j from 1).
+IntegratorNetwork.state_index owns that arithmetic; the rest of the
+package selects state rows through it.
 """
 
 from __future__ import annotations
@@ -101,12 +103,20 @@ class IntegratorNetwork:
             Bh[r - 1, j] = 1.0
         return Bh
 
-    def output_matrix_block(self, nodes=None) -> np.ndarray:
+    def state_index(self, nodes=None) -> np.ndarray:
+        """order x len(nodes) state indices, default nodes the measurement
+        set: entry [k, j] is k*n + nodes[j] - 1, the k-th derivative of
+        node nodes[j]."""
         nodes = self.measurement if nodes is None else tuple(nodes)
-        Ch = np.zeros((len(nodes), self.n))
-        for j, r in enumerate(nodes):
-            Ch[j, r - 1] = 1.0
-        return Ch
+        return (self.n * np.arange(self.order)[:, None]
+                + np.array(nodes, dtype=int) - 1)
+
+    def output_matrix(self, nodes=None) -> np.ndarray:
+        """Rows of the d x d identity at state_index(nodes), derivative-major."""
+        idx = self.state_index(nodes).ravel()
+        C = np.zeros((idx.size, self.state_dim))
+        C[np.arange(idx.size), idx] = 1.0
+        return C
 
 
 @dataclass(frozen=True)
@@ -128,7 +138,7 @@ def assemble(network: IntegratorNetwork):
 
     A carries identity super-diagonal blocks and the negated coupling
     matrices in its bottom block row; B feeds the top derivative only;
-    C is block diagonal with one selector block per derivative order.
+    C selects every derivative of the measured nodes (output_matrix).
     """
     n, N = network.n, network.order
     d = network.state_dim
@@ -139,8 +149,7 @@ def assemble(network: IntegratorNetwork):
         A[(N - 1) * n:, k * n:(k + 1) * n] = -L
     B = np.zeros((d, network.q))
     B[(N - 1) * n:, :] = network.input_matrix_block()
-    C = np.kron(np.eye(N), network.output_matrix_block())
-    return A, B, C
+    return A, B, network.output_matrix()
 
 
 def cutset_output(network: IntegratorNetwork, plan: CutsetPlan) -> np.ndarray:
@@ -148,7 +157,7 @@ def cutset_output(network: IntegratorNetwork, plan: CutsetPlan) -> np.ndarray:
     if plan.n != network.n:
         raise ModelAssemblyError(
             f"plan covers {plan.n} nodes, network has {network.n}")
-    return np.kron(np.eye(network.order), network.output_matrix_block(plan.vcut))
+    return network.output_matrix(plan.vcut)
 
 
 def closed_loop(A: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:

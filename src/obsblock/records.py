@@ -259,11 +259,9 @@ def report_text(design, verification: VerificationReport | None = None) -> str:
         push(f"zero pattern on V2:   {_sig4(certificate.far_zero_pattern)}")
         push(f"base-output infnorm:  {_sig4(certificate.base_output_infnorm)}")
         push("eigenvector magnitude per blocked node (columns = derivative order):")
-        v = design.v_hat
-        for r in sorted(set(plan.vcut) | set(plan.v2)):
-            mags = " ".join(f"{abs(v[r - 1 + k * net.n]):.4g}"
-                            for k in range(net.order))
-            push(f"  node {r:>3}: {mags}")
+        blocked = sorted(set(plan.vcut) | set(plan.v2))
+        for r, entries in zip(blocked, design.v_hat[net.state_index(blocked)].T):
+            push(f"  node {r:>3}: " + " ".join(f"{abs(x):.4g}" for x in entries))
     push("")
     push("gain matrix (4 s.f.; rows = actuation nodes)")
     push("-" * 44)

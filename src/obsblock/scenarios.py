@@ -10,6 +10,9 @@ regime where two actuators suffice for a one-node cut.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from itertools import combinations, permutations
+
 import numpy as np
 
 from .config import Tolerances, DEFAULT_TOLERANCES
@@ -32,13 +35,30 @@ FIG2_ACTUATION_ORDER3 = (1, 4, 10)
 SCENARIOS = ("fig2-din",)
 
 
-def _undirected_graph(n, pairs, weight_draw, order: int) -> WeightedDigraph:
+def _weights(rng, order: int, top=(4.0, 8.0)) -> tuple:
+    """One edge's coupling weights, lowest derivative first: the top
+    derivative is drawn from `top`, the others from (0.5, 1.5)."""
+    return tuple(float(rng.uniform(*top)) if k == order - 1
+                 else float(rng.uniform(0.5, 1.5)) for k in range(order))
+
+
+def _undirected_graph(n, pairs, rng, order: int) -> WeightedDigraph:
     edges = []
     for (a, b) in pairs:
-        ws = tuple(weight_draw(k) for k in range(order))
+        ws = _weights(rng, order)
         edges.append((a, b, ws))
         edges.append((b, a, ws))
     return WeightedDigraph(n=n, edges=tuple(edges))
+
+
+def _with_diagonals(net: IntegratorNetwork, draw) -> IntegratorNetwork:
+    """The network with each coupling matrix's diagonal replaced by draw()."""
+    mats = []
+    for L in net.laplacians:
+        M = L.copy()
+        np.fill_diagonal(M, draw())
+        mats.append(M)
+    return replace(net, laplacians=tuple(mats))
 
 
 def fig2_din(seed: int = 0, order: int = 2,
@@ -55,11 +75,7 @@ def fig2_din(seed: int = 0, order: int = 2,
     act = FIG2_ACTUATION if order == 2 else FIG2_ACTUATION_ORDER3
     rng = np.random.default_rng(np.random.SeedSequence([seed, order, 0xF162]))
     for _ in range(max_tries):
-        def draw(k):
-            return float(rng.uniform(4.0, 8.0) if k == order - 1
-                         else rng.uniform(0.5, 1.5))
-
-        graph = _undirected_graph(11, FIG2_UNDIRECTED_EDGES, draw, order)
+        graph = _undirected_graph(11, FIG2_UNDIRECTED_EDGES, rng, order)
         net = IntegratorNetwork.from_graph(graph, act, FIG2_MEASUREMENT)
         sd = decompose(assemble(net)[0], tol)
         if order == 2 and not sd.all_real():
@@ -92,27 +108,15 @@ def random_network(n: int, order: int = 2, density: float = 0.3,
             f"q + m = {q + m} exceeds n = {n}; actuation and measurement overlap")
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, order, 0x6E37]))
     top = (4.0, 8.0) if overdamped else (0.5, 1.5)
+    pairs = combinations if undirected else permutations
     for _ in range(max_tries):
         edges = []
-        if undirected:
-            for u in range(1, n + 1):
-                for v in range(u + 1, n + 1):
-                    if rng.random() < density:
-                        ws = tuple(
-                            float(rng.uniform(*top)) if k == order - 1
-                            else float(rng.uniform(0.5, 1.5))
-                            for k in range(order))
-                        edges.append((u, v, ws))
-                        edges.append((v, u, ws))
-        else:
-            for u in range(1, n + 1):
-                for v in range(1, n + 1):
-                    if u != v and rng.random() < density:
-                        ws = tuple(
-                            float(rng.uniform(*top)) if k == order - 1
-                            else float(rng.uniform(0.5, 1.5))
-                            for k in range(order))
-                        edges.append((u, v, ws))
+        for u, v in pairs(range(1, n + 1), 2):
+            if rng.random() < density:
+                ws = _weights(rng, order, top)
+                edges.append((u, v, ws))
+                if undirected:
+                    edges.append((v, u, ws))
         graph = WeightedDigraph(n=n, edges=tuple(edges))
         if not is_strongly_connected(graph):
             continue
@@ -133,15 +137,8 @@ def generic_network(n: int, order: int = 2, density: float = 0.4,
     """
     base = random_network(n, order, density, seed, m, q, max_tries=max_tries)
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, order, 0x9E4E]))
-    mats = []
-    for L in base.laplacians:
-        M = L.copy()
-        np.fill_diagonal(M, rng.uniform(0.5, 1.5, n) * scale * (1 + np.arange(n) % 3))
-        mats.append(M)
-    return IntegratorNetwork(order=base.order, graph=base.graph,
-                             actuation=base.actuation,
-                             measurement=base.measurement,
-                             laplacians=tuple(mats))
+    return _with_diagonals(
+        base, lambda: rng.uniform(0.5, 1.5, n) * scale * (1 + np.arange(n) % 3))
 
 
 def cut_friendly_network(n1_size: int, n2_size: int, order: int = 2,
@@ -177,20 +174,8 @@ def cut_friendly_network(n1_size: int, n2_size: int, order: int = 2,
                 if rng.random() < 0.4:
                     pairs.add(tuple(sorted((b, v))))
 
-    def draw(k):
-        return float(rng.uniform(4.0, 8.0) if k == order - 1
-                     else rng.uniform(0.5, 1.5))
-
-    graph = _undirected_graph(n, sorted(pairs), draw, order)
-    act = tuple(first[:q])
-    meas = tuple(second[-m:])
-    net = IntegratorNetwork.from_graph(graph, act, meas)
+    graph = _undirected_graph(n, sorted(pairs), rng, order)
+    net = IntegratorNetwork.from_graph(graph, first[:q], second[-m:])
     if not generic:
         return net
-    mats = []
-    for L in net.laplacians:
-        M = L.copy()
-        np.fill_diagonal(M, rng.uniform(1.0, 3.0, n))
-        mats.append(M)
-    return IntegratorNetwork(order=order, graph=graph, actuation=act,
-                             measurement=meas, laplacians=tuple(mats))
+    return _with_diagonals(net, lambda: rng.uniform(1.0, 3.0, n))

@@ -67,10 +67,14 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     and right eigenvectors bit-identical. Right columns are unit 2-norm with
     canonical phase (first entry above 1e-8 of the largest made real
     positive), left columns unit 2-norm. Imaginary parts of
-    eigenvalues below snap_imag * ||A|| are snapped to zero; conjugate
-    partners (matched by eigenvalue, then by eigenvector proximity) are
-    overwritten with exact conjugates, left and right, so both sets are
-    self-conjugate. Defective clusters are flagged, never fatal here.
+    eigenvalues below snap_imag * ||A|| are snapped to zero. Conjugate
+    pairs come from the solver: LAPACK's xGEEV returns each complex pair
+    in adjacent columns, positive imaginary part first, as exact
+    conjugates, and that pairing is carried through the sort. Snapped
+    pairs are mated by _pair_snapped. Partners are overwritten with
+    exact conjugates of the phase-fixed leading column, left and right,
+    so both sets are self-conjugate. Defective clusters are flagged,
+    never fatal here.
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
@@ -84,11 +88,14 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     V = V.astype(complex) / np.linalg.norm(V, axis=0)
     W = W.astype(complex) / np.linalg.norm(W, axis=0)
 
+    mate = np.arange(d)
+    up = np.flatnonzero(lam.imag > 0)
+    mate[up], mate[up + 1] = up + 1, up
     order = np.lexsort((lam.imag, lam.real))
     lam, raw, V, W = lam[order], raw[order], V[:, order], W[:, order]
-
-    pairing = np.arange(d)
-    _pair_conjugates(lam, V, pairing, match)
+    column = np.empty(d, dtype=int)
+    column[order] = np.arange(d)
+    pairing = column[mate[order]]
     _pair_snapped(lam, V, pairing, match, tol.realness)
 
     # canonical phase on each self-paired or leading column, then exact
@@ -109,30 +116,6 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
                         left_modal_matrix=W,
                         pairing=pairing, defective=_flag_defective(A, lam, tol),
                         matrix_norm=nrm)
-
-
-def _pair_conjugates(lam, V, pairing, match) -> None:
-    """Pair each eigenvalue with positive imaginary part, in column order,
-    with a free negative one within match of its conjugate: the only
-    candidate, or the one whose eigenvector is closest to the conjugate
-    (first on ties). The partner's eigenvalue becomes the exact conjugate.
-    """
-    pos = np.flatnonzero(lam.imag > 0)
-    neg = np.flatnonzero(lam.imag < 0)
-    near = np.abs(lam[neg][None, :] - lam[pos][:, None].conj()) <= match
-    free = np.ones(neg.size, dtype=bool)
-    for i, row in zip(pos, near):
-        cands = np.flatnonzero(row & free)
-        if cands.size == 0:
-            continue
-        c = cands[0]
-        if cands.size > 1:
-            vi = V[:, i].conj()
-            c = cands[np.argmin([np.linalg.norm(V[:, neg[k]] - vi) for k in cands])]
-        j = neg[c]
-        lam[j] = lam[i].conjugate()
-        pairing[i], pairing[j] = j, i
-        free[c] = False
 
 
 def _pair_snapped(lam, V, pairing, match, realness) -> None:
@@ -195,6 +178,23 @@ def multiset_error(lam_a, lam_b) -> float:
     a = np.array(sorted(np.asarray(lam_a, complex), key=key))
     b = np.array(sorted(np.asarray(lam_b, complex), key=key))
     return float(np.abs(a - b).max()) if a.size else 0.0
+
+
+def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved):
+    """Spectrum and eigenvector retention of a closed loop against the
+    open-loop modal data `sd`.
+
+    Returns the multiset error of eig(A_cl) against sd.raw_eigenvalues
+    and, for each column index in `preserved`, the residual
+    ||A_cl v - lambda v|| / max(1, ||A||) of that open-loop eigenpair.
+    """
+    err = multiset_error(sd.raw_eigenvalues, la.eigvals(A_cl))
+    scale = max(1.0, sd.matrix_norm)
+    A_cx = np.asarray(A_cl, dtype=complex)   # cast once, not once per column
+    V = sd.modal_matrix
+    residuals = [float(np.linalg.norm(A_cx @ V[:, i] - sd.eigenvalues[i] * V[:, i])
+                       / scale) for i in preserved]
+    return err, residuals
 
 
 def _flag_defective(A, lam, tol):

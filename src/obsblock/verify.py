@@ -14,7 +14,7 @@ import scipy.linalg as la
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .designer import BlockingDesign
 from .model import assemble, closed_loop
-from .spectrum import SpectralData, multiset_error, numerical_rank
+from .spectrum import SpectralData, closed_loop_audit, numerical_rank
 
 
 @dataclass
@@ -69,25 +69,13 @@ def observability_rank(A_cl: np.ndarray, C: np.ndarray,
 def preservation_audit(sd_open: SpectralData, design: BlockingDesign,
                        A_cl: np.ndarray | None = None,
                        tol: Tolerances = DEFAULT_TOLERANCES):
-    """Spectrum multiset error and residuals of the preserved eigenvectors.
-
-    The eigenvalue lists are matched after sorting by (real, imag);
-    only indices the design claims as preserved are audited for
-    eigenvector retention.
-    """
+    """Spectrum multiset error and residuals of the preserved eigenvectors
+    (spectrum.closed_loop_audit); only indices the design claims as
+    preserved are audited for eigenvector retention."""
     if A_cl is None:
         A, B, _ = assemble(design.network)
         A_cl = closed_loop(A, B, design.F)
-    lam_cl = la.eigvals(A_cl)
-    err = multiset_error(sd_open.raw_eigenvalues, lam_cl)
-    scale = max(1.0, sd_open.matrix_norm)
-    A_cx = np.asarray(A_cl, dtype=complex)   # cast once, not once per column
-    residuals = []
-    for i in design.preserved:
-        v = sd_open.modal_matrix[:, i]
-        residuals.append(float(
-            np.linalg.norm(A_cx @ v - sd_open.eigenvalues[i] * v) / scale))
-    return float(err), residuals
+    return closed_loop_audit(sd_open, A_cl, design.preserved)
 
 
 _STATE_OVERFLOW = 1e150   # state norm at which the horizon is cut short
@@ -169,14 +157,13 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
                   dt: float = 0.01, rng=None) -> VerificationReport:
     """Run every oracle against a design and aggregate the verdict.
 
-    C defaults to the output matrix of the design's own measured nodes
-    (for cutset designs pass the base C to audit the transfer).
+    C defaults to the network's base measurement output (assemble's C).
+    For a direct design that is its own constraint set; for the design
+    of a cutset result it audits the transfer claim, blocking at the
+    measurement nodes rather than at the cut.
     """
-    network = design.network
-    A, B, Cbase = assemble(network)
-    if C is None:
-        C = np.kron(np.eye(network.order),
-                    network.output_matrix_block(design.measured_nodes))
+    A, B, C_base = assemble(design.network)
+    C = C_base if C is None else C
     A_cl = closed_loop(A, B, design.F)
     d = A.shape[0]
 

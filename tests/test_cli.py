@@ -153,6 +153,18 @@ class TestExitCodes:
         assert main(["design", "--input", str(net_file),
                      "--lambda", "nonsense"]) == 2
 
+    @pytest.mark.parametrize("spec", ["index:abc", "index:", "value:x",
+                                      "value:1,2,3", "value:1,"])
+    def test_malformed_lambda_number_is_precondition(self, spec, tmp_path,
+                                                     capsys):
+        net_file = tmp_path / "net.json"
+        main(["gen", "--n", "6", "--output", str(net_file)])
+        capsys.readouterr()
+        assert main(["design", "--input", str(net_file), "--lambda", spec]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad --lambda {spec!r}; use default, index:<k> or "
+            "value:<re>[,<im>]\n")
+
 
 class TestRepro:
     def test_fig2_pass_and_deterministic(self, tmp_path):

@@ -116,6 +116,32 @@ class TestAssemble:
             f"matrix {k} couples nodes {j + 1}->{i + 1} without an edge"
 
 
+class TestStateIndex:
+    @staticmethod
+    def selector(n, nodes):
+        S = np.zeros((len(nodes), n))
+        for j, r in enumerate(nodes):
+            S[j, r - 1] = 1.0
+        return S
+
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    @pytest.mark.parametrize("nodes", [None, (), (3,), (5, 1, 4)])
+    def test_matches_the_layout_formula_and_the_kron_selector(self, order, nodes):
+        rng = np.random.default_rng(order)
+        net = IntegratorNetwork.from_graph(
+            random_digraph(6, rng, order=order), (1, 2), (6, 3), order=order)
+        chosen = net.measurement if nodes is None else nodes
+        idx = net.state_index(nodes)
+        assert idx.shape == (order, len(chosen))
+        assert idx.dtype.kind == "i"
+        for k in range(order):
+            for j, r in enumerate(chosen):
+                assert idx[k, j] == (r - 1) + k * net.n
+        C = net.output_matrix(nodes)
+        assert C.shape == (order * len(chosen), net.state_dim)
+        assert np.array_equal(C, np.kron(np.eye(order), self.selector(net.n, chosen)))
+
+
 class TestCutsetOutput:
     def test_fig2_selects_node5_rows(self):
         net = fig2_din(seed=0)

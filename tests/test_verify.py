@@ -10,7 +10,7 @@ from obsblock.designer import design_blocking
 from obsblock.model import assemble, closed_loop
 from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose
-from obsblock import verify
+from obsblock import records, verify
 from obsblock.verify import (observability_rank, output_energy, pbh_test,
                              preservation_audit, verify_design)
 
@@ -91,6 +91,13 @@ class TestPreservationAudit:
         assert err < 1e-6
         assert max(residuals, default=0.0) < 1e-6
 
+    def test_designer_postconditions_are_the_same_audit(self):
+        net = random_network(n=7, seed=17, m=1, q=3)
+        design = design_blocking(net, DesignOptions(seed=17))
+        err, residuals = preservation_audit(design.open_loop, design)
+        assert err == design.residuals["spectrum_match"]
+        assert residuals == design.residuals["preserved"]
+
     def test_repaired_columns_not_audited(self):
         net = random_network(n=7, seed=17, m=1, q=3)
         design = design_blocking(net, DesignOptions(seed=17))
@@ -98,6 +105,18 @@ class TestPreservationAudit:
         assert set(design.preserved).isdisjoint(design.replaced)
         _, residuals = preservation_audit(design.open_loop, design)
         assert len(residuals) == len(design.preserved)
+
+
+class TestVerifyDesignOutput:
+    def test_default_output_is_the_base_measurement_set(self):
+        net = fig2_din(seed=0)
+        result = design_via_cutset(net, options=DesignOptions(seed=0))
+        default = verify_design(result.design, rng=np.random.default_rng(0))
+        base = verify_design(result.design, C=assemble(net)[2],
+                             rng=np.random.default_rng(0))
+        assert records.verification_to_dict(default) == \
+            records.verification_to_dict(base)
+        assert default.verdict
 
 
 class TestOutputEnergy:
