@@ -8,6 +8,7 @@ truth for reordering, the graph itself is never mutated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 import math
 
 import numpy as np
@@ -28,55 +29,104 @@ class WeightedDigraph:
     edges : tuple
         Entries (from_id, to_id, weights) where weights has length equal
         to the network order N and every weight is strictly positive.
+
+    Construction converts every entry once (int ids, float weights),
+    checks the edges with array operations and keeps, read-only and in
+    edge order, the 0-based tail and head ids and the (edges x order)
+    weight array (edge_arrays).
     """
 
     n: int
     edges: tuple = field(default_factory=tuple)
+    tails: np.ndarray = field(init=False, repr=False, compare=False)
+    heads: np.ndarray = field(init=False, repr=False, compare=False)
+    weights: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
             raise InvalidInputError(f"node count must be positive, got {self.n}")
-        norm = []
-        seen = set()
-        order = None
-        for e in self.edges:
-            u, v, ws = e
-            u, v = int(u), int(v)
-            ws = tuple(float(w) for w in ws)
-            if not (1 <= u <= self.n and 1 <= v <= self.n):
-                raise InvalidInputError(f"edge ({u},{v}) outside node range 1..{self.n}")
-            if u == v:
-                raise InvalidInputError(f"self-loop at node {u}")
-            if (u, v) in seen:
-                raise InvalidInputError(f"duplicate edge ({u},{v})")
-            seen.add((u, v))
-            if order is None:
-                order = len(ws)
-            elif len(ws) != order:
-                raise OrderMismatchError(
-                    f"edge ({u},{v}) carries {len(ws)} weights, expected {order}")
-            if not ws:
-                raise InvalidInputError(f"edge ({u},{v}) has no weights")
-            for w in ws:
-                if not (math.isfinite(w) and w > 0.0):
-                    raise InvalidInputError(f"edge ({u},{v}) weight {w} not finite positive")
-            norm.append((u, v, ws))
-        object.__setattr__(self, "edges", tuple(norm))
+        us, vs, wss = [], [], []
+        unconverted = None
+        try:
+            for u, v, ws in self.edges:
+                u, v, ws = int(u), int(v), tuple(map(float, ws))
+                us.append(u)
+                vs.append(v)
+                wss.append(ws)
+        except Exception as exc:   # noqa: BLE001 - re-raised once the edges
+            unconverted = exc      # before the unconvertible one are checked
+        tails, heads, weights = _checked_edge_arrays(self.n, us, vs, wss)
+        if unconverted is not None:
+            raise unconverted
+        for name, a in (("tails", tails), ("heads", heads), ("weights", weights)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "edges", tuple(zip(us, vs, wss)))
 
     @property
     def order(self) -> int:
         """Number of weights per edge (network order N); 0 for edgeless graphs."""
-        return len(self.edges[0][2]) if self.edges else 0
+        return self.weights.shape[1]
+
+
+def _node_ids(ids: list, n) -> np.ndarray:
+    try:
+        return np.fromiter(ids, np.intp, len(ids))
+    except OverflowError:   # beyond the C range is outside 1..n as well
+        return np.fromiter((u if 1 <= u <= n else 0 for u in ids), np.intp, len(ids))
+
+
+def _checked_edge_arrays(n, us: list, vs: list, wss: list):
+    """0-based tails and heads and the weight array of converted edges.
+
+    Raises the error of the first bad edge, with the check that fails
+    first in this order: ids in 1..n, no self-loop, no repeat of an
+    earlier edge, as many weights as the first edge, at least one
+    weight, every weight finite and positive (the first bad one named).
+    """
+    m = len(us)
+    t, h = _node_ids(us, n), _node_ids(vs, n)
+    counts = np.fromiter(map(len, wss), np.intp, m)
+    width = int(counts[0]) if m else 0
+    flat = np.fromiter(chain.from_iterable(wss), float, int(counts.sum()))
+
+    outside = (t < 1) | (t > n) | (h < 1) | (h > n)
+    loop = t == h
+    # out-of-range edges get distinct negative tails, so they repeat
+    # nothing; the sort is stable, so equal pairs keep edge order
+    tk = np.where(outside, -1 - np.arange(m), t)
+    by_pair = np.lexsort((h, tk))
+    later, earlier = by_pair[1:], by_pair[:-1]
+    repeat = np.zeros(m, dtype=bool)
+    repeat[later] = (tk[later] == tk[earlier]) & (h[later] == h[earlier])
+    miscount = counts != width
+    bad_weight = np.zeros(m, dtype=bool)
+    bad_weight[np.repeat(np.arange(m), counts)[~(np.isfinite(flat) & (flat > 0.0))]] = True
+
+    bad = np.flatnonzero(outside | loop | repeat | miscount | (counts == 0) | bad_weight)
+    if bad.size:
+        i = bad[0]
+        u, v = us[i], vs[i]
+        if outside[i]:
+            raise InvalidInputError(f"edge ({u},{v}) outside node range 1..{n}")
+        if loop[i]:
+            raise InvalidInputError(f"self-loop at node {u}")
+        if repeat[i]:
+            raise InvalidInputError(f"duplicate edge ({u},{v})")
+        if miscount[i]:
+            raise OrderMismatchError(
+                f"edge ({u},{v}) carries {len(wss[i])} weights, expected {width}")
+        if not wss[i]:
+            raise InvalidInputError(f"edge ({u},{v}) has no weights")
+        w = next(w for w in wss[i] if not (math.isfinite(w) and w > 0.0))
+        raise InvalidInputError(f"edge ({u},{v}) weight {w} not finite positive")
+    return t - 1, h - 1, flat.reshape(m, width)
 
 
 def edge_arrays(g: WeightedDigraph):
     """0-based tail and head ids and the (edges x order) weight array of g,
-    in edge order."""
-    m = len(g.edges)
-    tails = np.fromiter((u - 1 for (u, _, _) in g.edges), dtype=np.intp, count=m)
-    heads = np.fromiter((v - 1 for (_, v, _) in g.edges), dtype=np.intp, count=m)
-    weights = np.array([ws for (_, _, ws) in g.edges], dtype=float).reshape(m, g.order)
-    return tails, heads, weights
+    in edge order; the read-only arrays g keeps."""
+    return g.tails, g.heads, g.weights
 
 
 def _coupling(n: int, tails, heads, w) -> np.ndarray:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,10 @@ class IntegratorNetwork:
     actuation: tuple
     measurement: tuple
     laplacians: tuple = field(default=None)
+    # whether laplacians was given, so network_to_dict knows it may differ
+    # from the Laplacian form it otherwise holds
+    explicit_couplings: bool = field(default=False, init=False, repr=False,
+                                     compare=False)
 
     def __post_init__(self):
         if self.order < 2:
@@ -48,6 +53,7 @@ class IntegratorNetwork:
             raise InvalidInputError("repeated node in actuation or measurement set")
         if set(act) & set(meas):
             raise InvalidInputError("actuation and measurement sets overlap")
+        object.__setattr__(self, "explicit_couplings", self.laplacians is not None)
         if self.laplacians is None:
             mats = tuple(laplacian_stack(self.graph, self.order))
         else:
@@ -176,7 +182,8 @@ def network_to_dict(network: IntegratorNetwork) -> dict:
     """Plain-dict form matching the network file schema.
 
     The coupling matrices are written under "couplings" only when they
-    differ from the Laplacians of the edge weights.
+    were given explicitly and differ from the Laplacians of the edge
+    weights.
     """
     data = {
         "order": network.order,
@@ -188,34 +195,64 @@ def network_to_dict(network: IntegratorNetwork) -> dict:
         "actuation": list(network.actuation),
         "measurement": list(network.measurement),
     }
-    stack = laplacian_stack(network.graph, network.order)
-    if not all(np.array_equal(L, S) for L, S in zip(network.laplacians, stack)):
-        data["couplings"] = [L.tolist() for L in network.laplacians]
+    if network.explicit_couplings:
+        stack = laplacian_stack(network.graph, network.order)
+        if not all(np.array_equal(L, S) for L, S in zip(network.laplacians, stack)):
+            data["couplings"] = [L.tolist() for L in network.laplacians]
     return data
 
 
+def _malformed(message: str) -> NetworkFileError:
+    return NetworkFileError(f"malformed network data: {message}")
+
+
+def _first_not(types, values):
+    """The first of values whose type is not in types, or None. json reads
+    integer literals as int and the others as float; bool is neither."""
+    if set(map(type, values)) <= types:
+        return None
+    return next(x for x in values if type(x) not in types)
+
+
 def network_from_dict(data: dict) -> IntegratorNetwork:
+    """Network from the file schema. Node ids, n and order must be JSON
+    integers and weights JSON numbers; the edges go to WeightedDigraph
+    as read, which converts and checks them once."""
     try:
-        order = int(data["order"])
-        n = int(data["n"])
-        edges = tuple(
-            (int(e["from"]), int(e["to"]), tuple(float(w) for w in e["weights"]))
-            for e in data["edges"]
-        )
-        actuation = tuple(int(a) for a in data["actuation"])
-        measurement = tuple(int(b) for b in data["measurement"])
+        order, n = data["order"], data["n"]
+        edges = [(e["from"], e["to"], e["weights"]) for e in data["edges"]]
+        actuation, measurement = list(data["actuation"]), list(data["measurement"])
         couplings = data.get("couplings")
         if couplings is not None:
             couplings = tuple(np.array(L, dtype=float) for L in couplings)
     except (KeyError, TypeError, ValueError) as exc:
-        raise NetworkFileError(f"malformed network data: {exc}") from exc
-    for (u, v, ws) in edges:
-        if len(ws) != order:
-            raise NetworkFileError(
-                f"edge ({u},{v}) carries {len(ws)} weights, file order is {order}")
-    graph = WeightedDigraph(n=n, edges=edges)
-    return IntegratorNetwork(order=order, graph=graph, actuation=actuation,
-                             measurement=measurement, laplacians=couplings)
+        raise _malformed(str(exc)) from exc
+    for key, value in (("order", order), ("n", n)):
+        if type(value) is not int:
+            raise _malformed(f"{key} must be an integer, got {value!r}")
+    us, vs, wss = zip(*edges) if edges else ((), (), ())
+    for ids in (us + vs, actuation, measurement):
+        bad = _first_not({int}, ids)
+        if bad is not None:
+            raise _malformed(f"node id {bad!r} is not an integer")
+    if not set(map(type, wss)) <= {list}:
+        i = next(i for i, ws in enumerate(wss) if type(ws) is not list)
+        raise _malformed(f"edge ({us[i]},{vs[i]}) weights {wss[i]!r} is not a list")
+    bad = _first_not({int, float}, list(chain.from_iterable(wss)))
+    if bad is not None:
+        raise _malformed(f"weight {bad!r} is not a number")
+    counts = np.fromiter(map(len, wss), np.intp, len(wss))
+    wrong = np.flatnonzero(counts != order)
+    if wrong.size:
+        i = wrong[0]
+        raise NetworkFileError(
+            f"edge ({us[i]},{vs[i]}) carries {counts[i]} weights, file order is {order}")
+    try:
+        graph = WeightedDigraph(n=n, edges=edges)
+    except OverflowError as exc:   # an integer weight beyond float range
+        raise _malformed(str(exc)) from exc
+    return IntegratorNetwork(order=order, graph=graph, actuation=tuple(actuation),
+                             measurement=tuple(measurement), laplacians=couplings)
 
 
 def load_network(path) -> IntegratorNetwork:

@@ -95,13 +95,15 @@ def _certificate_to_dict(cert: TransferCertificate) -> dict:
 
 
 def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
-    """Rebuild a design record; the open-loop modal data is recomputed."""
+    """Rebuild a design record; the open-loop modal data is recomputed
+    with right eigenvectors only, since verification reads no left
+    eigenvectors or defectiveness flags."""
     if data.get("format") not in READ_FORMATS:
         raise NetworkFileError(f"not a design record (format {data.get('format')!r})")
     try:
         network = network_from_dict(data["network"])
         A, B, _ = assemble(network)
-        sd = decompose(A, tol)
+        sd = decompose(A, tol, right_only=True)
         F = np.asarray(data["F"], dtype=float)
         v_hat = _from_carray(data["v_hat"])
         if not (np.isfinite(F).all() and np.isfinite(v_hat).all()):

@@ -29,15 +29,16 @@ class SpectralData:
     column stores the complex conjugate values of its mate.
     left_modal_matrix holds the unit left eigenvectors, column i for
     eigenvalue i (w_i^* A = lambda_i w_i^*), sorted and paired like
-    modal_matrix.
+    modal_matrix. It and the defective flags are None when decompose
+    ran with right_only.
     """
 
     eigenvalues: np.ndarray
     raw_eigenvalues: np.ndarray
     modal_matrix: np.ndarray
-    left_modal_matrix: np.ndarray
+    left_modal_matrix: np.ndarray | None
     pairing: np.ndarray
-    defective: np.ndarray
+    defective: np.ndarray | None
     matrix_norm: float
 
     @property
@@ -59,12 +60,15 @@ class SpectralData:
         return np.linalg.norm(R, axis=0)
 
 
-def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
+def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
+              right_only: bool = False) -> SpectralData:
     """Full eigendecomposition of a real state matrix.
 
     One eigensolve returns both eigenvector sets: the left ones add a
     back-substitution (about 15 % of the solve) and leave the eigenvalues
-    and right eigenvectors bit-identical. Right columns are unit 2-norm with
+    and right eigenvectors bit-identical. right_only skips the left
+    eigenvectors and the defectiveness flags, which only the designer
+    reads; every other field is the same. Right columns are unit 2-norm with
     canonical phase (first entry above 1e-8 of the largest made real
     positive), left columns unit 2-norm. Imaginary parts of
     eigenvalues below snap_imag * ||A|| are snapped to zero. Conjugate
@@ -78,7 +82,11 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-    lam, W, V = la.eig(A, left=True)
+    W = None
+    if right_only:
+        lam, V = la.eig(A)
+    else:
+        lam, W, V = la.eig(A, left=True)
     nrm = la.norm(A, 2) if d else 0.0
     scale = max(1.0, nrm)
     match = tol.lambda_match * scale
@@ -86,13 +94,14 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     raw = lam.copy()
     lam = np.where(np.abs(lam.imag) <= tol.snap_imag * scale, lam.real + 0j, lam)
     V = V.astype(complex) / np.linalg.norm(V, axis=0)
-    W = W.astype(complex) / np.linalg.norm(W, axis=0)
+    if W is not None:
+        W = W.astype(complex) / np.linalg.norm(W, axis=0)
 
     mate = np.arange(d)
     up = np.flatnonzero(lam.imag > 0)
     mate[up], mate[up + 1] = up + 1, up
     order = np.lexsort((lam.imag, lam.real))
-    lam, raw, V, W = lam[order], raw[order], V[:, order], W[:, order]
+    lam, raw, V = lam[order], raw[order], V[:, order]
     column = np.empty(d, dtype=int)
     column[order] = np.arange(d)
     pairing = column[mate[order]]
@@ -110,11 +119,14 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     V[:, lead[nz]] = U[:, nz] * rot
     mated = lead[pairing[lead] != lead]
     V[:, pairing[mated]] = V[:, mated].conj()
-    W[:, pairing[mated]] = W[:, mated].conj()
+    defective = None
+    if W is not None:
+        W = W[:, order]
+        W[:, pairing[mated]] = W[:, mated].conj()
+        defective = _flag_defective(A, lam, tol)
 
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
-                        left_modal_matrix=W,
-                        pairing=pairing, defective=_flag_defective(A, lam, tol),
+                        left_modal_matrix=W, pairing=pairing, defective=defective,
                         matrix_norm=nrm)
 
 

@@ -37,10 +37,12 @@ class VerificationReport:
 def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam,
              tol: Tolerances = DEFAULT_TOLERANCES) -> int:
     """Rank of [A_cl - lambda I; C]; below the state dimension means
-    the mode at lambda is unobservable."""
+    the mode at lambda is unobservable. The matrix is real for a real
+    lambda."""
     A_cl = np.asarray(A_cl)
-    d = A_cl.shape[0]
-    M = np.vstack([A_cl - complex(lam) * np.eye(d), np.asarray(C, dtype=complex)])
+    lam = complex(lam)
+    s = lam.real if lam.imag == 0.0 else lam
+    M = np.vstack([A_cl - s * np.eye(A_cl.shape[0]), np.asarray(C, dtype=float)])
     return numerical_rank(M, tol.rank_decision)
 
 
@@ -67,8 +69,7 @@ def observability_rank(A_cl: np.ndarray, C: np.ndarray,
 
 
 def preservation_audit(sd_open: SpectralData, design: BlockingDesign,
-                       A_cl: np.ndarray | None = None,
-                       tol: Tolerances = DEFAULT_TOLERANCES):
+                       A_cl: np.ndarray | None = None):
     """Spectrum multiset error and residuals of the preserved eigenvectors
     (spectrum.closed_loop_audit); only indices the design claims as
     preserved are audited for eigenvector retention."""
@@ -82,8 +83,51 @@ _STATE_OVERFLOW = 1e150   # state norm at which the horizon is cut short
 _GROWTH_CAP = 1e100       # growth saturates here
 
 
+@dataclass(frozen=True)
+class StepPropagator:
+    """The step propagator of one loop on the grid t_j = j*dt, j = 0..steps.
+
+    powers holds E = expm(A_cl*dt) and its repeated squares E^2, E^4,
+    ... up to the largest power of two at most steps, or up to the last
+    finite one should a square overflow; norms holds their Frobenius
+    norms and E_steps the product of the powers at the bits of steps
+    (None when steps is zero). It depends on the loop and the grid
+    only, so every start of output_energy on that loop can share it.
+    """
+
+    dt: float
+    steps: int
+    powers: tuple
+    norms: tuple
+    E_steps: np.ndarray | None
+
+
+def step_propagator(A_cl: np.ndarray, T: float = 10.0,
+                    dt: float = 0.01) -> StepPropagator:
+    """StepPropagator of A_cl over [0, T]: one expm, about log2(T/dt)
+    d x d squarings and the products for E^steps."""
+    if T <= 0 or dt <= 0:
+        raise ValueError("T and dt must be positive")
+    steps = int(round(T / dt))
+    powers = [la.expm(np.asarray(A_cl, dtype=float) * dt)]
+    E_steps = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        while 2 ** len(powers) <= steps:
+            Q = powers[-1] @ powers[-1]
+            if not np.isfinite(Q).all():
+                break
+            powers.append(Q)
+        for i, P in enumerate(powers):
+            if steps >> i & 1:
+                E_steps = P if E_steps is None else E_steps @ P
+        norms = tuple(float(np.linalg.norm(P)) for P in powers)
+    return StepPropagator(dt=dt, steps=steps, powers=tuple(powers), norms=norms,
+                          E_steps=E_steps)
+
+
 def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
-                  T: float = 10.0, dt: float = 0.01):
+                  T: float = 10.0, dt: float = 0.01,
+                  propagator: StepPropagator | None = None):
     """Trapezoidal estimate of the output energy integral over [0, T].
 
     The state is sampled on the grid t_j = j*dt, j = 0..round(T/dt),
@@ -93,7 +137,9 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
     the square of E^p. That is about log2(T/dt) d x d squarings plus
     O(d^2 T/dt) flops, with no per-step Python loop. Should a power
     overflow, the trajectory advances in blocks of the largest finite
-    power instead.
+    power instead. The powers come from `propagator`, which must be
+    step_propagator(A_cl, T, dt) and is computed here when not given;
+    a caller that runs several starts on one loop passes it to each.
 
     The horizon is cut short at step k, the last step before the first
     state that is non-finite or has norm above 1e150; the report says
@@ -107,36 +153,25 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
     growth never exceeds the largest ||E^j|| over all steps up to the
     first one past 1e100. Damped loops keep it near one.
     """
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
-    A_cl = np.asarray(A_cl, dtype=float)
+    prop = step_propagator(A_cl, T, dt) if propagator is None else propagator
     C = np.asarray(C, dtype=float)
-    E = la.expm(A_cl * dt)
-    steps = int(round(T / dt))
-    X = np.empty((steps + 1, A_cl.shape[0]))   # row j holds x(j*dt)
+    steps, powers = prop.steps, prop.powers
+    top = 1 << (len(powers) - 1)    # the largest power
+    X = np.empty((steps + 1, powers[0].shape[0]))   # row j holds x(j*dt)
     X[0] = np.asarray(x0, dtype=float)
-    P, p, j, k = E, 1, 1, steps     # P = E^p; rows < j are filled
-    norms = []                      # ||E^p||_F for p = 1, 2, 4, ...
-    E_steps = None                  # E^steps, the product of its bit powers
+    j, k = 1, steps                 # rows < j are filled
     with np.errstate(over="ignore", invalid="ignore"):
         while j <= steps:
-            if j == p:              # first block of a new power
-                norms.append(float(np.linalg.norm(P)))
-                if steps & p:
-                    E_steps = P if E_steps is None else E_steps @ P
+            p = min(j, top)         # rows [j, j + p) are rows [j - p, j) times E^p
             hi = min(j + p, steps + 1)
             block = X[j:hi]
-            np.matmul(X[j - p:hi - p], P.T, out=block)
+            np.matmul(X[j - p:hi - p], powers[p.bit_length() - 1].T, out=block)
             bad = np.flatnonzero(~(np.einsum("ij,ij->i", block, block)
                                    <= _STATE_OVERFLOW ** 2))
             if bad.size:
                 k = j + int(bad[0]) - 1
                 break
             j = hi
-            if j == 2 * p and j <= steps:
-                Q = P @ P
-                if np.isfinite(Q).all():
-                    P, p = Q, 2 * p
 
         Y = X[:k + 1] @ C.T
         y = np.einsum("ij,ij->i", Y, Y)    # |C x(j*dt)|^2
@@ -145,9 +180,10 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
         # if squaring overflowed, the last power has norm > 1e154 and is
         # sampled, so growth is capped before E_steps (then short of its
         # top bits) could be used
-        growth = max([1.0] + norms[:k.bit_length()])
+        growth = max((1.0,) + prop.norms[:k.bit_length()])
         if growth < _GROWTH_CAP and k & (k - 1):
-            E_k = E_steps if k == steps else np.linalg.matrix_power(E, k)
+            E_k = (prop.E_steps if k == steps
+                   else np.linalg.matrix_power(powers[0], k))
             growth = max(growth, float(np.linalg.norm(E_k)))
     return energy, k * dt, min(growth, _GROWTH_CAP)
 
@@ -169,13 +205,15 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
 
     rank = pbh_test(A_cl, C, design.lambda_p, tol)
     obs_rank = observability_rank(A_cl, C, tol)
-    spec_err, residuals = preservation_audit(design.open_loop, design, A_cl, tol)
+    spec_err, residuals = preservation_audit(design.open_loop, design, A_cl)
 
     x0 = np.real(design.v_hat)
     if np.linalg.norm(x0) < 1e-8:
         x0 = np.imag(design.v_hat)
     x0 = x0 / np.linalg.norm(x0)
-    energy, used, growth = output_energy(A_cl, C, x0, T, dt)
+    # both starts ride one propagator; it lives only for this call
+    propagator = step_propagator(A_cl, T, dt)
+    energy, used, growth = output_energy(A_cl, C, x0, T, dt, propagator)
     # growth-normalized bound: on an unstable loop the unavoidable gain
     # roundoff rides the propagator, so darkness is judged relative to
     # the amplification; damped loops keep the absolute bound
@@ -184,7 +222,7 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     rng = np.random.default_rng(0) if rng is None else rng
     xr = rng.standard_normal(d)
     xr /= np.linalg.norm(xr)
-    energy_rand, _, _ = output_energy(A_cl, C, xr, T, dt)
+    energy_rand, _, _ = output_energy(A_cl, C, xr, T, dt, propagator)
 
     reasons = []
     if rank >= d:

@@ -140,6 +140,36 @@ class TestExitCodes:
         assert main(["verify", "--input", str(path)]) == 4
         assert "error: malformed design record" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("from", 1.5), ("actuation", [1.9]), ("to", "1"), ("to", True),
+        ("n", 3.7), ("order", 2.0), ("order", True), ("measurement", [False]),
+        ("weights", "2"), ("weights", 10**400)],
+        ids=["from-1.5", "actuation-1.9", "to-string", "to-true", "n-3.7",
+             "order-2.0", "order-true", "measurement-false", "weight-string",
+             "weight-10^400"])
+    def test_non_integer_network_value_is_io_error(self, key, value, tmp_path,
+                                                   capsys):
+        # every edge of a 3-node cycle in both directions; the doctored
+        # values are ones int() and float() would take, and an integer
+        # weight beyond float range
+        data = {"order": 2, "n": 3, "actuation": [1], "measurement": [3],
+                "edges": [{"from": u, "to": v, "weights": [1.0, 2.0]}
+                          for (u, v) in ((3, 1), (1, 2), (2, 3), (2, 1),
+                                         (3, 2), (1, 3))]}
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps(data))
+        assert main(["cut", "--input", str(path)]) == 0
+        if key in ("from", "to"):
+            data["edges"][0][key] = value
+        elif key == "weights":
+            data["edges"][0][key][1] = value
+        else:
+            data[key] = value
+        path.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert main(["cut", "--input", str(path)]) == 4
+        assert capsys.readouterr().err.startswith("error: malformed network data: ")
+
     def test_insufficient_actuation_is_precondition(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
         main(["gen", "--n", "7", "--m", "2", "--q", "2", "--seed", "1",
@@ -291,6 +321,29 @@ class TestRecords:
         report = audit(loaded)
         assert report == audit(design)
         assert report["verdict"] == "pass"
+
+    @pytest.mark.parametrize("kind", ["laplacian", "generic", "fig2-cutset"])
+    def test_reloaded_spectral_data_is_the_designers(self, kind):
+        # the reader decomposes with right eigenvectors only; every field
+        # verification reads equals the designer's bit for bit
+        if kind == "laplacian":
+            design = design_blocking(random_network(n=8, seed=3, m=2, q=4),
+                                     DesignOptions(seed=3))
+        elif kind == "generic":
+            design = design_blocking(generic_network(n=7, seed=2, m=1, q=3),
+                                     DesignOptions(seed=2))
+        else:
+            design = design_via_cutset(fig2_din(seed=2),
+                                       options=DesignOptions(seed=2)).design
+        loaded = records.design_from_dict(
+            json.loads(records.dumps(records.design_to_dict(design))))
+        ours, theirs = design.open_loop, getattr(loaded, "design", loaded).open_loop
+        for name in ("eigenvalues", "raw_eigenvalues", "modal_matrix", "pairing",
+                     "matrix_norm"):
+            assert np.asarray(getattr(theirs, name)).tobytes() == \
+                np.asarray(getattr(ours, name)).tobytes(), name
+        assert ours.left_modal_matrix is not None and ours.defective is not None
+        assert theirs.left_modal_matrix is None and theirs.defective is None
 
     def test_report_text_mentions_core_fields(self):
         net = random_network(n=6, seed=4, m=1, q=3)

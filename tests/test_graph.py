@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import deque
+import math
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from obsblock import graph
 from obsblock.errors import InvalidInputError, OrderMismatchError
 from obsblock.graph import (CutsetPlan, WeightedDigraph, _cut_candidates,
                             _partition_after_removal, _split_network,
-                            is_strongly_connected, laplacian, min_vertex_cut)
+                            edge_arrays, is_strongly_connected, laplacian,
+                            min_vertex_cut)
 from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
                                 cut_friendly_network, fig2_din)
 
@@ -122,6 +124,141 @@ def separable_digraphs(draw):
     q = draw(st.integers(1, n - 2))
     m = draw(st.integers(1, n - q))
     return g, sorted(nodes[:q]), sorted(nodes[q:q + m])
+
+
+def reference_edges(n, edges):
+    """The former per-edge conversion and validation loop of WeightedDigraph:
+    the normalized edge tuple, or the first error it raises."""
+    if n < 1:
+        raise InvalidInputError(f"node count must be positive, got {n}")
+    norm = []
+    seen = set()
+    order = None
+    for e in edges:
+        u, v, ws = e
+        u, v = int(u), int(v)
+        ws = tuple(float(w) for w in ws)
+        if not (1 <= u <= n and 1 <= v <= n):
+            raise InvalidInputError(f"edge ({u},{v}) outside node range 1..{n}")
+        if u == v:
+            raise InvalidInputError(f"self-loop at node {u}")
+        if (u, v) in seen:
+            raise InvalidInputError(f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        if order is None:
+            order = len(ws)
+        elif len(ws) != order:
+            raise OrderMismatchError(
+                f"edge ({u},{v}) carries {len(ws)} weights, expected {order}")
+        if not ws:
+            raise InvalidInputError(f"edge ({u},{v}) has no weights")
+        for w in ws:
+            if not (math.isfinite(w) and w > 0.0):
+                raise InvalidInputError(f"edge ({u},{v}) weight {w} not finite positive")
+        norm.append((u, v, ws))
+    return tuple(norm)
+
+
+# entries that replace a field of a valid edge: ids outside 1..n or
+# that int() takes (1.5, True, "2") or rejects; weights that fail the
+# positivity check, that float() takes (2, "1.5") or rejects
+_BAD_ID = st.sampled_from([0, -1, 99, 2**70, 1.5, True, "2", "x", None])
+_BAD_WEIGHT = st.sampled_from([0.0, -1.0, math.inf, math.nan, 2, "1.5", "w", None])
+_DEFECTS = ("from", "to", "weight", "count", "self-loop", "duplicate", "shape")
+
+
+@st.composite
+def edge_lists(draw):
+    """(n, edges): distinct valid edges of one order, with defects
+    injected at up to two drawn positions."""
+    n = draw(st.integers(2, 6))
+    order = draw(st.integers(1, 3))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=10))
+    weights = st.lists(st.floats(0.1, 3.0), min_size=order, max_size=order)
+    edges = [(u, v, tuple(draw(weights))) for (u, v) in chosen]
+    spots = st.lists(st.integers(0, len(edges) - 1), unique=True, max_size=2)
+    for i in sorted(draw(spots) if edges else [], reverse=True):
+        u, v, ws = edges[i]
+        kind = draw(st.sampled_from(_DEFECTS))
+        if kind == "from":
+            edges[i] = (draw(_BAD_ID), v, ws)
+        elif kind == "to":
+            edges[i] = (u, draw(_BAD_ID), ws)
+        elif kind == "weight":
+            k = draw(st.integers(0, order - 1))
+            edges[i] = (u, v, ws[:k] + (draw(_BAD_WEIGHT),) + ws[k + 1:])
+        elif kind == "count":
+            edges[i] = (u, v, draw(st.sampled_from([ws[:-1], ws[1:] + ws])))
+        elif kind == "self-loop":
+            edges[i] = (u, u, ws)
+        elif kind == "duplicate" and i:
+            edges[i] = edges[draw(st.integers(0, i - 1))][:2] + (ws,)
+        else:
+            edges[i] = draw(st.sampled_from([(u, v), (u, v, ws, 0), (u, v, 1.0)]))
+    return n, edges
+
+
+class TestWeightedDigraph:
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(edge_lists())
+    def test_matches_the_per_edge_loop(self, case):
+        n, edges = case
+        try:
+            expected = reference_edges(n, edges)
+        except Exception as exc:  # noqa: BLE001 - compared below
+            with pytest.raises(type(exc)) as got:
+                WeightedDigraph(n=n, edges=tuple(edges))
+            assert type(got.value) is type(exc)
+            assert str(got.value) == str(exc)
+            return
+        g = WeightedDigraph(n=n, edges=tuple(edges))
+        assert g.edges == expected
+        assert [tuple(map(type, (u, v) + ws)) for (u, v, ws) in g.edges] == \
+            [(int, int) + (float,) * len(ws) for (_, _, ws) in expected]
+        m = len(expected)
+        assert g.order == (len(expected[0][2]) if expected else 0)
+        tails, heads, weights = edge_arrays(g)
+        assert tails.dtype == heads.dtype == np.intp
+        assert tails.tolist() == [u - 1 for (u, _, _) in expected]
+        assert heads.tolist() == [v - 1 for (_, v, _) in expected]
+        assert weights.shape == (m, g.order)
+        assert weights.tobytes() == np.array(
+            [ws for (_, _, ws) in expected], dtype=float).reshape(m, g.order).tobytes()
+
+    def test_checks_report_the_first_bad_edge(self):
+        # edge 2 repeats edge 0 and edge 3 is out of range: edge 2 wins;
+        # an unconvertible edge is reached only after the edges before it
+        cases = [
+            (((1, 2, (1.0,)), (2, 3, (1.0,)), (1, 2, (2.0,)), (9, 1, (1.0,))),
+             InvalidInputError, "duplicate edge (1,2)"),
+            (((1, 2, (1.0,)), (2, 2, (1.0,)), (1, 2, (1.0,))),
+             InvalidInputError, "self-loop at node 2"),
+            (((1, 2, (1.0,)), (2, 2, (1.0,)), ("x", 1, (1.0,))),
+             InvalidInputError, "self-loop at node 2"),
+            (((1, 2, (1.0,)), ("x", 1, (1.0,)), (2, 2, (1.0,))),
+             ValueError, "invalid literal for int() with base 10: 'x'"),
+            (((1, 2, (1.0, 1.0)), (2, 3, (1.0,))),
+             OrderMismatchError, "edge (2,3) carries 1 weights, expected 2"),
+            (((1, 2, (1.0, -0.5)), (2, 3, (1.0, 1.0))),
+             InvalidInputError, "edge (1,2) weight -0.5 not finite positive"),
+            (((2**70, 2, (1.0,)),),
+             InvalidInputError, f"edge ({2**70},2) outside node range 1..3"),
+        ]
+        for edges, kind, message in cases:
+            with pytest.raises(kind) as got:
+                WeightedDigraph(n=3, edges=edges)
+            assert str(got.value) == message
+
+    def test_keeps_read_only_edge_arrays(self):
+        g = WeightedDigraph(n=3, edges=((2, 1, (1.0, 2.0)), (3, 2, (3.0, 4.0))))
+        assert all(a is b for a, b in zip(edge_arrays(g), (g.tails, g.heads, g.weights)))
+        for a in edge_arrays(g):
+            assert not a.flags.writeable
+        assert g.tails.tolist() == [1, 2] and g.heads.tolist() == [0, 1]
+        assert g == WeightedDigraph(n=3, edges=[(2, 1, [1, 2]), (3, 2, (3.0, 4.0))])
+        empty = WeightedDigraph(n=2)
+        assert empty.order == 0 and empty.weights.shape == (0, 0)
 
 
 class TestLaplacian:

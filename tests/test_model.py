@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+from obsblock import model
 from obsblock.config import DesignOptions
 from obsblock.cutset import design_via_cutset
 from obsblock.errors import InvalidInputError, ModelAssemblyError, NetworkFileError
@@ -226,6 +227,31 @@ class TestNetworkFile:
             assert all(np.array_equal(a, b)
                        for a, b in zip(back.laplacians, net.laplacians))
             assert not back.is_laplacian_form()
+
+    def test_couplings_compared_only_when_given(self, monkeypatch):
+        # a network built from its graph holds the Laplacian form, so
+        # writing it builds no stack; given couplings are still compared
+        laplacian_form = random_network(n=6, seed=1, m=2, q=3)
+        generic = generic_network(n=7, seed=3, m=1, q=3)
+        given = IntegratorNetwork(order=2, graph=laplacian_form.graph,
+                                  actuation=laplacian_form.actuation,
+                                  measurement=laplacian_form.measurement,
+                                  laplacians=laplacian_form.laplacians)
+        before = [network_to_dict(net) for net in (laplacian_form, given, generic)]
+        stack = model.laplacian_stack
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return stack(*args)
+
+        monkeypatch.setattr(model, "laplacian_stack", counted)
+        assert network_to_dict(laplacian_form) == before[0]
+        assert calls == []
+        assert network_to_dict(given) == before[1] == before[0]
+        assert len(calls) == 1
+        assert network_to_dict(generic) == before[2]
+        assert "couplings" in before[2] and len(calls) == 2
 
     def test_malformed_couplings(self):
         data = network_to_dict(generic_network(n=5, seed=0, m=1, q=2))

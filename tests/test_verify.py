@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
-from obsblock.config import DesignOptions
+from obsblock.config import DEFAULT_TOLERANCES, DesignOptions
 from obsblock.cutset import design_via_cutset
 from obsblock.designer import design_blocking
 from obsblock.model import assemble, closed_loop
 from obsblock.scenarios import fig2_din, generic_network, random_network
-from obsblock.spectrum import decompose
+from obsblock.spectrum import decompose, numerical_rank
 from obsblock import records, verify
 from obsblock.verify import (observability_rank, output_energy, pbh_test,
-                             preservation_audit, verify_design)
+                             preservation_audit, step_propagator, verify_design)
 
 
 class TestPbh:
@@ -46,6 +46,30 @@ class TestPbh:
         A_cl = closed_loop(A, B, design.F)
         assert pbh_unobservable(A_cl)
         assert observability_rank(A_cl, C) < d
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_real_lambda_runs_in_real_arithmetic(self, seed, monkeypatch):
+        # the real matrix gives the rank of the complex one it replaces
+        net = random_network(n=8, seed=seed, m=1, q=3, undirected=True,
+                             overdamped=True)
+        design = design_blocking(net, DesignOptions(seed=seed))
+        assert complex(design.lambda_p).imag == 0.0
+        A, B, C = assemble(net)
+        A_cl = closed_loop(A, B, design.F)
+        lam = design.lambda_p
+        M = np.vstack([A_cl - complex(lam) * np.eye(A.shape[0]), C + 0j])
+        seen = []
+
+        def spy(M, rtol=None):
+            seen.append(M.dtype)
+            return numerical_rank(M, rtol)
+
+        monkeypatch.setattr(verify, "numerical_rank", spy)
+        rank = pbh_test(A_cl, C, lam)
+        assert seen == [np.float64]
+        assert rank == numerical_rank(M, DEFAULT_TOLERANCES.rank_decision) < A.shape[0]
+        pbh_test(A_cl, C, 0.5 + 1j)
+        assert seen[-1] == np.complex128
 
 
 class TestObservabilityRank:
@@ -263,6 +287,22 @@ class TestOutputEnergyDoubling:
         for label, _, (_, _, growth), (_, _, g_ref) in agreement_runs:
             assert 0.0 < growth <= g_ref * (1 + 1e-12), label
 
+    def test_shared_propagator_gives_the_standalone_bits(self, agreement_runs):
+        # both starts of each loop through one step_propagator, against
+        # the standalone calls of the agreement runs
+        runs = iter(agreement_runs)
+        rng = np.random.default_rng(21)
+        for name, A_cl, C, x_blocked in _agreement_loops():
+            prop = step_propagator(A_cl)
+            starts = [rng.standard_normal(A_cl.shape[0])]
+            if x_blocked is not None:
+                starts.append(x_blocked)
+            for x0 in starts:
+                label, _, alone, _ = next(runs)
+                shared = output_energy(A_cl, C, x0 / np.linalg.norm(x0),
+                                       propagator=prop)
+                assert np.array(shared).tobytes() == np.array(alone).tobytes(), label
+
     def test_blocked_energy_non_negative(self, agreement_runs):
         for label, kind, (energy, _, _), _ in agreement_runs:
             if kind == "blocked":
@@ -310,6 +350,35 @@ class TestOutputEnergyDoubling:
         assert growth <= g_ref
         energy, used, _ = output_energy(A, np.eye(2), np.zeros(2))
         assert (energy, used) == (0.0, 10.0)
+
+    @pytest.mark.parametrize("rate, x0", [(400.0, [0.0, 1.0]), (400.0, [1.0, 1.0]),
+                                          (4000.0, [1.0, 0.0])])
+    def test_shared_propagator_on_overflow_and_cut_horizons(self, rate, x0):
+        # a square overflows (E^256 at rate 400, E^32 at rate 4000): a
+        # start off the unstable coordinate keeps the full horizon through
+        # the fallback, the others are cut
+        A = np.diag([rate, -1.0])
+        prop = step_propagator(A)
+        assert len(prop.powers) < 10
+        for start in (np.array(x0), np.array([0.6, 0.8])):
+            shared = output_energy(A, np.eye(2), start, propagator=prop)
+            alone = output_energy(A, np.eye(2), start)
+            assert np.array(shared).tobytes() == np.array(alone).tobytes()
+
+    def test_verify_design_shares_one_propagator(self, monkeypatch):
+        net = random_network(n=8, seed=6, m=2, q=4)
+        design = design_blocking(net, DesignOptions(seed=6))
+        plain = records.verification_to_dict(verify_design(design))
+        calls = []
+
+        def spy(*args):
+            calls.append(args[-1])
+            return output_energy(*args)
+
+        monkeypatch.setattr(verify, "output_energy", spy)
+        assert records.verification_to_dict(verify_design(design)) == plain
+        assert len(calls) == 2
+        assert isinstance(calls[0], verify.StepPropagator) and calls[1] is calls[0]
 
     def test_perturbed_gain_fails_energy_check(self):
         # perturb the gain entry that acts on the blocked state's largest
