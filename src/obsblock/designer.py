@@ -9,10 +9,12 @@ evaluated in a realified modal basis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as la
+from scipy.linalg import lapack
 
 from .config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
                      VARIANT_DERIVATIVE, VARIANT_POSITION)
@@ -32,23 +34,25 @@ _REPAIR_DRAWS = 50      # seeded null-space draws per column before giving up
 class NullspaceBundle:
     """Null-space data of [A - lambda*I, B] partitioned for one design.
 
-    n1/n2 are the state/input row blocks of the null basis; the
-    measurement rows of n1 are tracked per derivative order so both the
-    position variant (order 0) and the derivative variant (order N-1)
-    can carve out their constraint block.
+    full is an orthonormal basis of the null space; n1/n2 are its
+    state/input row blocks. state_rows holds the state indices of the
+    measured nodes, one row per derivative order
+    (IntegratorNetwork.state_index), so both the position variant
+    (order 0) and the derivative variant (order N-1) can carve out
+    their constraint block.
     """
 
     full: np.ndarray
     n1: np.ndarray
     n2: np.ndarray
-    n: int
-    order: int
-    q: int
-    meas_idx: tuple
+    state_rows: np.ndarray
+
+    @property
+    def q(self) -> int:
+        return self.full.shape[1]
 
     def meas_rows(self, k: int) -> np.ndarray:
-        rows = [k * self.n + (r - 1) for r in self.meas_idx]
-        return self.n1[rows, :]
+        return self.n1[self.state_rows[k], :]
 
     # N=2 names from the construction: N4 holds the measured rows of the
     # position block, N6 those of the top-derivative block.
@@ -58,7 +62,7 @@ class NullspaceBundle:
 
     @property
     def n6(self) -> np.ndarray:
-        return self.meas_rows(self.order - 1)
+        return self.meas_rows(-1)
 
 
 @dataclass
@@ -88,9 +92,14 @@ class BlockingDesign:
 def _null_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis; canonical basis for a zero matrix."""
     rows, cols = M.shape
-    if rows == 0 or not np.abs(M).max() > 0.0:
+    if rows == 0 or not M.any():
         return np.eye(cols, dtype=complex)
-    U, sv, Vh = la.svd(M, full_matrices=True)
+    # LAPACK's divide-and-conquer SVD without the wrappers' checks: on
+    # the small pencils of a batch the wrappers cost as much as the SVD
+    gesdd = lapack.zgesdd if np.iscomplexobj(M) else lapack.dgesdd
+    _, sv, Vh, info = gesdd(M, full_matrices=1)
+    if info != 0:
+        raise la.LinAlgError(f"SVD did not converge (gesdd info {info})")
     r = int((sv > rank_cutoff(sv[0], M.shape, None)).sum())
     return Vh[r:, :].conj().T
 
@@ -265,24 +274,41 @@ def check_controllability(network: IntegratorNetwork, sd: SpectralData,
                 f"(A, B) uncontrollable at eigenvalue {lam:.6g}")
 
 
-def nullspace_bundle(A, B, lam, meas_idx, n: int, order: int) -> NullspaceBundle:
+def nullspace_bundle(network: IntegratorNetwork, lam,
+                     measured_nodes) -> NullspaceBundle:
     """Null space of [A - lambda*I, B] with the design row partition.
 
-    Raises ControllabilityError when the null-space dimension differs
-    from q, which is exactly the PBH rank condition at lambda.
+    Every null vector stacks as [v; lambda v; ...; lambda^(N-1) v; u]
+    with P(lambda) v = Bhat u (see companion_pencil), and its squared
+    norm is c ||v||^2 + ||u||^2 with c = sum_k |lambda|^(2k). So the
+    orthonormal null basis of the n x (n+q) pencil [P(lambda)/sqrt(c), Bhat],
+    lifted with v = (its state rows)/sqrt(c) and u = -(its input rows),
+    is an orthonormal basis of the d-dimensional problem; it is real for
+    a real lambda. Raises ControllabilityError when the null-space
+    dimension differs from q, which is exactly the PBH rank condition
+    at lambda.
     """
-    d = A.shape[0]
-    q = B.shape[1]
+    n, q = network.n, network.q
     if q < 1:
         raise InsufficientActuationError("need at least one actuation node")
-    S = np.hstack([A - lam * np.eye(d), B]).astype(complex)
-    basis = _null_basis(S)
-    if basis.shape[1] != q:
+    mag = abs(complex(lam))
+    root_c = math.sqrt(sum(mag ** (2 * k) for k in range(network.order)))
+    pencil = companion_pencil(network, lam)
+    pencil[:, :n] /= root_c
+    kernel = _null_basis(pencil)
+    if kernel.shape[1] != q:
         raise ControllabilityError(
-            f"null space of [A - lambda I, B] has dimension {basis.shape[1]}, "
+            f"null space of [A - lambda I, B] has dimension {kernel.shape[1]}, "
             f"expected q = {q}; (A, B) is not controllable at {lam:.6g}")
-    return NullspaceBundle(full=basis, n1=basis[:d, :], n2=basis[d:, :],
-                           n=n, order=order, q=q, meas_idx=tuple(meas_idx))
+    s = lam.real if lam.imag == 0.0 else lam
+    d = network.state_dim
+    basis = np.empty((d + q, q), dtype=kernel.dtype)
+    basis[:n] = kernel[:n] / root_c
+    for k in range(n, d, n):
+        basis[k:k + n] = s * basis[k - n:k]
+    basis[d:] = -kernel[n:]
+    return NullspaceBundle(full=basis, n1=basis[:d], n2=basis[d:],
+                           state_rows=network.state_index(measured_nodes))
 
 
 def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION) -> np.ndarray:
@@ -302,7 +328,7 @@ def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION) -> np.nd
     if K.shape[1] == 0:
         raise InsufficientActuationError(
             f"constraint block has trivial null space (q = {bundle.q}, "
-            f"m = {len(bundle.meas_idx)}); more actuation nodes are required")
+            f"m = {bundle.state_rows.shape[1]}); more actuation nodes are required")
     M = bundle.n1 @ K
     _, sv, Vh = la.svd(M)
     if sv.size == 0 or sv[0] <= max(M.shape) * _EPS:
@@ -433,8 +459,15 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
             pairing[partner] = partner
 
     failed = []     # units the greedy subset leaves out, in greedy order
-    # Step 5: does the plain swap keep a basis?
-    if numerical_rank(V) == d:
+    # Step 5: does the plain swap keep a basis? The realified modal matrix
+    # decides, and its singular values give cond_V too; a V that does not
+    # realify, or realifies rank deficient, is judged on V itself
+    try:
+        Vr, Zr, sv = _realified_svd(V, Z, pairing)
+    except IllConditionedDesignError:
+        sv = None
+    if ((sv is not None and (sv > rank_cutoff(sv[0], Vr.shape, None)).all())
+            or numerical_rank(V) == d):
         preserved = [i for i in range(d) if i not in replaced]
     else:
         # Steps 7-9: greedy self-conjugate independent subset, candidates
@@ -454,8 +487,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
             lam_k = sd.eigenvalues[unit[0]]
             bk = bundles.get(complex(lam_k))
             if bk is None:
-                bk = nullspace_bundle(A, B, lam_k, measured_nodes,
-                                      network.n, network.order)
+                bk = nullspace_bundle(network, lam_k, measured_nodes)
                 bundles[complex(lam_k)] = bk
             drawn = _draw_columns(rng, bk, M, len(unit),
                                   real=lam_k.imag == 0.0 and len(unit) == 1)
@@ -467,8 +499,11 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
             V[:, unit[0]], Z[:, unit[0]] = v, z
             if len(unit) == 2:
                 V[:, unit[1]], Z[:, unit[1]] = v.conj(), z.conj()
+        sv = None
+    if sv is None:
+        Vr, Zr, sv = _realified_svd(V, Z, pairing)
 
-    F_raw, cond_V = _real_gain(V, Z, pairing, tol)
+    F_raw, cond_V = _real_gain(Vr, Zr, sv, tol)
     realness = float(np.abs(F_raw.imag).max()) if np.iscomplexobj(F_raw) else 0.0
     if realness >= tol.realness:
         raise IllConditionedDesignError(
@@ -516,13 +551,15 @@ def _enforce_postconditions(residuals, tol: Tolerances) -> None:
                 f"{label} {residuals[key]:.3e} exceeds {budget:g}")
 
 
-def _real_gain(V, Z, pairing, tol: Tolerances):
-    """F = Z V^-1 via the realified modal basis.
+def _realify(V, Z, pairing):
+    """The realified modal basis (Vr, Zr) of F = Z V^-1.
 
     Each exact conjugate pair (v, v_bar) is replaced by its normalized
     real and imaginary parts with Z transformed identically; column
     scaling and intra-pair mixing leave Z V^-1 unchanged, so the solve
-    runs in real arithmetic and F is real by construction.
+    runs in real arithmetic and F is real by construction. Raises
+    IllConditionedDesignError on a complex column without a conjugate
+    partner or a pair with a vanishing real or imaginary part.
     """
     d = V.shape[0]
     Vr = np.zeros((d, d))
@@ -553,7 +590,21 @@ def _real_gain(V, Z, pairing, tol: Tolerances):
             Zr[:, i] = Z[:, i].real / n_re
             Zr[:, j] = Z[:, i].imag / n_im
             done.update((i, j))
-    sv = la.svdvals(Vr)
+    return Vr, Zr
+
+
+def _realified_svd(V, Z, pairing):
+    """_realify, plus the singular values of the realified modal matrix."""
+    Vr, Zr = _realify(V, Z, pairing)
+    return Vr, Zr, la.svdvals(Vr)
+
+
+def _real_gain(Vr, Zr, sv, tol: Tolerances):
+    """F = Zr Vr^-1 and cond_V from the singular values sv of Vr.
+
+    F is zero when cond_V exceeds tol.cond_limit; the caller rejects
+    the design on cond_V.
+    """
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if not np.isfinite(cond) or cond > tol.cond_limit:
         return np.zeros_like(Zr), cond
@@ -667,8 +718,7 @@ def design_blocking(network: IntegratorNetwork,
         warnings.append("design targets the zero eigenvalue; allowed for the "
                         "measure-position variant but outside the nonzero-"
                         "eigenvalue wording of the design guarantee")
-    bundle = nullspace_bundle(A, B, lam_p, measured_nodes, network.n,
-                              network.order)
+    bundle = nullspace_bundle(network, lam_p, measured_nodes)
     h = select_hp(bundle, options.variant)
     candidate = build_candidate(bundle, h)
     design = assemble_and_gain(network, sd, p, candidate, bundle, A, B,

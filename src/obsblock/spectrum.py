@@ -184,12 +184,20 @@ def numerical_rank(M: np.ndarray, rtol: float | None = None) -> int:
 
 
 def multiset_error(lam_a, lam_b) -> float:
-    """Largest deviation between two eigenvalue lists matched after
-    sorting by (real, imag)."""
-    key = lambda z: (z.real, z.imag)
-    a = np.array(sorted(np.asarray(lam_a, complex), key=key))
-    b = np.array(sorted(np.asarray(lam_b, complex), key=key))
-    return float(np.abs(a - b).max()) if a.size else 0.0
+    """Largest deviation between two eigenvalue lists under the matching
+    that minimizes the summed distance (linear_sum_assignment), so a
+    real eigenvalue is never paired with a complex one merely because
+    their real parts tie."""
+    # imported here: scipy.optimize takes longer to import than all of
+    # obsblock, and only the spectrum audit needs it
+    from scipy.optimize import linear_sum_assignment
+
+    a = np.asarray(lam_a, complex)
+    b = np.asarray(lam_b, complex)
+    if not a.size:
+        return 0.0
+    rows, cols = linear_sum_assignment(np.abs(a[:, None] - b[None, :]))
+    return float(np.abs(a[rows] - b[cols]).max())
 
 
 def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved):
@@ -199,14 +207,16 @@ def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved):
     Returns the multiset error of eig(A_cl) against sd.raw_eigenvalues
     and, for each column index in `preserved`, the residual
     ||A_cl v - lambda v|| / max(1, ||A||) of that open-loop eigenpair.
+    The residuals come from one real product of A_cl with the real and
+    imaginary parts of the preserved columns, interleaved.
     """
     err = multiset_error(sd.raw_eigenvalues, la.eigvals(A_cl))
     scale = max(1.0, sd.matrix_norm)
-    A_cx = np.asarray(A_cl, dtype=complex)   # cast once, not once per column
-    V = sd.modal_matrix
-    residuals = [float(np.linalg.norm(A_cx @ V[:, i] - sd.eigenvalues[i] * V[:, i])
-                       / scale) for i in preserved]
-    return err, residuals
+    idx = np.asarray(preserved, dtype=int)
+    V = np.ascontiguousarray(sd.modal_matrix[:, idx])
+    AV = (np.asarray(A_cl, dtype=float) @ V.view(float)).view(complex)
+    residuals = np.linalg.norm(AV - V * sd.eigenvalues[idx], axis=0) / scale
+    return err, residuals.tolist()
 
 
 def _flag_defective(A, lam, tol):

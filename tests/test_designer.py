@@ -7,7 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from obsblock.config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
                              VARIANT_DERIVATIVE)
@@ -36,6 +36,14 @@ def qr_rank(M):
         if diag.max() > 0 else 0
 
 
+def state_space_null_basis(S):
+    """Reference null basis of [A - lambda I, B] from the full d x (d+q)
+    SVD, as the designer computed it before the companion lift."""
+    _, sv, Vh = la.svd(S.astype(complex), full_matrices=True)
+    r = int((sv > max(S.shape) * np.finfo(float).eps * sv[0]).sum())
+    return Vh[r:, :].conj().T
+
+
 def assert_gain_acts_only_on_replaced(design):
     """F annihilates every kept open-loop eigenvector, not the new one.
 
@@ -60,7 +68,7 @@ class TestNullspaceBundle:
         A, B, _ = assemble(net)
         S = np.hstack([A, B])
         assert np.array_equal(S, [[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        bundle = nullspace_bundle(A, B, 0.0, (), 1, 2)
+        bundle = nullspace_bundle(net, 0.0, ())
         assert bundle.full.shape == (3, 1)
         direction = bundle.full[:, 0]
         assert abs(abs(direction[0]) - 1.0) < 1e-12
@@ -72,7 +80,7 @@ class TestNullspaceBundle:
         A, B, _ = assemble(net)
         rng = np.random.default_rng(seed)
         lam = complex(rng.standard_normal(), rng.standard_normal())
-        bundle = nullspace_bundle(A, B, lam, net.measurement, net.n, 2)
+        bundle = nullspace_bundle(net, lam, net.measurement)
         S = np.hstack([A - lam * np.eye(14), B])
         assert bundle.full.shape[1] == 4
         assert S.shape[1] - qr_rank(S) == 4
@@ -87,7 +95,41 @@ class TestNullspaceBundle:
                                 laplacians=(np.zeros((2, 2)), np.zeros((2, 2))))
         A, B, _ = assemble(net)
         with pytest.raises(ControllabilityError):
-            nullspace_bundle(A, B, 0.0, (), 2, 2)
+            nullspace_bundle(net, 0.0, ())
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(4, 10), order=st.integers(2, 4),
+           generic=st.booleans(), seed=st.integers(0, 10_000),
+           at_eigenvalue=st.booleans(), complex_lam=st.booleans(),
+           draw=st.tuples(st.floats(-3.0, 3.0), st.floats(0.05, 3.0)))
+    def test_companion_lift_matches_state_space_svd(
+            self, n, order, generic, seed, at_eigenvalue, complex_lam, draw):
+        make = generic_network if generic else random_network
+        net = make(n, order, density=0.5, seed=seed, m=1)
+        A, B, _ = assemble(net)
+        d, q = A.shape[0], B.shape[1]
+        if at_eigenvalue:
+            eigs = decompose(A).eigenvalues
+            pool = eigs[(eigs.imag != 0.0) == complex_lam]
+            assume(pool.size > 0)
+            lam = pool[seed % pool.size]
+        else:
+            lam = complex(draw[0], draw[1] if complex_lam else 0.0)
+        S = np.hstack([A - lam * np.eye(d), B])
+        reference = state_space_null_basis(S)
+        assume(reference.shape[1] == q)
+
+        Q = nullspace_bundle(net, lam, net.measurement).full
+        assert Q.shape == (d + q, q)
+        assert np.abs(Q.conj().T @ Q - np.eye(q)).max() < 1e-13
+        norm_S = la.norm(S, 2)
+        assert la.norm(S @ Q, 2) <= 1e-12 * norm_S
+        # same subspace: each basis is within its residual over the
+        # smallest nonzero singular value of S of the exact null space
+        gap = la.svdvals(S)[-1]
+        distance = la.norm(reference - Q @ (Q.conj().T @ reference), 2)
+        assert distance <= (la.norm(S @ Q, 2) + la.norm(S @ reference, 2)) / gap \
+            + 1e-12
 
     def test_rank_nullity_gives_two_constraint_directions(self):
         # q = m + 2 leaves at least a 2-dim null space in the m x q block
@@ -95,7 +137,7 @@ class TestNullspaceBundle:
         A, B, _ = assemble(net)
         sd = decompose(A)
         lam = sd.eigenvalues[np.argmax(np.abs(sd.eigenvalues))]
-        bundle = nullspace_bundle(A, B, lam, net.measurement, net.n, 2)
+        bundle = nullspace_bundle(net, lam, net.measurement)
         n4 = bundle.n4
         assert n4.shape == (2, 4)
         assert n4.shape[1] - qr_rank(n4) >= 2
@@ -112,7 +154,7 @@ class TestSelectHp:
                        [0, 0, 1]], dtype=complex)
         bundle = NullspaceBundle(full=np.vstack([n1, np.zeros((q, q))]),
                                  n1=n1, n2=np.zeros((q, q), complex),
-                                 n=2, order=2, q=q, meas_idx=(2,))
+                                 state_rows=np.array([[1], [3]]))
         assert np.abs(bundle.n4).max() == 0.0
         h = select_hp(bundle)
         assert np.allclose(h, np.eye(q)[:, 0])
@@ -123,8 +165,7 @@ class TestSelectHp:
         sd = decompose(A)
         opts = DesignOptions(seed=7)
         p = select_lambda(sd, opts)
-        bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
-                                  net.n, 2)
+        bundle = nullspace_bundle(net, sd.eigenvalues[p], net.measurement)
         h = select_hp(bundle)
         assert abs(np.linalg.norm(h) - 1.0) < 1e-12
         assert np.abs(bundle.n4 @ h).max() < 1e-10
@@ -135,7 +176,7 @@ class TestSelectHp:
         A, B, _ = assemble(net)
         sd = decompose(A)
         lam = sd.eigenvalues[np.argmax(np.abs(sd.eigenvalues))]
-        bundle = nullspace_bundle(A, B, lam, net.measurement, net.n, 2)
+        bundle = nullspace_bundle(net, lam, net.measurement)
         with pytest.raises(InsufficientActuationError):
             select_hp(bundle)
 
@@ -144,8 +185,7 @@ class TestSelectHp:
         A, B, _ = assemble(net)
         sd = decompose(A)
         p = select_lambda(sd, DesignOptions(seed=9))
-        bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
-                                  net.n, 2)
+        bundle = nullspace_bundle(net, sd.eigenvalues[p], net.measurement)
         h = select_hp(bundle, VARIANT_DERIVATIVE)
         assert np.abs(bundle.n6 @ h).max() < 1e-10
 
@@ -157,7 +197,7 @@ class TestBuildCandidate:
         sd = decompose(A)
         p = select_lambda(sd, DesignOptions(seed=4))
         lam = sd.eigenvalues[p]
-        bundle = nullspace_bundle(A, B, lam, net.measurement, net.n, 2)
+        bundle = nullspace_bundle(net, lam, net.measurement)
         v_hat, z = build_candidate(bundle, select_hp(bundle))
         n = net.n
         for r in net.measurement:
@@ -173,7 +213,7 @@ class TestBuildCandidate:
         sd = decompose(A)
         p = select_lambda(sd, DesignOptions())
         lam = sd.eigenvalues[p]
-        bundle = nullspace_bundle(A, B, lam, net.measurement, net.n, 3)
+        bundle = nullspace_bundle(net, lam, net.measurement)
         v_hat, _ = build_candidate(bundle, select_hp(bundle))
         n = net.n
         for k in range(1, 3):

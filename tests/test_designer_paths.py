@@ -13,7 +13,7 @@ from obsblock.config import DesignOptions
 from obsblock.designer import (assemble_and_gain, build_candidate,
                                design_blocking, nullspace_bundle, select_hp,
                                select_lambda)
-from obsblock.errors import (GenerationError,
+from obsblock.errors import (GenerationError, IllConditionedDesignError,
                              InsufficientActuationError, NotAnEigenvalueError,
                              RepairFailureError)
 from obsblock.model import assemble, closed_loop
@@ -39,8 +39,7 @@ def test_repair_path_replaces_duplicated_column():
     dup_from, dup_to = reals[0], reals[-1]
     sd.modal_matrix[:, dup_to] = sd.modal_matrix[:, dup_from]
 
-    bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
-                              net.n, 2)
+    bundle = nullspace_bundle(net, sd.eigenvalues[p], net.measurement)
     candidate = build_candidate(bundle, select_hp(bundle))
     design = assemble_and_gain(net, sd, p, candidate, bundle, A, B, opts,
                                net.measurement)
@@ -65,8 +64,7 @@ def test_conjugate_pair_repair_redraws_both_columns():
     sd.modal_matrix[:, 12] = sd.modal_matrix[:, 2]
     sd.modal_matrix[:, 13] = sd.modal_matrix[:, 3]
 
-    bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
-                              net.n, 2)
+    bundle = nullspace_bundle(net, sd.eigenvalues[p], net.measurement)
     candidate = build_candidate(bundle, select_hp(bundle))
     design = assemble_and_gain(net, sd, p, candidate, bundle, A, B, opts,
                                net.measurement)
@@ -75,7 +73,7 @@ def test_conjugate_pair_repair_redraws_both_columns():
     assert pbh_test(closed_loop(A, B, design.F), C, design.lambda_p) \
         <= 2 * net.n - 1
     assert hashlib.sha256(design.F.tobytes()).hexdigest() == \
-        "5c4868f9eb0fa74dfef7dc71298b70655463e29315d26fc5ccc595baede7a3c0"
+        "7f0dfe83e329cc32987a9d63d59d20dbfd6fbc9735d1634dc80bce985efdc314"
 
 
 def test_snapped_pair_left_out_of_the_subset_is_redrawn_as_a_pair(monkeypatch):
@@ -90,23 +88,28 @@ def test_snapped_pair_left_out_of_the_subset_is_redrawn_as_a_pair(monkeypatch):
     p = select_lambda(sd, opts)
     assert p == 3
     assert sd.is_vector_paired(12) and sd.pairing[12] == 13
-    bundle = nullspace_bundle(A, B, sd.eigenvalues[p], net.measurement,
-                              net.n, 2)
+    bundle = nullspace_bundle(net, sd.eigenvalues[p], net.measurement)
     candidate = build_candidate(bundle, select_hp(bundle))
     sd.modal_matrix[:, 12] = candidate[0]
 
+    # the swapped V does not realify (column 12 is real but paired), so
+    # step 5 falls back to the rank of V itself; the last V realified is
+    # the repaired one
     seen = {}
-    real_gain = designer._real_gain
+    realify = designer._realify
 
-    def spy(V, Z, pairing, tol):
-        seen["V"] = V.copy()
-        return real_gain(V, Z, pairing, tol)
+    def spy(V, Z, pairing):
+        seen.setdefault("calls", []).append(V.copy())
+        return realify(V, Z, pairing)
 
-    monkeypatch.setattr(designer, "_real_gain", spy)
+    monkeypatch.setattr(designer, "_realify", spy)
     design = assemble_and_gain(net, sd, p, candidate, bundle, A, B, opts,
                                net.measurement)
     assert design.repaired == (12, 13)
-    V = seen["V"]
+    assert len(seen["calls"]) == 2
+    with pytest.raises(IllConditionedDesignError):
+        realify(seen["calls"][0], np.zeros((3, 14)), sd.pairing)
+    V = seen["calls"][-1]
     assert np.array_equal(V[:, 13], V[:, 12].conj())
     assert np.abs(V[:, 12].imag).max() > 0.1
     assert design.gain.realness_residual == 0.0
@@ -114,7 +117,7 @@ def test_snapped_pair_left_out_of_the_subset_is_redrawn_as_a_pair(monkeypatch):
     assert pbh_test(closed_loop(A, B, design.F), C, design.lambda_p) \
         <= 2 * net.n - 1
     assert hashlib.sha256(design.F.tobytes()).hexdigest() == \
-        "dc9865fbdb704d39dc1032383cd96c8cd51b2bd3b0084847d95f33dd4614a34a"
+        "5694d87def32b3e3cdeb1489c172e84c2e5d9198dca17a67f0007944b5224c57"
 
 
 def test_snapped_pair_draws_an_independent_second_column():
@@ -127,11 +130,11 @@ def test_snapped_pair_draws_an_independent_second_column():
     assert verify_design(design).verdict
     record = records.dumps(records.design_to_dict(design))
     assert hashlib.sha256(record.encode()).hexdigest() == \
-        "d8ed6692943b0c813a5f2fc5cd81364c91610d9107b193490edbbd4662c49d93"
+        "14ec4e6c2af0b099db9f93019c1f2ecffed8faf25490cb3d9aede43e16fa1573"
     # the content is the one pinned when records were written with indent=2
     indented = json.dumps(json.loads(record), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == \
-        "bd6f40c8e79f0761aee3abfc98a9a068336c0197a2ab57c0de5a6cdfd4806d39"
+        "627141e82f97e2fc998c00232945b2e57512d0a710cd8a5f03ee644d46e59711"
 
 
 def test_snapped_pair_at_zero_fails_on_a_balanced_graph():

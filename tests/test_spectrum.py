@@ -10,8 +10,11 @@ from obsblock.config import DEFAULT_TOLERANCES, Tolerances
 from obsblock.graph import WeightedDigraph
 from obsblock.model import IntegratorNetwork, assemble
 from obsblock.scenarios import fig2_din, generic_network, random_network
-from obsblock.spectrum import (SpectralData, check_stacked_structure, decompose,
-                               match_eigenvalue, rank_cutoff)
+from obsblock.config import DesignOptions
+from obsblock.designer import design_blocking
+from obsblock.spectrum import (SpectralData, check_stacked_structure,
+                               closed_loop_audit, decompose, match_eigenvalue,
+                               multiset_error, rank_cutoff)
 
 from conftest import random_digraph
 
@@ -371,3 +374,46 @@ class TestStackedStructure:
         sd = decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
         with pytest.raises(ValueError):
             check_stacked_structure(sd, 3, 2)
+
+
+class TestClosedLoopAudit:
+    def test_multiset_error_matches_real_with_real_on_tied_real_parts(self):
+        # sorting by (real, imag) pairs 1 with 1 - 3j here and reports 3
+        err = multiset_error([1, 1 - 3j, 1 + 3j],
+                             [1 + 2e-14, 1 + 1e-14 - 3j, 1 + 1e-14 + 3j])
+        assert err <= 2e-14
+
+    def test_moved_eigenvalue_is_reported_and_fails(self):
+        net = random_network(n=8, seed=3, m=2, q=4)
+        design = design_blocking(net, DesignOptions(seed=3))
+        A, B, _ = assemble(net)
+        A_cl = A + B @ design.F
+        # move one real closed-loop eigenvalue by 1e-5 along its spectral
+        # projector: every other eigenvalue stays put
+        mu, W, V = la.eig(A_cl, left=True)
+        k = int(np.flatnonzero(mu.imag == 0.0)[0])
+        v, w = V[:, k].real, W[:, k].real
+        moved = A_cl + 1e-5 * np.outer(v, w) / (w @ v)
+        err, _ = closed_loop_audit(design.open_loop, moved, ())
+        assert err >= 1e-5 * (1 - 1e-6)
+        assert err > DEFAULT_TOLERANCES.spectrum_match
+        assert closed_loop_audit(design.open_loop, A_cl, ())[0] \
+            <= DEFAULT_TOLERANCES.spectrum_match
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_residuals_match_per_column_reference(self, seed):
+        net = generic_network(9, 3, seed=seed, m=2)
+        A, _, _ = assemble(net)
+        sd = decompose(A)
+        # a perturbed loop, so the residuals are O(||A||), not roundoff
+        rng = np.random.default_rng(seed)
+        A_cl = A + sd.matrix_norm * rng.standard_normal(A.shape) / A.shape[0]
+        preserved = [i for i in range(sd.dim) if i % 4 != 1]
+        _, residuals = closed_loop_audit(sd, A_cl, preserved)
+        scale = max(1.0, sd.matrix_norm)
+        reference = [np.linalg.norm(A_cl @ sd.modal_matrix[:, i]
+                                    - sd.eigenvalues[i] * sd.modal_matrix[:, i])
+                     / scale for i in preserved]
+        assert len(residuals) == len(preserved)
+        assert np.allclose(residuals, reference, rtol=1e-14, atol=0.0)
+        assert closed_loop_audit(sd, A_cl, ())[1] == []
