@@ -57,7 +57,6 @@ def _options(args) -> DesignOptions:
         variant=_VARIANTS[args.variant],
         lambda_selection=_parse_lambda(args.lam),
         seed=args.seed,
-        q_check=args.q_check,
         tolerances=_tolerances(args),
     )
 
@@ -195,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="constraint block: n4 positions, n6 top derivatives")
             p.add_argument("--lambda", dest="lam", default="default",
                            help="default | index:<k> | value:<re>[,<im>]")
-            p.add_argument("--q-check", choices=["strict", "warn"],
-                           default="strict")
 
     p = sub.add_parser("gen", help="generate a random network file")
     p.add_argument("--n", type=int, required=True)

@@ -28,7 +28,8 @@ class Tolerances:
     spectrum_match : float
         Allowed open/closed-loop eigenvalue multiset deviation.
     realness : float
-        Allowed imaginary magnitude in the gain before truncation.
+        Relative imaginary magnitude under which an eigenvector of a
+        snapped real eigenvalue counts as real (spectrum._pair_snapped).
     lg_margin : float
         The L_g condition demands margin > lg_margin * (1 + ||L_g||).
     zero_pattern : float
@@ -73,18 +74,17 @@ class DesignOptions:
     """Knobs for a single blocking design run.
 
     lambda_selection accepts "default", ("index", k) or ("value", complex).
-    q_check "strict" enforces the actuation-count hypothesis, "warn"
-    records the shortfall and proceeds.
+    The actuation count needs no option: a count below the paper's
+    sufficient q = m + 2 (m + 1 on an all-real spectrum) is recorded as
+    a warning, and the design fails only when the constraint block has
+    no null direction.
     """
 
     variant: str = VARIANT_POSITION
     lambda_selection: object = "default"
     seed: int = 0
-    q_check: str = "strict"
     tolerances: Tolerances = field(default_factory=Tolerances)
 
     def __post_init__(self):
         if self.variant not in (VARIANT_POSITION, VARIANT_DERIVATIVE):
             raise ValueError(f"unknown variant: {self.variant!r}")
-        if self.q_check not in ("strict", "warn"):
-            raise ValueError(f"q_check must be 'strict' or 'warn', got {self.q_check!r}")

@@ -15,9 +15,8 @@ import numpy as np
 import scipy.linalg as la
 
 from .config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
-from .designer import BlockingDesign, design_blocking, required_actuators
-from .errors import (InsufficientActuationError, InvalidInputError,
-                     LgConditionError, NoEligibleEigenvalueError)
+from .designer import BlockingDesign, design_blocking
+from .errors import InvalidInputError, LgConditionError, NoEligibleEigenvalueError
 from .graph import CutsetPlan, is_strongly_connected, min_vertex_cut
 from .model import IntegratorNetwork, assemble
 from .spectrum import decompose
@@ -98,11 +97,6 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
 
     A, B, _ = assemble(network)
     sd = decompose(A, tol)
-    need = required_actuators(len(plan.vcut), sd.all_real())
-    if network.q < need and options.q_check == "strict":
-        raise InsufficientActuationError(
-            f"q = {network.q} actuators but the cutset hypothesis needs {need} "
-            f"(|Vcut| = {len(plan.vcut)})")
 
     sel = options.lambda_selection
     if isinstance(sel, tuple) and sel[0] in ("value", "index"):

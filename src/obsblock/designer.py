@@ -503,16 +503,11 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     if sv is None:
         Vr, Zr, sv = _realified_svd(V, Z, pairing)
 
-    F_raw, cond_V = _real_gain(Vr, Zr, sv, tol)
-    realness = float(np.abs(F_raw.imag).max()) if np.iscomplexobj(F_raw) else 0.0
-    if realness >= tol.realness:
-        raise IllConditionedDesignError(
-            f"gain imaginary residue {realness:.3e} exceeds {tol.realness:g}")
+    F, cond_V = _real_gain(Vr, Zr, sv, tol)
     if cond_V > tol.cond_limit:
         raise IllConditionedDesignError(
             f"modal matrix condition number {cond_V:.3e} exceeds {tol.cond_limit:g}")
-    F = np.real(F_raw)
-    gain = FeedbackGain(matrix=F, realness_residual=realness)
+    gain = FeedbackGain(matrix=F)
 
     A_cl = A + B @ F
     spec_err, pres_res = closed_loop_audit(sd, A_cl, preserved)
@@ -668,7 +663,8 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
 
 
 def required_actuators(m: int, spectrum_all_real: bool) -> int:
-    """Actuation-count hypothesis: m+2, or m+1 with an all-real spectrum."""
+    """The paper's sufficient actuation count: m+2, or m+1 with an
+    all-real spectrum. A design below it only carries a warning."""
     return m + 1 if spectrum_all_real else m + 2
 
 
@@ -683,9 +679,9 @@ def design_blocking(network: IntegratorNetwork,
     selection. `precomputed` may carry (A, B, sd) to avoid repeating
     the decomposition.
 
-    Raises the specific precondition error (actuation count,
-    controllability, lambda selection) or a numerical error from the
-    replacement steps.
+    Raises the specific precondition error (controllability, lambda
+    selection, no null direction in the constraint block) or a
+    numerical error from the replacement steps.
     """
     tol = options.tolerances
     measured_nodes = tuple(measured_nodes if measured_nodes is not None
@@ -701,12 +697,11 @@ def design_blocking(network: IntegratorNetwork,
     warnings = []
     need = required_actuators(len(measured_nodes), sd.all_real())
     if network.q < need:
-        msg = (f"q = {network.q} actuators but the hypothesis needs {need} "
-               f"(m = {len(measured_nodes)}, spectrum "
-               f"{'all real' if sd.all_real() else 'has complex pairs'})")
-        if options.q_check == "strict":
-            raise InsufficientActuationError(msg)
-        warnings.append(msg)
+        # the paper's count is sufficient, not necessary: select_hp
+        # fails when the constraint block really has no null direction
+        warnings.append(f"q = {network.q} actuators but the hypothesis needs {need} "
+                        f"(m = {len(measured_nodes)}, spectrum "
+                        f"{'all real' if sd.all_real() else 'has complex pairs'})")
 
     check_controllability(network, sd, tol)
 

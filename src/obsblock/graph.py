@@ -33,7 +33,7 @@ class WeightedDigraph:
     Construction converts every entry once (int ids, float weights),
     checks the edges with array operations and keeps, read-only and in
     edge order, the 0-based tail and head ids and the (edges x order)
-    weight array (edge_arrays).
+    weight array (tails, heads, weights).
     """
 
     n: int
@@ -123,12 +123,6 @@ def _checked_edge_arrays(n, us: list, vs: list, wss: list):
     return t - 1, h - 1, flat.reshape(m, width)
 
 
-def edge_arrays(g: WeightedDigraph):
-    """0-based tail and head ids and the (edges x order) weight array of g,
-    in edge order; the read-only arrays g keeps."""
-    return g.tails, g.heads, g.weights
-
-
 def _coupling(n: int, tails, heads, w) -> np.ndarray:
     # edges are unique, so each off-diagonal entry is written once; the
     # diagonal accumulates in edge order
@@ -152,8 +146,7 @@ def laplacian(g: WeightedDigraph, k: int) -> np.ndarray:
         raise OrderMismatchError(f"derivative order {k} negative")
     if not g.edges:
         return np.zeros((g.n, g.n))
-    tails, heads, weights = edge_arrays(g)
-    return _coupling(g.n, tails, heads, weights[:, k])
+    return _coupling(g.n, g.tails, g.heads, g.weights[:, k])
 
 
 def laplacian_stack(g: WeightedDigraph, order: int) -> list:
@@ -162,14 +155,13 @@ def laplacian_stack(g: WeightedDigraph, order: int) -> list:
         raise OrderMismatchError(f"graph carries {g.order} weights per edge, need {order}")
     if not g.edges:
         return [np.zeros((g.n, g.n)) for _ in range(order)]
-    tails, heads, weights = edge_arrays(g)
-    return [_coupling(g.n, tails, heads, weights[:, k]) for k in range(order)]
+    return [_coupling(g.n, g.tails, g.heads, g.weights[:, k]) for k in range(order)]
 
 
 def _edge_matrix(g: WeightedDigraph, drop=()) -> csr_matrix:
     """0-based n x n adjacency with a 1 at (u-1, v-1) for each edge u -> v
     that touches no node in drop."""
-    tails, heads, _ = edge_arrays(g)
+    tails, heads = g.tails, g.heads
     if drop:
         dropped = np.zeros(g.n, dtype=bool)
         dropped[np.fromiter(drop, dtype=np.intp) - 1] = True

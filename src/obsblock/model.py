@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInputError, ModelAssemblyError, NetworkFileError
-from .graph import CutsetPlan, WeightedDigraph, edge_arrays, laplacian_stack
+from .graph import CutsetPlan, WeightedDigraph, laplacian_stack
 
 
 @dataclass(frozen=True)
@@ -61,9 +61,8 @@ class IntegratorNetwork:
             if len(mats) != self.order:
                 raise ModelAssemblyError(
                     f"need {self.order} coupling matrices, got {len(mats)}")
-            tails, heads, _ = edge_arrays(self.graph)
             coupled = np.eye(n, dtype=bool)
-            coupled[heads, tails] = True
+            coupled[self.graph.heads, self.graph.tails] = True
             for k, L in enumerate(mats):
                 if L.shape != (n, n):
                     raise ModelAssemblyError(
@@ -127,13 +126,18 @@ class IntegratorNetwork:
 
 @dataclass(frozen=True)
 class FeedbackGain:
-    """Real static state-feedback gain; rows are per-actuator gain vectors."""
+    """Real static state-feedback gain; rows are per-actuator gain vectors.
+
+    A matrix with a nonzero imaginary part is rejected rather than
+    truncated to its real part."""
 
     matrix: np.ndarray
-    realness_residual: float = 0.0
 
     def __post_init__(self):
-        M = np.asarray(self.matrix, dtype=float)
+        M = np.asarray(self.matrix)
+        if np.iscomplexobj(M) and M.imag.any():
+            raise ModelAssemblyError("gain matrix has a nonzero imaginary part")
+        M = np.asarray(M.real, dtype=float)
         if not np.isfinite(M).all():
             raise ModelAssemblyError("gain matrix contains non-finite entries")
         object.__setattr__(self, "matrix", M)

@@ -21,10 +21,11 @@ from .model import FeedbackGain, assemble, network_from_dict, network_to_dict
 from .spectrum import decompose
 from .verify import VerificationReport
 
-FORMAT = "obsblock-design/2"
-# /1 records also carried the designer's modal matrices (h_p, z_p, V, Z);
+FORMAT = "obsblock-design/3"
+# /1 records also carried the designer's modal matrices (h_p, z_p, V, Z),
+# and /1 and /2 records a gain realness residual that was always 0.0;
 # they load through the same path and those keys are ignored.
-READ_FORMATS = ("obsblock-design/1", FORMAT)
+READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", FORMAT)
 
 
 def _carray(a) -> dict:
@@ -56,7 +57,6 @@ def design_to_dict(design) -> dict:
         "lambda_index": design.lambda_index,
         "v_hat": _carray(design.v_hat),
         "F": np.asarray(design.F).tolist(),
-        "realness_residual": design.gain.realness_residual,
         "preserved": list(design.preserved),
         "repaired": list(design.repaired),
         "replaced": list(design.replaced),
@@ -113,8 +113,7 @@ def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
             lambda_index=int(data["lambda_index"]),
             variant=data["variant"],
             v_hat=v_hat,
-            gain=FeedbackGain(matrix=F,
-                              realness_residual=float(data["realness_residual"])),
+            gain=FeedbackGain(matrix=F),
             preserved=tuple(map(int, data["preserved"])),
             repaired=tuple(map(int, data["repaired"])),
             replaced=tuple(map(int, data["replaced"])),
@@ -188,7 +187,6 @@ def verification_to_dict(report: VerificationReport) -> dict:
         "obs_matrix_rank": report.obs_matrix_rank,
         "spectrum_match_error": report.spectrum_match_error,
         "preserved_vector_residuals": list(report.preserved_vector_residuals),
-        "realness_residual": report.realness_residual,
         "output_energy": report.output_energy,
         "random_output_energy": report.random_output_energy,
         "blocked_energy_bound": report.blocked_energy_bound,
@@ -245,7 +243,6 @@ def report_text(design, verification: VerificationReport | None = None) -> str:
     push(f"preserved (worst)       {_sig4(r['preserved_max'])}")
     push(f"spectrum multiset       {_sig4(r['spectrum_match'])}")
     push(f"measured-entry pattern  {_sig4(r['zero_pattern'])}")
-    push(f"gain imaginary residue  {_sig4(design.gain.realness_residual)}")
     if certificate is not None:
         push("")
         push("cutset transfer certificate")

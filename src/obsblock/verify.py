@@ -26,7 +26,6 @@ class VerificationReport:
     obs_matrix_rank: int
     spectrum_match_error: float
     preserved_vector_residuals: list
-    realness_residual: float
     output_energy: float
     random_output_energy: float
     blocked_energy_bound: float
@@ -236,14 +235,11 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     if bad:
         reasons.append(f"{len(bad)} preserved eigenvectors exceed the "
                        f"residual budget (worst {max(bad):.3e})")
-    if design.gain.realness_residual >= tol.realness:
-        reasons.append(f"gain imaginary residue {design.gain.realness_residual:.3e}")
     if energy > bound:
         reasons.append(f"blocked-state output energy {energy:.3e} > {bound:.3e}")
 
     return VerificationReport(
         pbh_rank_at_lambda=rank, full_state_dim=d, obs_matrix_rank=obs_rank,
         spectrum_match_error=spec_err, preserved_vector_residuals=residuals,
-        realness_residual=design.gain.realness_residual,
         output_energy=energy, random_output_energy=energy_rand,
         blocked_energy_bound=bound, verdict=not reasons, reasons=reasons)

@@ -257,22 +257,25 @@ class TestRecords:
         cut = design_via_cutset(fig2_din(seed=2), options=DesignOptions(seed=2))
         for design in (direct, cut):
             data = records.design_to_dict(design)
-            assert data["format"] == "obsblock-design/2"
-            assert not {"h_p", "z_p", "V", "Z"} & set(data)
+            assert data["format"] == "obsblock-design/3"
+            assert not {"h_p", "z_p", "V", "Z", "realness_residual"} & set(data)
 
     def test_format_1_record_loads_and_verifies_the_same(self):
         design = design_blocking(random_network(n=7, seed=4, m=1, q=3),
                                  DesignOptions(seed=4))
         data = records.design_to_dict(design)
-        old = dict(data, format="obsblock-design/1")
+        v2 = dict(data, format="obsblock-design/2", realness_residual=0.0)
+        v1 = dict(v2, format="obsblock-design/1")
         for key in ("h_p", "z_p", "V", "Z"):
-            old[key] = {"real": [[0.0]], "imag": [[0.0]]}
+            v1[key] = {"real": [[0.0]], "imag": [[0.0]]}
         new_loaded = records.design_from_dict(json.loads(records.dumps(data)))
-        old_loaded = records.design_from_dict(json.loads(records.dumps(old)))
-        assert np.array_equal(old_loaded.F, new_loaded.F)
-        report = records.verification_to_dict(verify_design(old_loaded))
-        assert report == records.verification_to_dict(verify_design(new_loaded))
+        report = records.verification_to_dict(verify_design(new_loaded))
         assert report["verdict"] == "pass"
+        for old in (v1, v2):
+            old_loaded = records.design_from_dict(json.loads(records.dumps(old)))
+            assert np.array_equal(old_loaded.F, new_loaded.F)
+            assert records.design_to_dict(old_loaded) == data
+            assert records.verification_to_dict(verify_design(old_loaded)) == report
 
     @pytest.mark.parametrize("kind", ["direct", "cutset"])
     def test_indented_format_2_record_loads_the_same_design(self, kind, tmp_path):

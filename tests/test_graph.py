@@ -13,8 +13,7 @@ from obsblock import graph
 from obsblock.errors import InvalidInputError, OrderMismatchError
 from obsblock.graph import (CutsetPlan, WeightedDigraph, _cut_candidates,
                             _partition_after_removal, _split_network,
-                            edge_arrays, is_strongly_connected, laplacian,
-                            min_vertex_cut)
+                            is_strongly_connected, laplacian, min_vertex_cut)
 from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
                                 cut_friendly_network, fig2_din)
 
@@ -218,7 +217,7 @@ class TestWeightedDigraph:
             [(int, int) + (float,) * len(ws) for (_, _, ws) in expected]
         m = len(expected)
         assert g.order == (len(expected[0][2]) if expected else 0)
-        tails, heads, weights = edge_arrays(g)
+        tails, heads, weights = g.tails, g.heads, g.weights
         assert tails.dtype == heads.dtype == np.intp
         assert tails.tolist() == [u - 1 for (u, _, _) in expected]
         assert heads.tolist() == [v - 1 for (_, v, _) in expected]
@@ -252,8 +251,7 @@ class TestWeightedDigraph:
 
     def test_keeps_read_only_edge_arrays(self):
         g = WeightedDigraph(n=3, edges=((2, 1, (1.0, 2.0)), (3, 2, (3.0, 4.0))))
-        assert all(a is b for a, b in zip(edge_arrays(g), (g.tails, g.heads, g.weights)))
-        for a in edge_arrays(g):
+        for a in (g.tails, g.heads, g.weights):
             assert not a.flags.writeable
         assert g.tails.tolist() == [1, 2] and g.heads.tolist() == [0, 1]
         assert g == WeightedDigraph(n=3, edges=[(2, 1, [1, 2]), (3, 2, (3.0, 4.0))])

@@ -9,7 +9,7 @@ from obsblock.config import DesignOptions
 from obsblock.cutset import design_via_cutset
 from obsblock.errors import InvalidInputError, ModelAssemblyError, NetworkFileError
 from obsblock.graph import WeightedDigraph, min_vertex_cut
-from obsblock.model import (IntegratorNetwork, assemble, closed_loop,
+from obsblock.model import (FeedbackGain, IntegratorNetwork, assemble, closed_loop,
                             cutset_output, load_network, network_from_dict,
                             network_to_dict, save_network)
 from obsblock.scenarios import fig2_din, generic_network, random_network
@@ -202,6 +202,18 @@ class TestClosedLoop:
         lam_o = sorted(la.eigvals(A), key=key)
         lam_c = sorted(la.eigvals(A_cl), key=key)
         assert max(abs(a - b) for a, b in zip(lam_o, lam_c)) < 1e-6
+
+
+class TestFeedbackGain:
+    def test_complex_matrix_is_rejected_not_truncated(self):
+        # a list and an array: numpy raises on the one and silently drops
+        # the imaginary part of the other when asked for a float array
+        for matrix in ([[1 + 1e-3j, 2.0]], np.array([[1 + 1e-3j, 2.0]])):
+            with pytest.raises(ModelAssemblyError, match="imaginary"):
+                FeedbackGain(matrix=matrix)
+        gain = FeedbackGain(matrix=np.array([[1 + 0j, 2.0]]))
+        assert gain.matrix.dtype == float
+        assert gain.matrix.tolist() == [[1.0, 2.0]]
 
 
 class TestNetworkFile:
