@@ -20,7 +20,7 @@ class Tolerances:
     Attributes
     ----------
     rank_decision : float
-        Relative singular-value cutoff for PBH / observability verdicts.
+        Relative singular-value cutoff for PBH verdicts.
     snap_imag : float
         Imaginary parts below snap_imag * ||A|| are snapped to real.
     cluster : float
@@ -33,7 +33,8 @@ class Tolerances:
     lg_margin : float
         The L_g condition demands margin > lg_margin * (1 + ||L_g||).
     zero_pattern : float
-        Magnitude under which blocked eigenvector entries must fall.
+        Magnitude under which blocked eigenvector entries, and C times a
+        dark mode, must fall.
     preserved_residual : float
         Relative residual allowed for preserved eigenvectors.
     candidate_residual : float
@@ -41,7 +42,7 @@ class Tolerances:
     cond_limit : float
         Condition number above which the modal matrix is rejected.
     lambda_match : float
-        Relative tolerance for matching a requested eigenvalue value.
+        Relative distance under which eigenvalues match or count as one.
     blocked_energy : float
         Output-energy bound factor for blocked initial states.
     """

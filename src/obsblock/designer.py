@@ -23,7 +23,7 @@ from .errors import (ControllabilityError, DegenerateCandidateError,
                      InvalidInputError, NoEligibleEigenvalueError,
                      NotAnEigenvalueError, RepairFailureError)
 from .model import FeedbackGain, IntegratorNetwork, assemble
-from .spectrum import (SpectralData, closed_loop_audit, decompose,
+from .spectrum import (SpectralData, closed_loop_audit, components, decompose,
                        match_eigenvalue, numerical_rank, rank_cutoff)
 
 _EPS = np.finfo(float).eps
@@ -205,9 +205,7 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
         kappa = 1.0 / np.abs(gram)
         radius = np.where(np.isfinite(kappa), kappa * eta, np.inf)
     overlap = np.abs(mu[:, None] - mu[None, :]) <= radius[:, None] + radius[None, :]
-    label = np.arange(sd.dim)
-    for j in np.flatnonzero(overlap.sum(axis=1) > 1):
-        label[np.isin(label, label[overlap[j]])] = label[j]
+    label = components(overlap)
     size = np.bincount(label)
     single = size[label] == 1
 
@@ -338,13 +336,12 @@ def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION) -> np.nd
     if tied.size > 1:
         W = Vh[tied, :].conj().T          # orthonormal in coefficient space
         Q = K @ W
+        # Q has orthonormal columns, so some e_j projects onto it
         for j in range(bundle.q):
             proj = Q @ (Q.conj().T @ np.eye(bundle.q, dtype=complex)[:, j])
             if np.linalg.norm(proj) > 1e-12:
                 h = proj / np.linalg.norm(proj)
                 break
-        else:  # pragma: no cover - Q has full column rank
-            h = K @ Vh[0].conj()
     else:
         h = K @ Vh[0].conj()
     resid = np.abs(block @ h).max() if block.size else 0.0
@@ -463,7 +460,8 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     # decides, and its singular values give cond_V too; a V that does not
     # realify, or realifies rank deficient, is judged on V itself
     try:
-        Vr, Zr, sv = _realified_svd(V, Z, pairing)
+        Vr, Zr = _realify(V, Z, pairing)
+        sv = la.svdvals(Vr)
     except IllConditionedDesignError:
         sv = None
     if ((sv is not None and (sv > rank_cutoff(sv[0], Vr.shape, None)).all())
@@ -501,7 +499,8 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                 V[:, unit[1]], Z[:, unit[1]] = v.conj(), z.conj()
         sv = None
     if sv is None:
-        Vr, Zr, sv = _realified_svd(V, Z, pairing)
+        Vr, Zr = _realify(V, Z, pairing)
+        sv = la.svdvals(Vr)
 
     F, cond_V = _real_gain(Vr, Zr, sv, tol)
     if cond_V > tol.cond_limit:
@@ -586,12 +585,6 @@ def _realify(V, Z, pairing):
             Zr[:, j] = Z[:, i].imag / n_im
             done.update((i, j))
     return Vr, Zr
-
-
-def _realified_svd(V, Z, pairing):
-    """_realify, plus the singular values of the realified modal matrix."""
-    Vr, Zr = _realify(V, Z, pairing)
-    return Vr, Zr, la.svdvals(Vr)
 
 
 def _real_gain(Vr, Zr, sv, tol: Tolerances):

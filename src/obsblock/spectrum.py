@@ -55,10 +55,6 @@ class SpectralData:
         """Distinct conjugate partner despite a real eigenvalue (snapped pair)."""
         return self.pairing[i] != i and self.is_real(i)
 
-    def residuals(self, A: np.ndarray) -> np.ndarray:
-        R = A @ self.modal_matrix - self.modal_matrix * self.eigenvalues
-        return np.linalg.norm(R, axis=0)
-
 
 def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
               right_only: bool = False) -> SpectralData:
@@ -200,7 +196,7 @@ def multiset_error(lam_a, lam_b) -> float:
     return float(np.abs(a[rows] - b[cols]).max())
 
 
-def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved):
+def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved, eigenvalues=None):
     """Spectrum and eigenvector retention of a closed loop against the
     open-loop modal data `sd`.
 
@@ -208,9 +204,12 @@ def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved):
     and, for each column index in `preserved`, the residual
     ||A_cl v - lambda v|| / max(1, ||A||) of that open-loop eigenpair.
     The residuals come from one real product of A_cl with the real and
-    imaginary parts of the preserved columns, interleaved.
+    imaginary parts of the preserved columns, interleaved. `eigenvalues`,
+    when given, are those of A_cl.
     """
-    err = multiset_error(sd.raw_eigenvalues, la.eigvals(A_cl))
+    if eigenvalues is None:
+        eigenvalues = la.eigvals(A_cl)
+    err = multiset_error(sd.raw_eigenvalues, eigenvalues)
     scale = max(1.0, sd.matrix_norm)
     idx = np.asarray(preserved, dtype=int)
     V = np.ascontiguousarray(sd.modal_matrix[:, idx])
@@ -219,32 +218,38 @@ def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved):
     return err, residuals.tolist()
 
 
+def components(adjacent: np.ndarray) -> np.ndarray:
+    """Connected-component labels of the graph whose edges are the true
+    entries of the square boolean matrix `adjacent` (diagonal true); a
+    label is the index of one member of its component."""
+    label = np.arange(adjacent.shape[0])
+    for j in np.flatnonzero(adjacent.sum(axis=1) > 1):
+        label[np.isin(label, label[adjacent[j]])] = label[j]
+    return label
+
+
 def _flag_defective(A, lam, tol):
     """Compare numerical rank of A - lam*I against algebraic multiplicity.
 
-    Clusters are runs of the (real, imag)-sorted eigenvalues whose
-    consecutive gaps are within cluster * max(1, max |lam|).
+    Clusters are chains of pairwise gaps within cluster * max(1, max |lam|)
+    (components), whatever sorts between their members.
     """
     d = lam.size
     flags = np.zeros(d, dtype=bool)
     if d == 0:
         return flags
     width = tol.cluster * max(1.0, np.abs(lam).max())
-    order = np.lexsort((lam.imag, lam.real))
-    sorted_lam = lam[order]
-    breaks = np.flatnonzero(~(np.abs(np.diff(sorted_lam)) <= width)) + 1
-    bounds = np.concatenate(([0], breaks, [d]))
-    for a, b in zip(bounds[:-1], bounds[1:]):
-        if b - a < 2:
-            continue
-        center = sorted_lam[a:b].mean()
-        M = A - center * np.eye(d)
+    label = components(np.abs(lam[:, None] - lam[None, :]) <= width)
+    size = np.bincount(label, minlength=d)
+    for c in np.flatnonzero(size > 1):
+        members = label == c
+        M = A - lam[members].mean() * np.eye(d)
         sv = la.svdvals(M)
         # defectiveness gap sits well above roundoff; use a safety factor
         cutoff = max(rank_cutoff(sv[0], M.shape, None), 1e3 * _EPS * sv[0])
         geo = d - int((sv > cutoff).sum())
-        if geo < b - a:
-            flags[order[a:b]] = True
+        if geo < size[c]:
+            flags[members] = True
     return flags
 
 

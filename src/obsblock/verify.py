@@ -14,7 +14,7 @@ import scipy.linalg as la
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .designer import BlockingDesign
 from .model import assemble, closed_loop
-from .spectrum import SpectralData, closed_loop_audit, numerical_rank
+from .spectrum import SpectralData, closed_loop_audit, components, numerical_rank
 
 
 @dataclass
@@ -46,36 +46,40 @@ def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam,
 
 
 def observability_rank(A_cl: np.ndarray, C: np.ndarray,
-                       tol: Tolerances = DEFAULT_TOLERANCES) -> int:
-    """Rank of the stacked observability matrix [C; CA; ...; CA^(d-1)].
+                       tol: Tolerances = DEFAULT_TOLERANCES, eig=None) -> int:
+    """d minus the dark modes (eigenvectors C maps to zero), which is d
+    minus the PBH deficiencies summed over the distinct eigenvalues.
 
-    Each power block is rescaled to unit max magnitude before stacking
-    so large spectra cannot overflow or drown the early blocks.
+    Eigenvalues within lambda_match * max(1, |lambda|) of each other count
+    as one (spectrum.components). Their dark modes are the unit directions
+    of the span of their unit eigenvectors that C maps to at most
+    zero_pattern (||C v|| for a simple eigenvalue); the span stops at
+    lambda_match relative, so a defective eigenvalue's nearly parallel
+    eigenvectors span one. `eig` is la.eig(A_cl) when the caller has it.
     """
-    A_cl = np.asarray(A_cl, dtype=float)
     C = np.asarray(C, dtype=float)
-    d = A_cl.shape[0]
-    blocks = []
-    Ck = C.copy()
-    for _ in range(d):
-        peak = np.abs(Ck).max()
-        if not np.isfinite(peak) or peak == 0.0:
-            break
-        blocks.append(Ck / peak)
-        Ck = blocks[-1] @ A_cl
-    M = np.vstack(blocks) if blocks else np.zeros((0, d))
-    return numerical_rank(M, tol.rank_decision)
+    lam, V = la.eig(np.asarray(A_cl, dtype=float)) if eig is None else eig
+    label = components(np.abs(lam[:, None] - lam[None, :])
+                       <= tol.lambda_match * np.maximum(1.0, np.abs(lam))[:, None])
+    size = np.bincount(label, minlength=lam.size)
+    single = size[label] == 1
+    dark = int((np.linalg.norm(C @ V[:, single], axis=0) <= tol.zero_pattern).sum())
+    for g in np.flatnonzero(size > 1):
+        U, sv, _ = la.svd(V[:, label == g], full_matrices=False)
+        span = U[:, sv > tol.lambda_match * sv[0]]
+        dark += span.shape[1] - int((la.svdvals(C @ span) > tol.zero_pattern).sum())
+    return lam.size - dark
 
 
 def preservation_audit(sd_open: SpectralData, design: BlockingDesign,
-                       A_cl: np.ndarray | None = None):
+                       A_cl: np.ndarray | None = None, eigenvalues=None):
     """Spectrum multiset error and residuals of the preserved eigenvectors
     (spectrum.closed_loop_audit); only indices the design claims as
     preserved are audited for eigenvector retention."""
     if A_cl is None:
         A, B, _ = assemble(design.network)
         A_cl = closed_loop(A, B, design.F)
-    return closed_loop_audit(sd_open, A_cl, design.preserved)
+    return closed_loop_audit(sd_open, A_cl, design.preserved, eigenvalues)
 
 
 _STATE_OVERFLOW = 1e150   # state norm at which the horizon is cut short
@@ -203,8 +207,10 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     d = A.shape[0]
 
     rank = pbh_test(A_cl, C, design.lambda_p, tol)
-    obs_rank = observability_rank(A_cl, C, tol)
-    spec_err, residuals = preservation_audit(design.open_loop, design, A_cl)
+    # one eigensolve feeds both the dark-mode count and the multiset check
+    eig = la.eig(A_cl)
+    obs_rank = observability_rank(A_cl, C, tol, eig)
+    spec_err, residuals = preservation_audit(design.open_loop, design, A_cl, eig[0])
 
     x0 = np.real(design.v_hat)
     if np.linalg.norm(x0) < 1e-8:
@@ -226,8 +232,10 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     reasons = []
     if rank >= d:
         reasons.append(f"PBH rank {rank} shows no deficiency at lambda_p")
-    if obs_rank >= d:
-        reasons.append(f"observability matrix rank {obs_rank} is full")
+    blocked = 2 if complex(design.lambda_p).imag != 0.0 else 1
+    if d - obs_rank < blocked:
+        reasons.append(f"observability rank {obs_rank} leaves {d - obs_rank} "
+                       f"dark modes, fewer than the {blocked} blocked")
     if spec_err > tol.spectrum_match:
         reasons.append(f"spectrum multiset error {spec_err:.3e} > "
                        f"{tol.spectrum_match:g}")

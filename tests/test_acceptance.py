@@ -185,7 +185,7 @@ def test_criterion_6_oracle_agreement():
         assert pbh_verdict(A_cl) == (observability_rank(A_cl, C) < d) == True, seed
         checked += 1
     assert checked >= 8
-    print(f"\nACCEPTANCE 6: PASS PBH and observability-matrix verdicts agree "
+    print(f"\nACCEPTANCE 6: PASS PBH and dark-mode-count verdicts agree "
           f"on {checked} non-defective instances (open and closed loop)")
 
 

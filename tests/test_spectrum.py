@@ -43,17 +43,18 @@ def _reference_flag_defective(A, lam, tol):
     d = lam.size
     scale = max(1.0, np.abs(lam).max()) if d else 1.0
     width = tol.cluster * scale
-    order = sorted(range(d), key=lambda i: (lam[i].real, lam[i].imag))
-    clusters = []
-    current = [order[0]] if d else []
-    for i in order[1:]:
-        if abs(lam[i] - lam[current[-1]]) <= width:
-            current.append(i)
-        else:
-            clusters.append(current)
-            current = [i]
-    if current:
-        clusters.append(current)
+    # clusters are chains of pairwise gaps within width, grown breadth-first
+    clusters, seen = [], set()
+    for start in range(d):
+        if start in seen:
+            continue
+        cluster, seen = [start], seen | {start}
+        for i in cluster:
+            near = [j for j in range(d)
+                    if j not in seen and abs(lam[j] - lam[i]) <= width]
+            cluster.extend(near)
+            seen.update(near)
+        clusters.append(sorted(cluster))
     flags = np.zeros(d, dtype=bool)
     for cluster in clusters:
         if len(cluster) < 2:
@@ -231,6 +232,17 @@ class TestDecompose:
         assert np.abs(sd.eigenvalues).max() < 1e-12
         assert sd.defective.all()
 
+    def test_jordan_pair_split_by_a_rotation_pair_is_flagged(self):
+        # the Jordan pair at -0.5 splits by about 1e-8 in the real part,
+        # so the rotation pair -0.5 +- 1i sorts between its halves; the
+        # cluster is the chain of pairwise gaps, not of sorted neighbours
+        A = block_matrix([("rotation", -0.5, 1.0), ("jordan", -0.5, 1.0)],
+                         seed=0, basis="similar")
+        sd = decompose(A)
+        jordan = np.abs(sd.eigenvalues.imag) < 0.5
+        assert jordan.sum() == 2
+        assert list(sd.defective) == list(jordan)
+
     def test_undamped_symmetric_modes_on_imaginary_axis(self, rng):
         # zero velocity coupling: eigenvalues come in +-i*sqrt(mu) pairs
         # for each symmetric-Laplacian eigenvalue mu (independent oracle)
@@ -260,7 +272,8 @@ class TestDecompose:
         net = random_network(n=9, seed=6, m=2, q=4)
         A, _, _ = assemble(net)
         sd = decompose(A)
-        assert sd.residuals(A).max() < 2e-8 * max(1.0, sd.matrix_norm)
+        R = A @ sd.modal_matrix - sd.modal_matrix * sd.eigenvalues
+        assert np.linalg.norm(R, axis=0).max() < 2e-8 * max(1.0, sd.matrix_norm)
 
     def test_reconstruction_when_nondefective(self):
         net = generic_network(n=7, seed=3, m=2, q=4)

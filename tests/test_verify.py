@@ -7,7 +7,8 @@ import scipy.linalg as la
 from obsblock.config import DEFAULT_TOLERANCES, DesignOptions
 from obsblock.cutset import design_via_cutset
 from obsblock.designer import design_blocking
-from obsblock.model import assemble, closed_loop
+from obsblock.graph import WeightedDigraph
+from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose, numerical_rank
 from obsblock import records, verify
@@ -31,7 +32,7 @@ class TestPbh:
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_observability_matrix_oracle(self, seed):
         # non-defective generic instances: aggregated PBH verdict must
-        # match the stacked-matrix rank verdict, open and closed loop
+        # match the dark-mode count's verdict, open and closed loop
         net = generic_network(n=6, seed=seed, m=1, q=3)
         A, B, C = assemble(net)
         sd = decompose(A)
@@ -96,6 +97,80 @@ class TestObservabilityRank:
         A = np.diag([50.0, -50.0, 30.0, -30.0])
         C = np.ones((1, 4))
         assert observability_rank(A, C) == 4
+
+    def test_split_jordan_block_has_no_false_dark_mode(self):
+        # the solver splits the Jordan pair at -0.5 into eigenvectors
+        # about 1e-8 apart; their span at roundoff level would hold the
+        # generalized direction, which this C does not see
+        T = np.eye(2) + 0.3 * np.random.default_rng(0).standard_normal((2, 2))
+        A = T @ np.array([[-0.5, 1.0], [0.0, -0.5]]) @ la.inv(T)
+        C = np.array([[1.0, 0.0]]) @ la.inv(T)
+        assert la.svdvals(la.eig(A)[1])[1] > 1e-9
+        assert observability_rank(A, C) == 2
+
+    @pytest.mark.parametrize("n", [20, 40, 80])
+    @pytest.mark.parametrize("make", [random_network, generic_network])
+    def test_observable_open_loops_read_full_rank(self, make, n):
+        # PBH is full at every eigenvalue, Laplacian zero chain included;
+        # stacked C A^k powers read 34/40, 49/80 and 49/160 here
+        A, _, C = assemble(make(n, density=4 / n, seed=1, m=2))
+        d = A.shape[0]
+        assert all(pbh_test(A, C, lam) == d for lam in la.eigvals(A))
+        assert observability_rank(A, C) == d
+
+    def test_designed_loop_loses_one_and_a_perturbed_gain_none(self):
+        net = generic_network(40, density=0.1, seed=3, m=2)
+        design = design_blocking(net, DesignOptions(seed=3))
+        assert complex(design.lambda_p).imag == 0.0
+        report = verify_design(design)
+        assert report.verdict, report.reasons
+        assert report.obs_matrix_rank == report.full_state_dim - 1 == 79
+        F = design.gain.matrix
+        F[0, np.argmax(np.abs(design.v_hat))] += 1e-3 * max(1.0, np.abs(F).max())
+        report = verify_design(design)
+        assert report.obs_matrix_rank == report.full_state_dim == 80
+        assert any(r.startswith("observability rank 80 leaves 0 dark modes")
+                   for r in report.reasons), report.reasons
+
+    def test_repeated_pair_counts_its_dark_span(self):
+        # an equal-weight ring: every nonzero eigenvalue is a repeated
+        # complex pair whose 2-dimensional eigenspace node 7 sees only in
+        # part, so each carries one dark mode while no single eigenvector
+        # from the solver is dark
+        edges = []
+        for i in range(1, 8):
+            j = i % 7 + 1
+            edges += [(i, j, (1.0, 0.5)), (j, i, (1.0, 0.5))]
+        net = IntegratorNetwork.from_graph(WeightedDigraph(n=7, edges=tuple(edges)),
+                                           (1, 2, 3), (7,))
+        design = design_blocking(net, DesignOptions(seed=0))
+        assert complex(design.lambda_p).imag != 0.0
+        report = verify_design(design)
+        assert report.verdict, report.reasons
+        A, B, C = assemble(net)
+        A_cl = closed_loop(A, B, design.F)
+        lam, V = la.eig(A_cl)
+        distinct = []
+        for z in lam:
+            if all(abs(z - w) > 1e-6 for w in distinct):
+                distinct.append(z)
+        deficiency = sum(14 - pbh_test(A_cl, C, z) for z in distinct)
+        assert report.obs_matrix_rank == 14 - deficiency == 8
+        assert not (np.linalg.norm(C @ V, axis=0) <= 1e-8).any()
+
+    def test_verification_solves_the_closed_loop_once(self, monkeypatch):
+        net = random_network(n=8, seed=14, m=2, q=4)
+        design = design_blocking(net, DesignOptions(seed=14))
+        calls = []
+        for name in ("eig", "eigvals"):
+            original = getattr(la, name)
+
+            def spy(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(la, name, spy)
+        assert verify_design(design).verdict
+        assert calls == ["eig"]
 
 
 class TestPreservationAudit:
