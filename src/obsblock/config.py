@@ -38,13 +38,13 @@ class Tolerances:
     preserved_residual : float
         Relative residual allowed for preserved eigenvectors.
     candidate_residual : float
-        Relative residual allowed for the replacement eigenvector.
+        Relative residual allowed for the replacement eigenvector; its
+        square bounds the blocked start's output energy relative to a
+        random start's (verify.verify_design).
     cond_limit : float
         Condition number above which the modal matrix is rejected.
     lambda_match : float
         Relative distance under which eigenvalues match or count as one.
-    blocked_energy : float
-        Output-energy bound factor for blocked initial states.
     """
 
     rank_decision: float = 1e-12
@@ -58,7 +58,6 @@ class Tolerances:
     candidate_residual: float = 1e-7
     cond_limit: float = 1e12
     lambda_match: float = 1e-6
-    blocked_energy: float = 1e-10
 
     def with_overrides(self, **kwargs) -> "Tolerances":
         return replace(self, **kwargs)

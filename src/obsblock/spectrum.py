@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as la
+from scipy.sparse.csgraph import connected_components
 
 from .config import Tolerances, DEFAULT_TOLERANCES
 
@@ -219,13 +220,10 @@ def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved, eigenvalues
 
 
 def components(adjacent: np.ndarray) -> np.ndarray:
-    """Connected-component labels of the graph whose edges are the true
-    entries of the square boolean matrix `adjacent` (diagonal true); a
-    label is the index of one member of its component."""
-    label = np.arange(adjacent.shape[0])
-    for j in np.flatnonzero(adjacent.sum(axis=1) > 1):
-        label[np.isin(label, label[adjacent[j]])] = label[j]
-    return label
+    """Weakly connected component labels, 0 .. count - 1, of the graph
+    whose edges are the true entries of the square boolean matrix
+    `adjacent`; an edge joins its ends whichever way it points."""
+    return connected_components(adjacent, connection="weak")[1]
 
 
 def _flag_defective(A, lam, tol):

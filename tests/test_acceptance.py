@@ -213,12 +213,12 @@ def test_criterion_7_output_energy_witness():
         coeffs = rng.standard_normal(len(span))
         x0 = sum(c * s for c, s in zip(coeffs, span))
         x0 /= np.linalg.norm(x0)
-        energy, used, _ = output_energy(A_cl, C, x0, T=T)
+        energy, used = output_energy(A_cl, C, x0, T=T)
         assert energy < 1e-10 * used, energy
         blocked_worst = max(blocked_worst, energy)
         xr = rng.standard_normal(A.shape[0])
         xr /= np.linalg.norm(xr)
-        er, _, _ = output_energy(A_cl, C, xr, T=T)
+        er, _ = output_energy(A_cl, C, xr, T=T)
         total += 1
         visible += er > 1e-6
     assert visible / total >= 0.95

@@ -13,8 +13,8 @@ from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.config import DesignOptions
 from obsblock.designer import design_blocking
 from obsblock.spectrum import (SpectralData, check_stacked_structure,
-                               closed_loop_audit, decompose, match_eigenvalue,
-                               multiset_error, rank_cutoff)
+                               closed_loop_audit, components, decompose,
+                               match_eigenvalue, multiset_error, rank_cutoff)
 
 from conftest import random_digraph
 
@@ -344,6 +344,42 @@ class TestDecompose:
             # equal eigenvalues tie deterministically; the value must match
             assert sd.eigenvalues[j] == sd.eigenvalues[i]
         assert match_eigenvalue(sd, 123.0 + 0j, tol) == -1
+
+
+def reference_components(adjacent):
+    """The former label loop: row j merges every label it touches into
+    its own, so an edge joins its ends whichever way it points."""
+    label = np.arange(adjacent.shape[0])
+    for j in np.flatnonzero(adjacent.sum(axis=1) > 1):
+        label[np.isin(label, label[adjacent[j]])] = label[j]
+    return label
+
+
+def _partition(label):
+    return sorted(tuple(np.flatnonzero(label == c)) for c in np.unique(label))
+
+
+class TestComponents:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(size=st.integers(0, 12), seed=st.integers(0, 2**16),
+           density=st.sampled_from([0.05, 0.15, 0.3]),
+           symmetric=st.booleans())
+    def test_matches_the_label_loop(self, size, seed, density, symmetric):
+        # eigenvalue-gap adjacencies are symmetric, the dark-mode one
+        # (gap within lambda_match * max(1, |lambda_i|)) is not
+        rng = np.random.default_rng(seed)
+        adjacent = rng.random((size, size)) < density
+        if symmetric:
+            adjacent |= adjacent.T
+        np.fill_diagonal(adjacent, True)
+        got = components(adjacent)
+        assert _partition(got) == _partition(reference_components(adjacent))
+        assert sorted(set(got.tolist())) == list(range(len(set(got.tolist()))))
+
+    def test_one_way_edge_joins_its_ends(self):
+        adjacent = np.eye(3, dtype=bool)
+        adjacent[2, 0] = True
+        assert _partition(components(adjacent)) == [(0, 2), (1,)]
 
 
 class TestStackedStructure:

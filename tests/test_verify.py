@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -9,7 +11,8 @@ from obsblock.cutset import design_via_cutset
 from obsblock.designer import design_blocking
 from obsblock.graph import WeightedDigraph
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
-from obsblock.scenarios import fig2_din, generic_network, random_network
+from obsblock.scenarios import (cut_friendly_network, fig2_din, generic_network,
+                                random_network)
 from obsblock.spectrum import decompose, numerical_rank
 from obsblock import records, verify
 from obsblock.verify import (observability_rank, output_energy, pbh_test,
@@ -222,7 +225,7 @@ class TestOutputEnergy:
     def test_zero_state(self):
         A = -np.eye(3)
         C = np.eye(3)
-        energy, _, _ = output_energy(A, C, np.zeros(3), T=2.0, dt=0.01)
+        energy, _ = output_energy(A, C, np.zeros(3), T=2.0, dt=0.01)
         assert energy == 0.0
 
     def test_blocked_direction_dark(self):
@@ -232,7 +235,7 @@ class TestOutputEnergy:
         A_cl = closed_loop(A, B, design.F)
         x0 = np.real(design.v_hat)
         x0 /= np.linalg.norm(x0)
-        energy, used, _ = output_energy(A_cl, C, x0, T=10.0)
+        energy, used = output_energy(A_cl, C, x0, T=10.0)
         assert used == pytest.approx(10.0)
         assert energy < 1e-10 * used
 
@@ -243,7 +246,7 @@ class TestOutputEnergy:
         A_cl = closed_loop(A, B, design.F)
         x0 = rng.standard_normal(16)
         x0 /= np.linalg.norm(x0)
-        energy, _, _ = output_energy(A_cl, C, x0, T=10.0)
+        energy, _ = output_energy(A_cl, C, x0, T=10.0)
         assert energy > 1e-4
 
     def test_step_halving_stable(self, rng):
@@ -251,14 +254,14 @@ class TestOutputEnergy:
         A, _, C = assemble(net)
         x0 = rng.standard_normal(12)
         x0 /= np.linalg.norm(x0)
-        e1, _, _ = output_energy(A, C, x0, T=5.0, dt=0.01)
-        e2, _, _ = output_energy(A, C, x0, T=5.0, dt=0.005)
+        e1, _ = output_energy(A, C, x0, T=5.0, dt=0.01)
+        e2, _ = output_energy(A, C, x0, T=5.0, dt=0.005)
         assert abs(e1 - e2) < 0.01 * max(e1, e2)
 
     def test_unstable_horizon_shortened(self):
         A = np.array([[400.0]])
         C = np.eye(1)
-        _, used, _ = output_energy(A, C, np.ones(1), T=10.0, dt=0.01)
+        _, used = output_energy(A, C, np.ones(1), T=10.0, dt=0.01)
         assert used < 10.0
 
     def test_bad_arguments(self):
@@ -276,20 +279,15 @@ def stepwise_output_energy(A_cl, C, x0, T=10.0, dt=0.01):
     acc = 0.0
     prev = float(np.linalg.norm(C @ x) ** 2)
     used = 0.0
-    M = np.eye(A_cl.shape[0])
-    growth = 1.0
     for _ in range(steps):
         x = E @ x
         if not np.isfinite(x).all() or np.linalg.norm(x) > 1e150:
             break
-        if growth < 1e100:
-            M = E @ M
-            growth = max(growth, float(np.linalg.norm(M)))
         cur = float(np.linalg.norm(C @ x) ** 2)
         acc += 0.5 * (prev + cur) * dt
         prev = cur
         used += dt
-    return acc, used, growth
+    return acc, used
 
 
 def _agreement_loops():
@@ -344,23 +342,24 @@ class TestOutputEnergyDoubling:
         assert len(agreement_runs) - kinds.count("blocked") >= 30
         assert kinds.count("blocked") == 28
         assert any(new[1] < 10.0 for (_, _, new, _) in agreement_runs)
-        assert any(ref[2] >= 1e100 for (_, _, _, ref) in agreement_runs)
 
     def test_energy_matches_stepwise(self, agreement_runs):
-        for label, _, (energy, used, growth), (e_ref, _, _) in agreement_runs:
-            # dark states sit at roundoff level, so they are compared on
-            # the scale the verdict uses: their blocked-energy bound
-            scale = max(e_ref, 1e-10 * used * max(1.0, growth ** 2))
-            assert abs(energy - e_ref) <= 1e-9 * scale, label
+        for label, kind, (energy, _), (e_ref, _) in agreement_runs:
+            if kind == "random":
+                random_ref = e_ref
+                assert abs(energy - e_ref) <= 1e-9 * e_ref, label
+            else:
+                # dark states sit at roundoff level, where the two
+                # methods differ by up to 10x (generic-6: 4.1e-24 against
+                # 4.0e-25); they are held to the verdict's threshold,
+                # candidate_residual^2 times the loop's random energy
+                bound = 1e-14 * random_ref
+                assert abs(energy - e_ref) <= 1e-5 * bound, label
 
     def test_horizon_matches_stepwise(self, agreement_runs):
         dt = 0.01
-        for label, _, (_, used, _), (_, used_ref, _) in agreement_runs:
+        for label, _, (_, used), (_, used_ref) in agreement_runs:
             assert used == round(used_ref / dt) * dt, label
-
-    def test_growth_never_exceeds_stepwise(self, agreement_runs):
-        for label, _, (_, _, growth), (_, _, g_ref) in agreement_runs:
-            assert 0.0 < growth <= g_ref * (1 + 1e-12), label
 
     def test_shared_propagator_gives_the_standalone_bits(self, agreement_runs):
         # both starts of each loop through one step_propagator, against
@@ -379,51 +378,33 @@ class TestOutputEnergyDoubling:
                 assert np.array(shared).tobytes() == np.array(alone).tobytes(), label
 
     def test_blocked_energy_non_negative(self, agreement_runs):
-        for label, kind, (energy, _, _), _ in agreement_runs:
+        for label, kind, (energy, _), _ in agreement_runs:
             if kind == "blocked":
                 assert energy >= 0.0, label
 
     @pytest.mark.parametrize("rate, used", [(400.0, 0.86), (4000.0, 0.08)])
     def test_horizon_cut_is_exact(self, rate, used):
         # |x(k dt)| = exp(rate k dt) first exceeds 1e150 at k = used/dt + 1
-        _, got, _ = output_energy(np.array([[rate]]), np.eye(1), np.ones(1),
-                                  T=10.0, dt=0.01)
+        _, got = output_energy(np.array([[rate]]), np.eye(1), np.ones(1),
+                               T=10.0, dt=0.01)
         assert got == used
 
     @pytest.mark.parametrize("T, dt", [(10.0, 0.01), (2.0, 0.01), (5.0, 0.005),
                                        (1.0, 0.1)])
     def test_full_horizon_is_exact(self, T, dt):
-        _, used, _ = output_energy(-np.eye(2), np.eye(2), np.ones(2), T=T, dt=dt)
+        _, used = output_energy(-np.eye(2), np.eye(2), np.ones(2), T=T, dt=dt)
         assert used == T
-
-    def test_growth_samples_the_last_step(self):
-        # ||E^j||_F = sqrt(2 + (j dt)^2) for a Jordan block at zero rises
-        # with j, so the largest sample is the last step, k = 1000
-        A = np.array([[0.0, 1.0], [0.0, 0.0]])
-        _, _, growth = output_energy(A, np.eye(2), np.ones(2), T=10.0, dt=0.01)
-        assert growth == pytest.approx(np.sqrt(102.0), rel=1e-12)
-
-    def test_growth_samples_the_cut_step(self, monkeypatch):
-        # a cut with growth under the cap: with the guard lowered to 1e3,
-        # x(t) = e^t is cut after k = 690 steps and E^690 is the largest
-        # sample, not the E^1000 of the full horizon
-        monkeypatch.setattr(verify, "_STATE_OVERFLOW", 1e3)
-        _, used, growth = output_energy(np.eye(1), np.eye(1), np.ones(1),
-                                        T=10.0, dt=0.01)
-        assert used == 6.9
-        assert growth == pytest.approx(np.exp(6.9), rel=1e-12)
 
     def test_overflowing_power_keeps_full_horizon(self):
         # E^p overflows for p >= 178, but the state never touches the
         # unstable coordinate; stepping must not turn 0 * inf into a cut
         A = np.diag([400.0, -1.0])
         x0 = np.array([0.0, 1.0])
-        energy, used, growth = output_energy(A, np.eye(2), x0)
-        e_ref, used_ref, g_ref = stepwise_output_energy(A, np.eye(2), x0)
+        energy, used = output_energy(A, np.eye(2), x0)
+        e_ref, used_ref = stepwise_output_energy(A, np.eye(2), x0)
         assert used == 10.0 and round(used_ref / 0.01) == 1000
         assert energy == pytest.approx(e_ref, rel=1e-12)
-        assert growth <= g_ref
-        energy, used, _ = output_energy(A, np.eye(2), np.zeros(2))
+        energy, used = output_energy(A, np.eye(2), np.zeros(2))
         assert (energy, used) == (0.0, 10.0)
 
     @pytest.mark.parametrize("rate, x0", [(400.0, [0.0, 1.0]), (400.0, [1.0, 1.0]),
@@ -469,6 +450,53 @@ class TestOutputEnergyDoubling:
         assert report.output_energy > report.blocked_energy_bound
         assert any(r.startswith("blocked-state output energy")
                    for r in report.reasons), report.reasons
+
+
+def _energy_failed(report):
+    return any(r.startswith("blocked-state output energy") for r in report.reasons)
+
+
+class TestEnergyWitness:
+    """The blocked start against the random start on the shifted loop."""
+
+    def test_laplacian_gain_entry_fails_on_energy(self):
+        net = random_network(n=8, seed=6, m=2, q=4)
+        design = design_blocking(net, DesignOptions(seed=6))
+        design.gain.matrix[0, 0] += 1e-3
+        report = verify_design(design)
+        assert report.output_energy > report.blocked_energy_bound
+        assert _energy_failed(report), report.reasons
+
+    def test_every_gain_entry_that_moves_the_blocked_start_fails(self):
+        # a +1e-3 entry of F at column j changes A_cl x0 by 1e-3 * x0[j];
+        # the blocked start is zero (to roundoff) at the measured nodes,
+        # where the perturbed loop keeps x0 an eigenvector
+        net = random_network(n=8, seed=6, m=2, q=4)
+        design = design_blocking(net, DesignOptions(seed=6))
+        F = design.F.copy()
+        x0 = np.real(design.v_hat)
+        moved = np.abs(x0 / np.linalg.norm(x0)) > DEFAULT_TOLERANCES.zero_pattern
+        failed = np.zeros(F.shape, dtype=bool)
+        for i, j in np.ndindex(F.shape):
+            design.gain.matrix[:] = F
+            design.gain.matrix[i, j] += 1e-3
+            failed[i, j] = _energy_failed(verify_design(design))
+        assert F.size == 64 and failed.sum() == 40
+        assert (failed == moved[None, :]).all()
+
+    def test_unstable_generic_cutset_loop_verifies(self):
+        # Re lambda(A_cl) above 100 cuts an unshifted horizon near 2 s;
+        # the shift keeps the full horizon and the blocked start dark
+        net = cut_friendly_network(30, 30, generic=True, cut_size=3, seed=0)
+        result = design_via_cutset(net, options=DesignOptions(seed=0))
+        loaded = records.design_from_dict(
+            json.loads(records.dumps(records.design_to_dict(result))))
+        design = loaded.design
+        A, B, _ = assemble(design.network)
+        assert la.eigvals(closed_loop(A, B, design.F)).real.max() > 100
+        report = verify_design(design)
+        assert report.verdict, report.reasons
+        assert report.output_energy <= report.blocked_energy_bound
 
 
 class TestVerifyDesign:
