@@ -19,9 +19,9 @@ from .cutset import CutsetDesign, design_via_cutset
 from .designer import design_blocking
 from .errors import EXIT_NUMERICAL, InvalidInputError, ObsBlockError
 from .graph import min_vertex_cut
-from .model import cutset_output, load_network, save_network
+from .model import assemble, cutset_output, load_network, save_network
 from .scenarios import SCENARIOS, fig2_din, random_network
-from .spectrum import check_stacked_structure
+from .spectrum import check_stacked_structure, decompose
 from .verify import verify_design
 
 _VARIANTS = {"n4": VARIANT_POSITION, "n6": VARIANT_DERIVATIVE}
@@ -125,7 +125,7 @@ def cmd_design(args) -> int:
 
 def cmd_verify(args) -> int:
     tol = _tolerances(args)
-    design = records.load_design(args.input, tol)
+    design = records.load_design(args.input)
     verification = _audit(design, tol, args.seed)
     payload = records.dumps(records.verification_to_dict(verification))
     if args.output:
@@ -155,7 +155,7 @@ def cmd_repro(args) -> int:
     cert = design.certificate
     blocked_nodes = sorted(set(cert.plan.vcut) | set(cert.plan.v2))
     worst = max(cert.cut_zero_pattern, cert.far_zero_pattern)
-    structure = check_stacked_structure(design.design.open_loop, net.n, N)
+    structure = check_stacked_structure(decompose(assemble(net)[0], tol), net.n, N)
 
     lines = [records.report_text(design, verification)]
     lines.append(f"scenario {args.scenario} (order {N}, seed {args.seed})")
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-rank", type=float, default=None,
                        help="relative rank-decision tolerance")
         p.add_argument("--tol-spec", type=float, default=None,
-                       help="spectrum multiset tolerance")
+                       help="spectrum tolerance (verifier quotient, designer multiset)")
         if with_design_flags:
             p.add_argument("--variant", choices=sorted(_VARIANTS), default="n4",
                            help="constraint block: n4 positions, n6 top derivatives")

@@ -26,7 +26,8 @@ class Tolerances:
     cluster : float
         Relative eigenvalue clustering width for defectiveness checks.
     spectrum_match : float
-        Allowed open/closed-loop eigenvalue multiset deviation.
+        Allowed eigenvalue multiset deviation, open against closed loop
+        (designer) or on the quotient by null(F) (verifier).
     realness : float
         Relative imaginary magnitude under which an eigenvector of a
         snapped real eigenvalue counts as real (spectrum._pair_snapped).
@@ -36,7 +37,8 @@ class Tolerances:
         Magnitude under which blocked eigenvector entries, and C times a
         dark mode, must fall.
     preserved_residual : float
-        Relative residual allowed for preserved eigenvectors.
+        Relative residual allowed for preserved eigenvectors (designer)
+        and for the A-invariance of null(F) (verifier).
     candidate_residual : float
         Relative residual allowed for the replacement eigenvector; its
         square bounds the blocked start's output energy relative to a

@@ -80,7 +80,6 @@ class BlockingDesign:
     cond_V: float
     residuals: dict
     measured_nodes: tuple
-    open_loop: SpectralData
     network: IntegratorNetwork
     warnings: tuple = field(default_factory=tuple)
 
@@ -526,7 +525,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
         preserved=tuple(preserved),
         repaired=tuple(i for unit in failed for i in unit),
         replaced=tuple(replaced), cond_V=float(cond_V), residuals=residuals,
-        measured_nodes=tuple(measured_nodes), open_loop=sd, network=network)
+        measured_nodes=tuple(measured_nodes), network=network)
 
 
 def _enforce_postconditions(residuals, tol: Tolerances) -> None:

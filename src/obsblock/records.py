@@ -7,17 +7,19 @@ time-dependent is written.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
 import numpy as np
 
-from .config import Tolerances
 from .cutset import CutsetDesign, LgCondition, TransferCertificate
 from .designer import BlockingDesign
 from .errors import NetworkFileError
 from .graph import CutsetPlan
-from .model import FeedbackGain, assemble, network_from_dict, network_to_dict
+# assemble and decompose go unused since loading stopped decomposing, but
+# bench/tracer.py wraps these module bindings
+from .model import FeedbackGain, _first_not, assemble, network_from_dict, network_to_dict
 from .spectrum import decompose
 from .verify import VerificationReport
 
@@ -94,33 +96,29 @@ def _certificate_to_dict(cert: TransferCertificate) -> dict:
     }
 
 
-def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
-    """Rebuild a design record; the open-loop modal data is recomputed
-    with right eigenvectors only, since verification reads no left
-    eigenvectors or defectiveness flags."""
+def design_from_dict(data: dict):
+    """Rebuild a design record; index fields must be JSON integers. Nothing
+    is recomputed: verification reads only F, v_hat, lambda_p and the network."""
     if data.get("format") not in READ_FORMATS:
         raise NetworkFileError(f"not a design record (format {data.get('format')!r})")
     try:
         network = network_from_dict(data["network"])
-        A, B, _ = assemble(network)
-        sd = decompose(A, tol, right_only=True)
         F = np.asarray(data["F"], dtype=float)
         v_hat = _from_carray(data["v_hat"])
         if not (np.isfinite(F).all() and np.isfinite(v_hat).all()):
             raise NetworkFileError("malformed design record: non-finite F or v_hat")
         design = BlockingDesign(
             lambda_p=complex(*data["lambda_p"]),
-            lambda_index=int(data["lambda_index"]),
+            lambda_index=data["lambda_index"],
             variant=data["variant"],
             v_hat=v_hat,
             gain=FeedbackGain(matrix=F),
-            preserved=tuple(map(int, data["preserved"])),
-            repaired=tuple(map(int, data["repaired"])),
-            replaced=tuple(map(int, data["replaced"])),
+            preserved=tuple(data["preserved"]),
+            repaired=tuple(data["repaired"]),
+            replaced=tuple(data["replaced"]),
             cond_V=float(data["cond_V"]),
             residuals=dict(data["residuals"]),
-            measured_nodes=tuple(map(int, data["measured_nodes"])),
-            open_loop=sd,
+            measured_nodes=tuple(data["measured_nodes"]),
             network=network,
             warnings=tuple(data.get("warnings", ())),
         )
@@ -132,12 +130,19 @@ def design_from_dict(data: dict, tol: Tolerances = Tolerances()):
         raise NetworkFileError(
             f"malformed design record: v_hat has shape {design.v_hat.shape} and "
             f"F {design.F.shape}, expected ({d},) and ({network.q}, {d})")
-    for key, values, low, high in (
-            ("lambda_index", (design.lambda_index,), 0, d - 1),
-            ("preserved", design.preserved, 0, d - 1),
-            ("repaired", design.repaired, 0, d - 1),
-            ("replaced", design.replaced, 0, d - 1),
-            ("measured_nodes", design.measured_nodes, 1, network.n)):
+    fields = [("lambda_index", (design.lambda_index,), 0, d - 1),
+              ("preserved", design.preserved, 0, d - 1),
+              ("repaired", design.repaired, 0, d - 1),
+              ("replaced", design.replaced, 0, d - 1),
+              ("measured_nodes", design.measured_nodes, 1, network.n)]
+    if cert is not None:
+        fields += [(key, getattr(cert.plan, key), 1, network.n)
+                   for key in ("v1", "vcut", "v2", "permutation")]
+    for key, values, low, high in fields:
+        bad = _first_not({int}, values)
+        if bad is not None:
+            raise NetworkFileError(
+                f"malformed design record: {key} value {bad!r} is not an integer")
         if not all(low <= i <= high for i in values):
             raise NetworkFileError(f"malformed design record: {key} "
                                    f"{list(values)} outside {low}..{high}")
@@ -168,7 +173,7 @@ def save_design(design, path) -> None:
     Path(path).write_text(dumps(design_to_dict(design)))
 
 
-def load_design(path, tol: Tolerances = Tolerances()):
+def load_design(path):
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -177,22 +182,14 @@ def load_design(path, tol: Tolerances = Tolerances()):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFileError(f"{path} is not valid JSON: {exc}") from exc
-    return design_from_dict(data, tol)
+    return design_from_dict(data)
 
 
 def verification_to_dict(report: VerificationReport) -> dict:
-    return {
-        "pbh_rank_at_lambda": report.pbh_rank_at_lambda,
-        "full_state_dim": report.full_state_dim,
-        "obs_matrix_rank": report.obs_matrix_rank,
-        "spectrum_match_error": report.spectrum_match_error,
-        "preserved_vector_residuals": list(report.preserved_vector_residuals),
-        "output_energy": report.output_energy,
-        "random_output_energy": report.random_output_energy,
-        "blocked_energy_bound": report.blocked_energy_bound,
-        "verdict": "pass" if report.verdict else "fail",
-        "reasons": list(report.reasons),
-    }
+    """The report's fields by name, the verdict as "pass" or "fail"."""
+    data = dataclasses.asdict(report)
+    data["verdict"] = "pass" if report.verdict else "fail"
+    return data
 
 
 def dumps(data: dict) -> str:
@@ -231,7 +228,7 @@ def report_text(design, verification: VerificationReport | None = None) -> str:
     push(f"variant: {design.variant}")
     push(f"lambda_p: {_sig4(design.lambda_p)}  (column {design.lambda_index})")
     push(f"modal condition number: {_sig4(design.cond_V)}")
-    push(f"preserved eigenvectors: {len(design.preserved)} of {design.open_loop.dim}")
+    push(f"preserved eigenvectors: {len(design.preserved)} of {net.state_dim}")
     push(f"repaired columns: {list(design.repaired) or 'none'}")
     for w in design.warnings:
         push(f"warning: {w}")
@@ -274,9 +271,9 @@ def report_text(design, verification: VerificationReport | None = None) -> str:
              f"of {verification.full_state_dim}")
         push(f"observability rank:     {verification.obs_matrix_rank} "
              f"of {verification.full_state_dim}")
-        push(f"spectrum multiset err:  {_sig4(verification.spectrum_match_error)}")
-        worst = max(verification.preserved_vector_residuals, default=0.0)
-        push(f"preserved residual max: {_sig4(worst)}")
+        push(f"gain rank:              {verification.gain_rank}")
+        push(f"invariance residual:    {_sig4(verification.invariance_residual)}")
+        push(f"quotient spectrum err:  {_sig4(verification.spectrum_match_error)}")
         push(f"blocked output energy:  {_sig4(verification.output_energy)} "
              f"(bound {_sig4(verification.blocked_energy_bound)})")
         push(f"random  output energy:  {_sig4(verification.random_output_energy)}")

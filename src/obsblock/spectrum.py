@@ -30,16 +30,15 @@ class SpectralData:
     column stores the complex conjugate values of its mate.
     left_modal_matrix holds the unit left eigenvectors, column i for
     eigenvalue i (w_i^* A = lambda_i w_i^*), sorted and paired like
-    modal_matrix. It and the defective flags are None when decompose
-    ran with right_only.
+    modal_matrix.
     """
 
     eigenvalues: np.ndarray
     raw_eigenvalues: np.ndarray
     modal_matrix: np.ndarray
-    left_modal_matrix: np.ndarray | None
+    left_modal_matrix: np.ndarray
     pairing: np.ndarray
-    defective: np.ndarray | None
+    defective: np.ndarray
     matrix_norm: float
 
     @property
@@ -57,15 +56,12 @@ class SpectralData:
         return self.pairing[i] != i and self.is_real(i)
 
 
-def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
-              right_only: bool = False) -> SpectralData:
+def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
     """Full eigendecomposition of a real state matrix.
 
     One eigensolve returns both eigenvector sets: the left ones add a
     back-substitution (about 15 % of the solve) and leave the eigenvalues
-    and right eigenvectors bit-identical. right_only skips the left
-    eigenvectors and the defectiveness flags, which only the designer
-    reads; every other field is the same. Right columns are unit 2-norm with
+    and right eigenvectors bit-identical. Right columns are unit 2-norm with
     canonical phase (first entry above 1e-8 of the largest made real
     positive), left columns unit 2-norm. Imaginary parts of
     eigenvalues below snap_imag * ||A|| are snapped to zero. Conjugate
@@ -79,11 +75,7 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-    W = None
-    if right_only:
-        lam, V = la.eig(A)
-    else:
-        lam, W, V = la.eig(A, left=True)
+    lam, W, V = la.eig(A, left=True)
     nrm = la.norm(A, 2) if d else 0.0
     scale = max(1.0, nrm)
     match = tol.lambda_match * scale
@@ -91,14 +83,13 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
     raw = lam.copy()
     lam = np.where(np.abs(lam.imag) <= tol.snap_imag * scale, lam.real + 0j, lam)
     V = V.astype(complex) / np.linalg.norm(V, axis=0)
-    if W is not None:
-        W = W.astype(complex) / np.linalg.norm(W, axis=0)
+    W = W.astype(complex) / np.linalg.norm(W, axis=0)
 
     mate = np.arange(d)
     up = np.flatnonzero(lam.imag > 0)
     mate[up], mate[up + 1] = up + 1, up
     order = np.lexsort((lam.imag, lam.real))
-    lam, raw, V = lam[order], raw[order], V[:, order]
+    lam, raw, V, W = lam[order], raw[order], V[:, order], W[:, order]
     column = np.empty(d, dtype=int)
     column[order] = np.arange(d)
     pairing = column[mate[order]]
@@ -116,15 +107,11 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES,
     V[:, lead[nz]] = U[:, nz] * rot
     mated = lead[pairing[lead] != lead]
     V[:, pairing[mated]] = V[:, mated].conj()
-    defective = None
-    if W is not None:
-        W = W[:, order]
-        W[:, pairing[mated]] = W[:, mated].conj()
-        defective = _flag_defective(A, lam, tol)
+    W[:, pairing[mated]] = W[:, mated].conj()
 
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
-                        left_modal_matrix=W, pairing=pairing, defective=defective,
-                        matrix_norm=nrm)
+                        left_modal_matrix=W, pairing=pairing,
+                        defective=_flag_defective(A, lam, tol), matrix_norm=nrm)
 
 
 def _pair_snapped(lam, V, pairing, match, realness) -> None:
@@ -186,7 +173,7 @@ def multiset_error(lam_a, lam_b) -> float:
     real eigenvalue is never paired with a complex one merely because
     their real parts tie."""
     # imported here: scipy.optimize takes longer to import than all of
-    # obsblock, and only the spectrum audit needs it
+    # obsblock, and only the spectrum audits need it
     from scipy.optimize import linear_sum_assignment
 
     a = np.asarray(lam_a, complex)
@@ -197,20 +184,17 @@ def multiset_error(lam_a, lam_b) -> float:
     return float(np.abs(a[rows] - b[cols]).max())
 
 
-def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved, eigenvalues=None):
+def closed_loop_audit(sd: SpectralData, A_cl: np.ndarray, preserved):
     """Spectrum and eigenvector retention of a closed loop against the
-    open-loop modal data `sd`.
+    open-loop modal data `sd`: the designer's postcondition.
 
     Returns the multiset error of eig(A_cl) against sd.raw_eigenvalues
     and, for each column index in `preserved`, the residual
     ||A_cl v - lambda v|| / max(1, ||A||) of that open-loop eigenpair.
     The residuals come from one real product of A_cl with the real and
-    imaginary parts of the preserved columns, interleaved. `eigenvalues`,
-    when given, are those of A_cl.
+    imaginary parts of the preserved columns, interleaved.
     """
-    if eigenvalues is None:
-        eigenvalues = la.eigvals(A_cl)
-    err = multiset_error(sd.raw_eigenvalues, eigenvalues)
+    err = multiset_error(sd.raw_eigenvalues, la.eigvals(A_cl))
     scale = max(1.0, sd.matrix_norm)
     idx = np.asarray(preserved, dtype=int)
     V = np.ascontiguousarray(sd.modal_matrix[:, idx])

@@ -1,7 +1,7 @@
 """Independent numerical oracles for blocking designs.
 
-Everything here recomputes from the state matrices; nothing trusts the
-designer's internal bookkeeping beyond the indices it claims.
+Everything here recomputes from the network, F, v_hat and lambda_p, with
+no open-loop eigensolve: preservation is certified from F's row space.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import scipy.linalg as la
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .designer import BlockingDesign
 from .model import assemble, closed_loop
-from .spectrum import SpectralData, closed_loop_audit, components, numerical_rank
+from .spectrum import components, multiset_error, numerical_rank
 
 
 @dataclass
@@ -25,7 +25,8 @@ class VerificationReport:
     full_state_dim: int
     obs_matrix_rank: int
     spectrum_match_error: float
-    preserved_vector_residuals: list
+    invariance_residual: float
+    gain_rank: int
     output_energy: float
     random_output_energy: float
     blocked_energy_bound: float
@@ -71,15 +72,30 @@ def observability_rank(A_cl: np.ndarray, C: np.ndarray,
     return lam.size - dark
 
 
-def preservation_audit(sd_open: SpectralData, design: BlockingDesign,
-                       A_cl: np.ndarray | None = None, eigenvalues=None):
-    """Spectrum multiset error and residuals of the preserved eigenvectors
-    (spectrum.closed_loop_audit); only indices the design claims as
-    preserved are audited for eigenvector retention."""
+def preservation_audit(design: BlockingDesign, A_cl: np.ndarray | None = None,
+                       tol: Tolerances = DEFAULT_TOLERANCES):
+    """Certificate from F's row space that A_cl = A + B F keeps A's
+    spectrum and every eigenvector F does not act on.
+
+    Y holds the r right singular vectors of F with sigma_k ||B|| above
+    preserved_residual * max(1, ||A||); the rest of F is backward error.
+    If null(Y^T) is A-invariant, A_cl equals A on it, so the spectra can
+    differ only on the r x r quotients Y^T A Y and Y^T A_cl Y, and no
+    Jordan chain inside null(F) is compared. Returns (quotient multiset
+    error, ||Y^T A - (Y^T A Y) Y^T|| / max(1, ||A||), r).
+    """
+    A, B, _ = assemble(design.network)
     if A_cl is None:
-        A, B, _ = assemble(design.network)
         A_cl = closed_loop(A, B, design.F)
-    return closed_loop_audit(sd_open, A_cl, design.preserved, eigenvalues)
+    scale = max(1.0, la.norm(A, 2))
+    _, sv, Vh = la.svd(design.F, full_matrices=False)
+    r = int((sv * la.norm(B, 2) > tol.preserved_residual * scale).sum())
+    Yt = Vh[:r]
+    YtA = Yt @ A
+    quotient = YtA @ Yt.T
+    rho = la.norm(YtA - quotient @ Yt, 2) / scale
+    err = multiset_error(la.eigvals(quotient), la.eigvals(Yt @ A_cl @ Yt.T))
+    return err, float(rho), r
 
 
 _STATE_OVERFLOW = 1e150   # state norm at which the horizon is cut short
@@ -191,10 +207,10 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     d = A.shape[0]
 
     rank = pbh_test(A_cl, C, design.lambda_p, tol)
-    # one eigensolve feeds both the dark-mode count and the multiset check
+    # one eigensolve feeds the dark-mode count and the energy shift
     eig = la.eig(A_cl)
     obs_rank = observability_rank(A_cl, C, tol, eig)
-    spec_err, residuals = preservation_audit(design.open_loop, design, A_cl, eig[0])
+    spec_err, rho, gain_rank = preservation_audit(design, A_cl, tol)
 
     x0 = np.real(design.v_hat)
     if np.linalg.norm(x0) < 1e-8:
@@ -220,18 +236,17 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     if d - obs_rank < blocked:
         reasons.append(f"observability rank {obs_rank} leaves {d - obs_rank} "
                        f"dark modes, fewer than the {blocked} blocked")
+    if rho > tol.preserved_residual:
+        reasons.append(f"null(F) invariance residual {rho:.3e} > "
+                       f"{tol.preserved_residual:g}")
     if spec_err > tol.spectrum_match:
-        reasons.append(f"spectrum multiset error {spec_err:.3e} > "
+        reasons.append(f"quotient spectrum multiset error {spec_err:.3e} > "
                        f"{tol.spectrum_match:g}")
-    bad = [r for r in residuals if r > tol.preserved_residual]
-    if bad:
-        reasons.append(f"{len(bad)} preserved eigenvectors exceed the "
-                       f"residual budget (worst {max(bad):.3e})")
     if energy > bound:
         reasons.append(f"blocked-state output energy {energy:.3e} > {bound:.3e}")
 
     return VerificationReport(
         pbh_rank_at_lambda=rank, full_state_dim=d, obs_matrix_rank=obs_rank,
-        spectrum_match_error=spec_err, preserved_vector_residuals=residuals,
+        spectrum_match_error=spec_err, invariance_residual=rho, gain_rank=gain_rank,
         output_energy=energy, random_output_energy=energy_rand,
         blocked_energy_bound=bound, verdict=not reasons, reasons=reasons)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -10,8 +11,9 @@ from obsblock.cli import main
 from obsblock.config import DesignOptions
 from obsblock.cutset import CutsetDesign, design_via_cutset
 from obsblock.designer import design_blocking
-from obsblock.model import assemble, load_network
+from obsblock.model import assemble, load_network, network_to_dict
 from obsblock.scenarios import fig2_din, generic_network, random_network
+from obsblock.spectrum import decompose
 from obsblock.verify import verify_design
 
 
@@ -139,6 +141,26 @@ class TestExitCodes:
         path.write_text(records.dumps(data))
         assert main(["verify", "--input", str(path)]) == 4
         assert "error: malformed design record" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("lambda_index", 2.7), ("lambda_index", True), ("measured_nodes", [1.9]),
+        ("preserved", [0, 1.0]), ("repaired", [False]), ("replaced", ["3"]),
+        ("v1", [1.5]), ("vcut", [True]), ("v2", [2.0]), ("permutation", [0.0])],
+        ids=["lambda_index-2.7", "lambda_index-true", "measured_nodes-1.9",
+             "preserved-1.0", "repaired-false", "replaced-string", "v1-1.5",
+             "vcut-true", "v2-2.0", "permutation-0.0"])
+    def test_non_integer_record_index_is_io_error(self, key, value, tmp_path,
+                                                  capsys):
+        data = records.design_to_dict(
+            design_via_cutset(fig2_din(seed=0), options=DesignOptions(seed=0)))
+        plan = data["cutset"]["plan"]
+        (plan if key in plan else data)[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(records.dumps(data))
+        assert main(["verify", "--input", str(path)]) == 4
+        err = capsys.readouterr().err
+        assert f"error: malformed design record: {key} value" in err
+        assert "is not an integer" in err
 
     @pytest.mark.parametrize("key, value", [
         ("from", 1.5), ("actuation", [1.9]), ("to", "1"), ("to", True),
@@ -327,8 +349,9 @@ class TestRecords:
 
     @pytest.mark.parametrize("kind", ["laplacian", "generic", "fig2-cutset"])
     def test_reloaded_spectral_data_is_the_designers(self, kind):
-        # the reader decomposes with right eigenvectors only; every field
-        # verification reads equals the designer's bit for bit
+        # the reader recomputes nothing: the reloaded design equals the
+        # designer's field by field, and the open-loop modal data of its
+        # network is the designer's bit for bit
         if kind == "laplacian":
             design = design_blocking(random_network(n=8, seed=3, m=2, q=4),
                                      DesignOptions(seed=3))
@@ -340,13 +363,23 @@ class TestRecords:
                                        options=DesignOptions(seed=2)).design
         loaded = records.design_from_dict(
             json.loads(records.dumps(records.design_to_dict(design))))
-        ours, theirs = design.open_loop, getattr(loaded, "design", loaded).open_loop
-        for name in ("eigenvalues", "raw_eigenvalues", "modal_matrix", "pairing",
-                     "matrix_norm"):
-            assert np.asarray(getattr(theirs, name)).tobytes() == \
-                np.asarray(getattr(ours, name)).tobytes(), name
-        assert ours.left_modal_matrix is not None and ours.defective is not None
-        assert theirs.left_modal_matrix is None and theirs.defective is None
+        loaded = getattr(loaded, "design", loaded)
+        for field in dataclasses.fields(design):
+            ours, theirs = getattr(design, field.name), getattr(loaded, field.name)
+            if field.name == "network":
+                ours, theirs = network_to_dict(ours), network_to_dict(theirs)
+            elif field.name == "gain":
+                ours, theirs = ours.matrix, theirs.matrix
+            if isinstance(ours, np.ndarray):
+                # equal values; a zero may come back with the other sign
+                assert ours.dtype == theirs.dtype, field.name
+                assert np.array_equal(ours, theirs), field.name
+            else:
+                assert ours == theirs, field.name
+        ours, theirs = (decompose(assemble(d.network)[0]) for d in (design, loaded))
+        for field in dataclasses.fields(ours):
+            assert np.asarray(getattr(theirs, field.name)).tobytes() == \
+                np.asarray(getattr(ours, field.name)).tobytes(), field.name
 
     def test_report_text_mentions_core_fields(self):
         net = random_network(n=6, seed=4, m=1, q=3)

@@ -170,19 +170,6 @@ class TestDecompose:
         A = block_matrix(blocks, seed, basis)
         assert spectral_bytes(decompose(A)) == spectral_bytes(reference_decompose(A))
 
-    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
-    @given(blocks=st.lists(_BLOCKS, min_size=1, max_size=8),
-           seed=st.integers(0, 2**16),
-           basis=st.sampled_from(["permutation", "orthogonal", "similar"]))
-    def test_right_only_keeps_every_right_field(self, blocks, seed, basis):
-        A = block_matrix(blocks, seed, basis)
-        full, right = decompose(A), decompose(A, right_only=True)
-        assert right.left_modal_matrix is None and right.defective is None
-        keep = lambda sd: [np.asarray(getattr(sd, f)).tobytes() for f in (
-            "eigenvalues", "raw_eigenvalues", "modal_matrix", "pairing",
-            "matrix_norm")]
-        assert keep(right) == keep(full)
-
     @pytest.mark.parametrize("make", [
         lambda: random_network(n=7, order=2, seed=1, m=1, q=3, density=0.4),
         lambda: random_network(n=6, seed=0, m=1, q=3, density=0.4,
@@ -443,10 +430,11 @@ class TestClosedLoopAudit:
         k = int(np.flatnonzero(mu.imag == 0.0)[0])
         v, w = V[:, k].real, W[:, k].real
         moved = A_cl + 1e-5 * np.outer(v, w) / (w @ v)
-        err, _ = closed_loop_audit(design.open_loop, moved, ())
+        sd = decompose(A)
+        err, _ = closed_loop_audit(sd, moved, ())
         assert err >= 1e-5 * (1 - 1e-6)
         assert err > DEFAULT_TOLERANCES.spectrum_match
-        assert closed_loop_audit(design.open_loop, A_cl, ())[0] \
+        assert closed_loop_audit(sd, A_cl, ())[0] \
             <= DEFAULT_TOLERANCES.spectrum_match
 
     @pytest.mark.parametrize("seed", range(3))

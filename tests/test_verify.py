@@ -13,8 +13,8 @@ from obsblock.graph import WeightedDigraph
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.scenarios import (cut_friendly_network, fig2_din, generic_network,
                                 random_network)
-from obsblock.spectrum import decompose, numerical_rank
-from obsblock import records, verify
+from obsblock.spectrum import closed_loop_audit, decompose, numerical_rank
+from obsblock import records, spectrum, verify
 from obsblock.verify import (observability_rank, output_energy, pbh_test,
                              preservation_audit, step_propagator, verify_design)
 
@@ -162,51 +162,116 @@ class TestObservabilityRank:
         assert not (np.linalg.norm(C @ V, axis=0) <= 1e-8).any()
 
     def test_verification_solves_the_closed_loop_once(self, monkeypatch):
+        # verifying the designer's design, or reading its record and
+        # verifying that, solves one d x d eigenproblem, la.eig of A_cl,
+        # and decomposes nothing; the other eigenvalue calls are the
+        # certificate's r x r quotients
         net = random_network(n=8, seed=14, m=2, q=4)
         design = design_blocking(net, DesignOptions(seed=14))
+        A, B, _ = assemble(net)
+        A_cl = closed_loop(A, B, design.F)
+        data = records.dumps(records.design_to_dict(design))
         calls = []
         for name in ("eig", "eigvals"):
             original = getattr(la, name)
 
-            def spy(*args, _original=original, _name=name, **kwargs):
-                calls.append(_name)
-                return _original(*args, **kwargs)
+            def spy(a, *args, _original=original, _name=name, **kwargs):
+                calls.append((_name, np.array(a)))
+                return _original(a, *args, **kwargs)
             monkeypatch.setattr(la, name, spy)
-        assert verify_design(design).verdict
-        assert calls == ["eig"]
+        for module in (records, spectrum):
+            original = module.decompose
+
+            def spy(*args, _original=original, **kwargs):
+                calls.append(("decompose", None))
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, "decompose", spy)
+        for load in (lambda: design,
+                     lambda: records.design_from_dict(json.loads(data))):
+            calls.clear()
+            report = verify_design(load())
+            assert report.verdict, report.reasons
+            r = report.gain_rank
+            assert [name for name, _ in calls] == ["eig", "eigvals", "eigvals"]
+            assert np.array_equal(calls[0][1], A_cl)
+            assert [a.shape for _, a in calls[1:]] == [(r, r)] * 2
 
 
 class TestPreservationAudit:
     def test_zero_gain_record_is_exact(self):
+        # A_cl = A leaves both quotients the same matrix
         net = random_network(n=6, seed=3, m=1, q=3)
         design = design_blocking(net, DesignOptions(seed=3))
         A, _, _ = assemble(net)
-        err, residuals = preservation_audit(design.open_loop, design, A_cl=A)
-        assert err < 1e-12
-        # snapped eigenpairs carry the snap budget as residual
-        assert max(residuals) < 1e-8 * max(1.0, design.open_loop.matrix_norm)
+        err, rho, r = preservation_audit(design, A_cl=A)
+        assert err == 0.0
+        assert rho < DEFAULT_TOLERANCES.preserved_residual
+        assert r == 1
 
     def test_fig2_design_preserves(self):
         net = fig2_din(seed=9)
         result = design_via_cutset(net, options=DesignOptions(seed=9))
-        err, residuals = preservation_audit(result.design.open_loop, result.design)
+        err, rho, r = preservation_audit(result.design)
         assert err < 1e-6
-        assert max(residuals, default=0.0) < 1e-6
+        assert rho < 1e-6
+        assert r >= 1
 
-    def test_designer_postconditions_are_the_same_audit(self):
-        net = random_network(n=7, seed=17, m=1, q=3)
-        design = design_blocking(net, DesignOptions(seed=17))
-        err, residuals = preservation_audit(design.open_loop, design)
-        assert err == design.residuals["spectrum_match"]
-        assert residuals == design.residuals["preserved"]
+    def test_certificate_passes_the_designers_gains(self):
+        # F = Z V^-1 acts only on the replaced and repaired columns, so
+        # its row space has their count as dimension, and the designer's
+        # own postconditions and the certificate both pass
+        tol = DEFAULT_TOLERANCES
+        for make, seed in ((random_network, 17), (random_network, 14),
+                           (generic_network, 2), (generic_network, 11)):
+            design = design_blocking(make(n=7, seed=seed, m=1, q=3),
+                                     DesignOptions(seed=seed))
+            err, rho, r = preservation_audit(design)
+            assert design.residuals["spectrum_match"] <= tol.spectrum_match
+            assert err <= tol.spectrum_match and rho <= tol.preserved_residual
+            assert r == len(design.replaced) + len(design.repaired), seed
 
     def test_repaired_columns_not_audited(self):
+        # the certificate reads F and the network, no claimed column index
         net = random_network(n=7, seed=17, m=1, q=3)
         design = design_blocking(net, DesignOptions(seed=17))
         assert set(design.preserved).isdisjoint(design.repaired)
         assert set(design.preserved).isdisjoint(design.replaced)
-        _, residuals = preservation_audit(design.open_loop, design)
-        assert len(residuals) == len(design.preserved)
+        audit = preservation_audit(design)
+        design.preserved = design.repaired = design.replaced = ()
+        assert preservation_audit(design) == audit
+
+    def test_entry_off_by_a_thousandth_fails_on_invariance(self):
+        # F.flat[11] + 1e-3 max|F| keeps the raw open/closed-loop checks
+        # inside budget (multiset 9.3e-7, preserved residuals 2.5e-7), but
+        # null(F) is no longer A-invariant
+        net = generic_network(12, 2, density=0.4, seed=3, m=1)
+        design = design_blocking(net, DesignOptions())
+        assert verify_design(design).verdict
+        design.gain.matrix.flat[11] += 1e-3 * np.abs(design.F).max()
+        A, B, _ = assemble(net)
+        err, residuals = closed_loop_audit(decompose(A), closed_loop(A, B, design.F),
+                                           design.preserved)
+        assert err <= DEFAULT_TOLERANCES.spectrum_match
+        assert max(residuals) <= DEFAULT_TOLERANCES.preserved_residual
+        report = verify_design(design)
+        assert not report.verdict
+        assert report.gain_rank == 2
+        assert report.invariance_residual == pytest.approx(0.146, abs=1e-3)
+        assert any(r.startswith("null(F) invariance residual")
+                   for r in report.reasons), report.reasons
+
+    def test_zero_gain_certifies_nothing_and_fails_on_darkness(self):
+        # F = 0 keeps the spectrum trivially; the mode it leaves visible
+        # fails the PBH, dark-mode and energy oracles (a loop whose open
+        # loop hides the mode already, as in the ring above, passes)
+        net = generic_network(12, 2, density=0.4, seed=3, m=1)
+        design = design_blocking(net, DesignOptions())
+        design.gain.matrix[:] = 0.0
+        assert preservation_audit(design) == (0.0, 0.0, 0)
+        report = verify_design(design)
+        assert not report.verdict and report.gain_rank == 0
+        assert [r.split()[0] for r in report.reasons] == ["PBH", "observability",
+                                                          "blocked-state"]
 
 
 class TestVerifyDesignOutput:
