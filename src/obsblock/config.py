@@ -15,7 +15,8 @@ class Tolerances:
     """Numerical thresholds used across the pipeline.
 
     Relative tolerances scale with the norm of the matrix they gate
-    unless noted otherwise.
+    unless noted otherwise. Eigenvalue clusters take no width: they are
+    overlapping perturbation disks (spectrum.SpectralData).
 
     Attributes
     ----------
@@ -23,8 +24,6 @@ class Tolerances:
         Relative singular-value cutoff for PBH verdicts.
     snap_imag : float
         Imaginary parts below snap_imag * ||A|| are snapped to real.
-    cluster : float
-        Relative eigenvalue clustering width for defectiveness checks.
     spectrum_match : float
         Allowed eigenvalue multiset deviation, open against closed loop
         (designer) or on the quotient by null(F) (verifier).
@@ -51,7 +50,6 @@ class Tolerances:
 
     rank_decision: float = 1e-12
     snap_imag: float = 1e-8
-    cluster: float = 1e-7
     spectrum_match: float = 1e-6
     realness: float = 1e-9
     lg_margin: float = 1e-6

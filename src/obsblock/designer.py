@@ -23,7 +23,7 @@ from .errors import (ControllabilityError, DegenerateCandidateError,
                      InvalidInputError, NoEligibleEigenvalueError,
                      NotAnEigenvalueError, RepairFailureError)
 from .model import FeedbackGain, IntegratorNetwork, assemble
-from .spectrum import (SpectralData, closed_loop_audit, components, decompose,
+from .spectrum import (SpectralData, closed_loop_audit, decompose,
                        match_eigenvalue, numerical_rank, rank_cutoff)
 
 _EPS = np.finfo(float).eps
@@ -165,15 +165,15 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
       so sigma_{d-1}(M') >= 1 / ||S(z)|| - rho. The triangle inequality
       bounds ||S(z)|| by sum_j kappa_j / |lambda_j - z|, with
       kappa_j = 1 / |w_j^* v_j|.
-    * Clusters. Eigenvalue j is known to its first-order perturbation disk
-      of radius kappa_j eta_j, eta_j the larger of its right and left
-      residuals, and its distance to z shrinks by that radius. Eigenvalues
-      whose disks overlap form a cluster. Its eigenvectors are each
-      ill-determined (the structural zero Jordan chain of a Laplacian
-      network has kappa near 1e7 and more), but its block of S(z),
-      V_C diag(1 / (w_j^* v_j (lambda_j - z))) W_C^*, is not: its norm is
-      that of R_V diag(...) R_W^* for the QR factors of V_C and W_C. A
-      class inside a cluster gets bound 0 and always goes to the pencil.
+    * Clusters. Eigenvalue j is known to its perturbation disk (sd.radius),
+      and its distance to z shrinks by that radius. The eigenvectors of a
+      cluster of overlapping disks (sd.cluster; the zero Jordan chain of a
+      Laplacian network has kappa near 1e7 and more) are ill-determined,
+      but its block of S(z), V_C diag(kappa_j / (lambda_j - z)) W_C^*
+      (w_j^* v_j = 1 / kappa_j), is not: its norm is that of
+      R_V diag(...) R_W^* for the QR factors of V_C and W_C. A class in
+      a cluster gets bound 0 and always goes to the pencil. rho is at
+      most the disk's residual radius / kappa plus the snap |z - mu|.
     * Cutoff. sigma_max([P(z), Bhat]) <= sbar = |z|^N
       + sum_k |z|^k ||L_k||_F + ||Bhat||. Forming P(z) by Horner and the
       SVD move its singular values by at most
@@ -187,28 +187,12 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
     """
     n, N, q = network.n, network.order, network.q
     V, W = sd.modal_matrix, sd.left_modal_matrix
-    mu = sd.raw_eigenvalues
+    mu, kappa, radius = sd.raw_eigenvalues, sd.kappa, sd.radius
     classes = _conjugate_classes(sd.eigenvalues, tol)
     z = sd.eigenvalues[classes]
+    single = sd.isolated
 
-    # A V and A^T W from the companion blocks: identity above the
-    # diagonal, -L_k in the last block row
-    stack = np.hstack(network.laplacians)
-    AV = np.vstack([V[n:], -stack @ V])
-    ATW = -stack.T @ W[-n:]
-    ATW[n:] += W[:-n]
-    eta = np.maximum(np.linalg.norm(AV - V * mu, axis=0),
-                     np.linalg.norm(ATW - W * mu.conj(), axis=0))
-    gram = (W.conj() * V).sum(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kappa = 1.0 / np.abs(gram)
-        radius = np.where(np.isfinite(kappa), kappa * eta, np.inf)
-    overlap = np.abs(mu[:, None] - mu[None, :]) <= radius[:, None] + radius[None, :]
-    label = components(overlap)
-    size = np.bincount(label)
-    single = size[label] == 1
-
-    # ||S(z)|| per singleton class: triangle sum over singletons, exact
+    # ||S(z)|| per isolated class: triangle sum over isolated disks, exact
     # block norm per cluster
     cand = np.flatnonzero(single[classes])
     i, zc = classes[cand], z[cand]
@@ -217,14 +201,14 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
     with np.errstate(divide="ignore", invalid="ignore"):
         resolvent = np.where(others, np.where(gap > 0, kappa / gap, np.inf),
                              0.0).sum(axis=1)
-    for c in np.flatnonzero(size > 1):
-        C = np.flatnonzero(label == c)
+    for c in np.unique(sd.cluster[~single]):
+        C = np.flatnonzero(sd.cluster == c)
         if not np.isfinite(kappa[C]).all():
             resolvent[:] = np.inf      # no eigenbasis: nothing to certify
             break
         RV = np.linalg.qr(V[:, C], mode="r")
         RW = np.linalg.qr(W[:, C], mode="r")
-        scale = 1.0 / (gram[C][None, :] * (mu[C][None, :] - zc[:, None]))
+        scale = kappa[C][None, :] / (mu[C][None, :] - zc[:, None])
         block = (RV[None] * scale[:, None, :]) @ RW.conj().T
         resolvent += np.linalg.norm(block, 2, axis=(1, 2))
 
@@ -233,7 +217,7 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
     # Bhat has one unit column per actuator: ||Bhat||^2 is the largest
     # number of actuators on one node
     c2 = float(np.bincount(network.actuation).max()) if q else 0.0
-    rho = np.linalg.norm(ATW[:, i] - W[:, i] * zc.conj(), axis=0)
+    rho = radius[i] / kappa[i] + np.abs(zc - mu[i])
     with np.errstate(divide="ignore"):
         s = 1.0 / resolvent - rho
     bound = np.zeros(classes.size)
@@ -610,11 +594,13 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
 
     Default policy: the first usable candidate in the order real
     eigenvalues by (|lambda|, index), then upper-half conjugate pairs by
-    (|lambda|, index). A candidate is usable when it is nonzero, its
-    cluster is non-defective, it is not a snapped pair and it passes
-    `eligible` when given; `eligible` is called only until the first
-    usable candidate is found. Explicit index/value overrides skip
-    these screens.
+    (|lambda|, index). A candidate is usable when it is nonzero, it is
+    not a snapped pair, it passes `eligible` when given (called only
+    until the first usable candidate) and its cluster of overlapping
+    perturbation disks is one eigenvalue: all within lambda_match *
+    max(1, |lambda|), as a lone disk or the copies of a repeated
+    eigenvalue are and a scattered Jordan chain is not. Explicit
+    index/value overrides skip these screens.
     """
     tol = options.tolerances
     sel = options.lambda_selection
@@ -631,10 +617,13 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
                 f"{complex(sel[1]):.6g} is not an open-loop eigenvalue "
                 f"(match tolerance {tol.lambda_match:g} relative)")
     elif sel == "default":
+        mu = sd.raw_eigenvalues
+
         def usable(i):
-            if sd.defective[i] or abs(sd.eigenvalues[i]) <= screen:
+            if abs(sd.eigenvalues[i]) <= screen or sd.is_vector_paired(i):
                 return False
-            if sd.is_vector_paired(i):
+            spread = np.abs(mu[sd.cluster == sd.cluster[i]] - mu[i]).max()
+            if spread > tol.lambda_match * max(1.0, abs(mu[i])):
                 return False
             return eligible is None or eligible(sd.eigenvalues[i], i)
 
@@ -644,7 +633,7 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
         p = next((i for i in walk if usable(i)), None)
         if p is None:
             raise NoEligibleEigenvalueError(
-                "no non-defective eigenvalue satisfies the selection policy")
+                "no usable eigenvalue satisfies the selection policy")
     else:
         raise InvalidInputError(f"bad lambda selection {sel!r}")
 

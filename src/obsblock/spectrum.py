@@ -1,11 +1,12 @@
-"""Eigendecomposition with conjugate pairing and defectiveness flags.
+"""Eigendecomposition with conjugate pairing and perturbation disks.
 
 The modal data is canonicalized so downstream modal replacement is
 deterministic: eigenvalues sorted by (real, imag), near-real values
 snapped, columns phase-fixed, and the column set made exactly
-self-conjugate by construction. The numerical-rank and eigenvalue
-multiset primitives shared by the designer and the verifier live here
-too, so both sides decide with the same rule.
+self-conjugate by construction. Overlapping first-order perturbation
+disks form the clusters that both the PBH screen and the choice of
+lambda_p read. The numerical-rank and eigenvalue multiset primitives
+shared by the designer and the verifier live here too.
 """
 
 from __future__ import annotations
@@ -31,6 +32,14 @@ class SpectralData:
     left_modal_matrix holds the unit left eigenvectors, column i for
     eigenvalue i (w_i^* A = lambda_i w_i^*), sorted and paired like
     modal_matrix.
+
+    Column i has the first-order perturbation disk of radius[i] =
+    kappa[i] * eta_i about its raw eigenvalue mu_i: kappa[i] =
+    1 / |w_i^* v_i| (inf, and the radius too, when that vanishes) and
+    eta_i the larger of ||A v_i - mu_i v_i|| and ||A^T w_i - conj(mu_i) w_i||.
+    cluster labels the components of overlapping disks, whose members
+    cannot be told apart: a Jordan chain scattered by roundoff, or the
+    copies of a repeated eigenvalue.
     """
 
     eigenvalues: np.ndarray
@@ -38,7 +47,9 @@ class SpectralData:
     modal_matrix: np.ndarray
     left_modal_matrix: np.ndarray
     pairing: np.ndarray
-    defective: np.ndarray
+    kappa: np.ndarray
+    radius: np.ndarray
+    cluster: np.ndarray
     matrix_norm: float
 
     @property
@@ -50,6 +61,11 @@ class SpectralData:
 
     def all_real(self) -> bool:
         return bool((self.eigenvalues.imag == 0.0).all())
+
+    @property
+    def isolated(self) -> np.ndarray:
+        """True for the columns whose disk is alone in its cluster."""
+        return np.bincount(self.cluster)[self.cluster] == 1
 
     def is_vector_paired(self, i: int) -> bool:
         """Distinct conjugate partner despite a real eigenvalue (snapped pair)."""
@@ -63,15 +79,16 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     back-substitution (about 15 % of the solve) and leave the eigenvalues
     and right eigenvectors bit-identical. Right columns are unit 2-norm with
     canonical phase (first entry above 1e-8 of the largest made real
-    positive), left columns unit 2-norm. Imaginary parts of
+    positive), left columns unit 2-norm with w^* v real and non-negative,
+    so that it is 1 / kappa. Imaginary parts of
     eigenvalues below snap_imag * ||A|| are snapped to zero. Conjugate
     pairs come from the solver: LAPACK's xGEEV returns each complex pair
     in adjacent columns, positive imaginary part first, as exact
     conjugates, and that pairing is carried through the sort. Snapped
     pairs are mated by _pair_snapped. Partners are overwritten with
     exact conjugates of the phase-fixed leading column, left and right,
-    so both sets are self-conjugate. Defective clusters are flagged,
-    never fatal here.
+    so both sets are self-conjugate. The disks come last, from the final
+    columns; a cluster is reported, never fatal here.
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
@@ -109,9 +126,21 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     V[:, pairing[mated]] = V[:, mated].conj()
     W[:, pairing[mated]] = W[:, mated].conj()
 
+    gram = (W.conj() * V).sum(axis=0)
+    modulus = np.abs(gram)
+    W[:, modulus > 0] *= gram[modulus > 0] / modulus[modulus > 0]
+    AV = (A @ np.ascontiguousarray(V).view(float)).view(complex)
+    ATW = (A.T @ np.ascontiguousarray(W).view(float)).view(complex)
+    eta = np.maximum(np.linalg.norm(AV - V * raw, axis=0),
+                     np.linalg.norm(ATW - W * raw.conj(), axis=0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kappa = 1.0 / modulus
+        radius = np.where(np.isfinite(kappa), kappa * eta, np.inf)
+    cluster = components(np.abs(raw[:, None] - raw[None, :])
+                         <= radius[:, None] + radius[None, :])
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
-                        left_modal_matrix=W, pairing=pairing,
-                        defective=_flag_defective(A, lam, tol), matrix_norm=nrm)
+                        left_modal_matrix=W, pairing=pairing, kappa=kappa,
+                        radius=radius, cluster=cluster, matrix_norm=nrm)
 
 
 def _pair_snapped(lam, V, pairing, match, realness) -> None:
@@ -208,31 +237,6 @@ def components(adjacent: np.ndarray) -> np.ndarray:
     whose edges are the true entries of the square boolean matrix
     `adjacent`; an edge joins its ends whichever way it points."""
     return connected_components(adjacent, connection="weak")[1]
-
-
-def _flag_defective(A, lam, tol):
-    """Compare numerical rank of A - lam*I against algebraic multiplicity.
-
-    Clusters are chains of pairwise gaps within cluster * max(1, max |lam|)
-    (components), whatever sorts between their members.
-    """
-    d = lam.size
-    flags = np.zeros(d, dtype=bool)
-    if d == 0:
-        return flags
-    width = tol.cluster * max(1.0, np.abs(lam).max())
-    label = components(np.abs(lam[:, None] - lam[None, :]) <= width)
-    size = np.bincount(label, minlength=d)
-    for c in np.flatnonzero(size > 1):
-        members = label == c
-        M = A - lam[members].mean() * np.eye(d)
-        sv = la.svdvals(M)
-        # defectiveness gap sits well above roundoff; use a safety factor
-        cutoff = max(rank_cutoff(sv[0], M.shape, None), 1e3 * _EPS * sv[0])
-        geo = d - int((sv > cutoff).sum())
-        if geo < size[c]:
-            flags[members] = True
-    return flags
 
 
 def check_stacked_structure(sd: SpectralData, n: int, N: int) -> float:

@@ -18,12 +18,12 @@ from obsblock.designer import (NullspaceBundle, _conjugate_classes,
                                select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
                              InvalidInputError, NoEligibleEigenvalueError,
-                             NotAnEigenvalueError)
+                             NotAnEigenvalueError, ObsBlockError)
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.graph import WeightedDigraph
 from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose, numerical_rank
-from obsblock.verify import pbh_test
+from obsblock.verify import pbh_test, verify_design
 
 
 def qr_rank(M):
@@ -369,11 +369,18 @@ class TestUntargetedModesKeepRank:
 def two_pass_default(sd, tol, eligible):
     """Reference default policy: screen every candidate, then take the
     smallest usable real eigenvalue, else the smallest usable upper-half
-    pair, both by (|lambda|, index); None when nothing is usable."""
+    pair, both by (|lambda|, index); None when nothing is usable. A
+    candidate whose disk overlaps another is usable only when every
+    eigenvalue of its cluster is a copy of it (within lambda_match)."""
     screen = tol.lambda_match * max(1.0, sd.matrix_norm)
+    mu = sd.raw_eigenvalues
+
+    def one_eigenvalue(i):
+        return all(abs(mu[j] - mu[i]) <= tol.lambda_match * max(1.0, abs(mu[i]))
+                   for j in range(sd.dim) if sd.cluster[j] == sd.cluster[i])
 
     def usable(i):
-        if sd.defective[i] or abs(sd.eigenvalues[i]) <= screen:
+        if not one_eigenvalue(i) or abs(sd.eigenvalues[i]) <= screen:
             return False
         if sd.is_vector_paired(i):
             return False
@@ -387,8 +394,20 @@ def two_pass_default(sd, tol, eligible):
     return min(pairs, key=key) if pairs else None
 
 
+def equal_ring(n=7):
+    """Equal weights on an undirected ring: every nonzero eigenvalue is a
+    repeated pair, two overlapping disks of one eigenvalue."""
+    edges = []
+    for i in range(1, n + 1):
+        j = i % n + 1
+        edges += [(i, j, (1.0, 0.5)), (j, i, (1.0, 0.5))]
+    return IntegratorNetwork.from_graph(WeightedDigraph(n=n, edges=tuple(edges)),
+                                        (1, 2, 3), (n,))
+
+
 WALK_NETWORKS = {
     "laplacian directed order 2": lambda: random_network(n=6, seed=1, m=1, q=3),
+    "laplacian ring order 2": equal_ring,
     "laplacian undirected order 3": lambda: random_network(
         n=5, order=3, seed=2, m=1, q=3, undirected=True, overdamped=True),
     "generic order 2": lambda: generic_network(n=6, seed=2, m=1, q=3),
@@ -405,7 +424,9 @@ class TestSelectLambdaWalk:
     def test_networks_have_real_and_complex_candidates(self):
         spectra = [walk_spectrum(name) for name in WALK_NETWORKS]
         assert any(not sd.all_real() for sd in spectra)
-        assert any(sd.defective.any() for sd in spectra)
+        assert any(not sd.isolated.all() for sd in spectra)
+        ring = walk_spectrum("laplacian ring order 2")
+        assert not ring.isolated.any()
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(st.data())
@@ -430,6 +451,39 @@ class TestSelectLambdaWalk:
             assert all(key(i) <= key(expected) for i in calls)
             assert calls[-1] == expected
         assert len(calls) == len(set(calls))
+
+    @pytest.mark.parametrize("order", [3, 4])
+    @pytest.mark.parametrize("s", range(20))
+    def test_small_laplacian_draws_verify_or_raise(self, order, s):
+        # the zero Jordan chain of an order-3 or order-4 Laplacian network
+        # scatters into eigenvalues of magnitude 1e-6 to 1e-4 with
+        # overlapping disks; a default lambda_p there (order 3, s = 0, 16;
+        # order 4, s = 0, 4, 5, 10, 12, 13, 14, 19) left the closed loop
+        # with no dark mode
+        assert_verifies_or_raises(
+            random_network(5 + s % 8, order, density=0.4, seed=s, m=1 + s % 2))
+
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_critically_damped_complete_graphs_verify_or_raise(self, n):
+        # weights (1, 2/sqrt(n)) give the Laplacian eigenvalue n the double
+        # root -sqrt(n): a defective cluster about 1e-8 wide, inside
+        # lambda_match, that the default walk may take
+        w = (1.0, 2.0 / np.sqrt(n))
+        edges = tuple((i, j, w) for i in range(1, n + 1) for j in range(1, n + 1)
+                      if i != j)
+        assert_verifies_or_raises(IntegratorNetwork.from_graph(
+            WeightedDigraph(n=n, edges=edges), tuple(range(1, n)), (n,)))
+
+
+def assert_verifies_or_raises(net):
+    """A default design either passes verify_design or raises a typed
+    error; it never comes back unverified."""
+    try:
+        design = design_blocking(net, DesignOptions())
+    except ObsBlockError:
+        return
+    report = verify_design(design)
+    assert report.verdict, report.reasons
 
 
 def full_pencil_uncontrollable(network, eigenvalues, tol=DEFAULT_TOLERANCES):

@@ -14,7 +14,7 @@ from obsblock.config import DesignOptions
 from obsblock.designer import design_blocking
 from obsblock.spectrum import (SpectralData, check_stacked_structure,
                                closed_loop_audit, components, decompose,
-                               match_eigenvalue, multiset_error, rank_cutoff)
+                               match_eigenvalue, multiset_error)
 
 from conftest import random_digraph
 
@@ -39,39 +39,44 @@ def _reference_phase(v):
     return v * np.exp(-1j * np.angle(v[idx]))
 
 
-def _reference_flag_defective(A, lam, tol):
-    d = lam.size
-    scale = max(1.0, np.abs(lam).max()) if d else 1.0
-    width = tol.cluster * scale
-    # clusters are chains of pairwise gaps within width, grown breadth-first
-    clusters, seen = [], set()
+def _reference_disks(A, raw, V, W):
+    """First-order perturbation disks and their clusters, one column and
+    one pair of columns at a time; phases W in place so that w^* v > 0.
+    The two residual products are decompose's, so that a disk on the
+    edge of touching another decides the same way."""
+    d = raw.size
+    gram = np.array([(W[:, i].conj() * V[:, i]).sum() for i in range(d)])
+    size = np.abs(gram)
+    kappa = np.full(d, np.inf)
+    for i in np.flatnonzero(size > 0.0):
+        W[:, i] *= gram[i] / size[i]
+        kappa[i] = 1.0 / size[i]
+    AV = (A @ np.ascontiguousarray(V).view(float)).view(complex)
+    ATW = (A.T @ np.ascontiguousarray(W).view(float)).view(complex)
+    eta = np.maximum(np.linalg.norm(AV - V * raw, axis=0),
+                     np.linalg.norm(ATW - W * raw.conj(), axis=0))
+    radius = np.array([kappa[i] * eta[i] if np.isfinite(kappa[i]) else np.inf
+                       for i in range(d)])
+    # clusters grown breadth-first over overlapping disks
+    label = np.full(d, -1)
+    count = 0
     for start in range(d):
-        if start in seen:
+        if label[start] >= 0:
             continue
-        cluster, seen = [start], seen | {start}
-        for i in cluster:
-            near = [j for j in range(d)
-                    if j not in seen and abs(lam[j] - lam[i]) <= width]
-            cluster.extend(near)
-            seen.update(near)
-        clusters.append(sorted(cluster))
-    flags = np.zeros(d, dtype=bool)
-    for cluster in clusters:
-        if len(cluster) < 2:
-            continue
-        center = np.mean([lam[i] for i in cluster])
-        M = A - center * np.eye(d)
-        sv = la.svdvals(M)
-        cutoff = max(rank_cutoff(sv[0], M.shape, None),
-                     1e3 * np.finfo(float).eps * sv[0])
-        if d - int((sv > cutoff).sum()) < len(cluster):
-            flags[cluster] = True
-    return flags
+        label[start] = count
+        queue = [start]
+        for i in queue:
+            for j in range(d):
+                if label[j] < 0 and abs(raw[i] - raw[j]) <= radius[i] + radius[j]:
+                    label[j] = count
+                    queue.append(j)
+        count += 1
+    return kappa, radius, label
 
 
 def reference_decompose(A, tol=DEFAULT_TOLERANCES):
-    """decompose with its pairing, realification, phase and clustering
-    steps as per-column Python loops."""
+    """decompose with its pairing, realification, phase and disk steps as
+    per-column Python loops."""
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
     lam, W, V = la.eig(A, left=True)
@@ -116,16 +121,20 @@ def reference_decompose(A, tol=DEFAULT_TOLERANCES):
             V[:, i] = _reference_phase(V[:, i])
             V[:, j] = V[:, i].conj()
             W[:, j] = W[:, i].conj()
+    kappa, radius, cluster = _reference_disks(A, raw, V, W)
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
-                        left_modal_matrix=W, pairing=pairing,
-                        defective=_reference_flag_defective(A, lam, tol),
-                        matrix_norm=nrm)
+                        left_modal_matrix=W, pairing=pairing, kappa=kappa,
+                        radius=radius, cluster=cluster, matrix_norm=nrm)
 
 
-def spectral_bytes(sd):
-    return [np.asarray(getattr(sd, f)).tobytes() for f in (
-        "eigenvalues", "raw_eigenvalues", "modal_matrix", "left_modal_matrix",
-        "pairing", "defective", "matrix_norm")]
+def assert_matches_reference(sd, A):
+    """Every field of decompose bit for bit against reference_decompose."""
+    ref = reference_decompose(A)
+    for f in ("eigenvalues", "raw_eigenvalues", "modal_matrix",
+              "left_modal_matrix", "pairing", "kappa", "radius", "matrix_norm"):
+        assert np.asarray(getattr(sd, f)).tobytes() \
+            == np.asarray(getattr(ref, f)).tobytes(), f
+    assert np.array_equal(sd.cluster, ref.cluster)
 
 
 # block kinds: a real eigenvalue, a rotation block a +- bi (repeats give
@@ -168,7 +177,7 @@ class TestDecompose:
            basis=st.sampled_from(["permutation", "orthogonal", "similar"]))
     def test_matches_the_per_column_loops_bit_for_bit(self, blocks, seed, basis):
         A = block_matrix(blocks, seed, basis)
-        assert spectral_bytes(decompose(A)) == spectral_bytes(reference_decompose(A))
+        assert_matches_reference(decompose(A), A)
 
     @pytest.mark.parametrize("make", [
         lambda: random_network(n=7, order=2, seed=1, m=1, q=3, density=0.4),
@@ -180,13 +189,13 @@ class TestDecompose:
         lambda: fig2_din(seed=0, order=3)])
     def test_network_matrices_match_the_per_column_loops(self, make):
         A, _, _ = assemble(make())
-        assert spectral_bytes(decompose(A)) == spectral_bytes(reference_decompose(A))
+        assert_matches_reference(decompose(A), A)
 
     def test_repeated_rotations_and_snapped_pairs_take_their_branches(self):
         A = block_matrix([("rotation", 0.5, 1.0)] * 3 + [("snapped", 0.0, 1e-10)]
                          + [("real", -1.0, 0.0)] * 2, seed=5, basis="orthogonal")
         sd = decompose(A)
-        assert spectral_bytes(sd) == spectral_bytes(reference_decompose(A))
+        assert_matches_reference(sd, A)
         # every row of 0.5 + 1i sees all three columns of 0.5 - 1i
         pos = np.flatnonzero(sd.eigenvalues.imag > 0)
         neg = np.flatnonzero(sd.eigenvalues.imag < 0)
@@ -209,26 +218,43 @@ class TestDecompose:
         lam = np.array([1 + 1j * split, 1 - 1j * split, 1 + delta])
         A = (V @ np.diag(lam) @ la.inv(V)).real
         sd = decompose(A)
-        assert spectral_bytes(sd) == spectral_bytes(reference_decompose(A))
+        assert_matches_reference(sd, A)
         assert list(sd.pairing) == [1, 0, 2]
         assert not sd.modal_matrix[:, 0].imag.any()
 
-    def test_jordan_block_flagged_defective(self):
+    def test_jordan_block_halves_share_a_cluster(self):
+        # both eigenvectors are (up to roundoff) e1 and both left ones e2:
+        # w^* v vanishes, and the disks of the two zeros touch
         sd = decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert sd.dim == 2
         assert np.abs(sd.eigenvalues).max() < 1e-12
-        assert sd.defective.all()
+        assert sd.kappa.min() > 1e15
+        assert sd.cluster[0] == sd.cluster[1]
+        assert not sd.isolated.any()
 
-    def test_jordan_pair_split_by_a_rotation_pair_is_flagged(self):
+    def test_jordan_pair_split_by_a_rotation_pair_shares_a_cluster(self):
         # the Jordan pair at -0.5 splits by about 1e-8 in the real part,
         # so the rotation pair -0.5 +- 1i sorts between its halves; the
-        # cluster is the chain of pairwise gaps, not of sorted neighbours
+        # halves' disks overlap, the rotation pair's stay apart
         A = block_matrix([("rotation", -0.5, 1.0), ("jordan", -0.5, 1.0)],
                          seed=0, basis="similar")
         sd = decompose(A)
         jordan = np.abs(sd.eigenvalues.imag) < 0.5
         assert jordan.sum() == 2
-        assert list(sd.defective) == list(jordan)
+        assert len(set(sd.cluster[jordan])) == 1
+        assert list(sd.isolated) == list(~jordan)
+        assert sd.kappa[jordan].min() > 1e6 > 10 > sd.kappa[~jordan].max()
+
+    def test_well_conditioned_pair_closer_than_1e_7_is_isolated(self):
+        # a symmetric matrix with eigenvalues 1 and 1 + 1e-9: kappa is 1
+        # and the disks are roundoff-sized, so the pair is two eigenvalues
+        # (a clustering width of 1e-7 called it one, and defective)
+        Q = la.qr(np.random.default_rng(0).standard_normal((3, 3)))[0]
+        A = Q @ np.diag([1.0, 1.0 + 1e-9, -2.0]) @ Q.T
+        sd = decompose(A)
+        assert np.allclose(sd.kappa, 1.0)
+        assert sd.radius.max() < 1e-14
+        assert sd.isolated.all()
 
     def test_undamped_symmetric_modes_on_imaginary_axis(self, rng):
         # zero velocity coupling: eigenvalues come in +-i*sqrt(mu) pairs
@@ -266,7 +292,7 @@ class TestDecompose:
         net = generic_network(n=7, seed=3, m=2, q=4)
         A, _, _ = assemble(net)
         sd = decompose(A)
-        assert not sd.defective.any()
+        assert sd.isolated.all()
         recon = sd.modal_matrix @ np.diag(sd.eigenvalues) @ la.inv(sd.modal_matrix)
         assert la.norm(recon - A, 2) <= 1e-7 * la.norm(A, 2)
 

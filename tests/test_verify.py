@@ -34,12 +34,13 @@ class TestPbh:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_agrees_with_observability_matrix_oracle(self, seed):
-        # non-defective generic instances: aggregated PBH verdict must
-        # match the dark-mode count's verdict, open and closed loop
+        # generic instances whose perturbation disks are all isolated:
+        # aggregated PBH verdict must match the dark-mode count's verdict,
+        # open and closed loop
         net = generic_network(n=6, seed=seed, m=1, q=3)
         A, B, C = assemble(net)
         sd = decompose(A)
-        assert not sd.defective.any()
+        assert sd.isolated.all()
         d = 2 * net.n
 
         def pbh_unobservable(M):
