@@ -27,9 +27,6 @@ class Tolerances:
     spectrum_match : float
         Allowed eigenvalue multiset deviation, open against closed loop
         (designer) or on the quotient by null(F) (verifier).
-    realness : float
-        Relative imaginary magnitude under which an eigenvector of a
-        snapped real eigenvalue counts as real (spectrum._pair_snapped).
     lg_margin : float
         The L_g condition demands margin > lg_margin * (1 + ||L_g||).
     zero_pattern : float
@@ -51,7 +48,6 @@ class Tolerances:
     rank_decision: float = 1e-12
     snap_imag: float = 1e-8
     spectrum_match: float = 1e-6
-    realness: float = 1e-9
     lg_margin: float = 1e-6
     zero_pattern: float = 1e-8
     preserved_residual: float = 1e-6

@@ -441,14 +441,13 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     failed = []     # units the greedy subset leaves out, in greedy order
     # Step 5: does the plain swap keep a basis? The realified modal matrix
     # decides, and its singular values give cond_V too; a V that does not
-    # realify, or realifies rank deficient, is judged on V itself
+    # realify, or realifies rank deficient, goes to the greedy subset
     try:
         Vr, Zr = _realify(V, Z, pairing)
         sv = la.svdvals(Vr)
     except IllConditionedDesignError:
         sv = None
-    if ((sv is not None and (sv > rank_cutoff(sv[0], Vr.shape, None)).all())
-            or numerical_rank(V) == d):
+    if sv is not None and (sv > rank_cutoff(sv[0], Vr.shape, None)).all():
         preserved = [i for i in range(d) if i not in replaced]
     else:
         # Steps 7-9: greedy self-conjugate independent subset, candidates

@@ -25,7 +25,7 @@ from .verify import VerificationReport
 
 FORMAT = "obsblock-design/3"
 # /1 records also carried the designer's modal matrices (h_p, z_p, V, Z),
-# and /1 and /2 records a gain realness residual that was always 0.0;
+# and /1 and /2 records a residual of the gain's imaginary part, always 0.0;
 # they load through the same path and those keys are ignored.
 READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", FORMAT)
 

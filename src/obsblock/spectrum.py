@@ -2,11 +2,11 @@
 
 The modal data is canonicalized so downstream modal replacement is
 deterministic: eigenvalues sorted by (real, imag), near-real values
-snapped, columns phase-fixed, and the column set made exactly
-self-conjugate by construction. Overlapping first-order perturbation
-disks form the clusters that both the PBH screen and the choice of
-lambda_p read. The numerical-rank and eigenvalue multiset primitives
-shared by the designer and the verifier live here too.
+snapped, columns phase-fixed, and the column set exactly self-conjugate
+with the eigensolver's own conjugate pairing. Overlapping first-order
+perturbation disks form the clusters that both the PBH screen and the
+choice of lambda_p read. The numerical-rank and eigenvalue multiset
+primitives shared by the designer and the verifier live here too.
 """
 
 from __future__ import annotations
@@ -26,9 +26,13 @@ _EPS = np.finfo(float).eps
 class SpectralData:
     """Eigenvalues, modal matrix and pairing of a (closed-loop) state matrix.
 
-    pairing[i] is the column index of the conjugate partner (i itself
-    for columns with real eigenvectors). Pairs are exact: the partner
-    column stores the complex conjugate values of its mate.
+    pairing[i] is the column index of the conjugate partner from the
+    eigensolver, i itself exactly for raw-real eigenvalues, whose
+    eigenvectors are real (the canonical phase, exp(-i pi) on a negative
+    leading entry, leaves imaginary parts of order 1e-16). A snapped pair
+    keeps its partner, so it has a real eigenvalue and complex
+    eigenvectors. Pairs are exact: the partner column stores the complex
+    conjugate values of its mate.
     left_modal_matrix holds the unit left eigenvectors, column i for
     eigenvalue i (w_i^* A = lambda_i w_i^*), sorted and paired like
     modal_matrix.
@@ -82,20 +86,21 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     positive), left columns unit 2-norm with w^* v real and non-negative,
     so that it is 1 / kappa. Imaginary parts of
     eigenvalues below snap_imag * ||A|| are snapped to zero. Conjugate
-    pairs come from the solver: LAPACK's xGEEV returns each complex pair
-    in adjacent columns, positive imaginary part first, as exact
-    conjugates, and that pairing is carried through the sort. Snapped
-    pairs are mated by _pair_snapped. Partners are overwritten with
-    exact conjugates of the phase-fixed leading column, left and right,
-    so both sets are self-conjugate. The disks come last, from the final
-    columns; a cluster is reported, never fatal here.
+    pairs come from the solver alone: LAPACK's xGEEV returns each complex
+    pair in adjacent columns, positive imaginary part first, as exact
+    conjugates, and that pairing of the raw eigenvalues is carried through
+    the sort, snapped pairs included. The self-paired columns are the
+    raw-real ones, and their eigenvectors are real before phasing.
+    Partners are overwritten with exact conjugates of the phase-fixed
+    leading column, left and right, so both sets are self-conjugate. The
+    disks come last, from the final columns; a cluster is reported, never
+    fatal here.
     """
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
     lam, W, V = la.eig(A, left=True)
     nrm = la.norm(A, 2) if d else 0.0
     scale = max(1.0, nrm)
-    match = tol.lambda_match * scale
 
     raw = lam.copy()
     lam = np.where(np.abs(lam.imag) <= tol.snap_imag * scale, lam.real + 0j, lam)
@@ -103,14 +108,19 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     W = W.astype(complex) / np.linalg.norm(W, axis=0)
 
     mate = np.arange(d)
-    up = np.flatnonzero(lam.imag > 0)
+    up = np.flatnonzero(raw.imag > 0)
     mate[up], mate[up + 1] = up + 1, up
     order = np.lexsort((lam.imag, lam.real))
     lam, raw, V, W = lam[order], raw[order], V[:, order], W[:, order]
     column = np.empty(d, dtype=int)
     column[order] = np.arange(d)
     pairing = column[mate[order]]
-    _pair_snapped(lam, V, pairing, match, tol.realness)
+
+    # self-paired columns belong to raw-real eigenvalues: their real part
+    # is the whole eigenvector, renormalized
+    single = np.flatnonzero(pairing == np.arange(d))
+    V[:, single] = (V[:, single].real
+                    / [np.linalg.norm(V[:, i].real) for i in single])
 
     # canonical phase on each self-paired or leading column, then exact
     # conjugates onto the partners
@@ -141,41 +151,6 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
                         left_modal_matrix=W, pairing=pairing, kappa=kappa,
                         radius=radius, cluster=cluster, matrix_norm=nrm)
-
-
-def _pair_snapped(lam, V, pairing, match, realness) -> None:
-    """Realify or mate the unpaired columns with a real eigenvalue.
-
-    A column whose eigenvector is real up to `realness` becomes the
-    normalized real part. A column whose eigenvector is essentially
-    complex (a snapped defective pair) pairs with the first unpaired real
-    column, in column order, of matching eigenvalue whose eigenvector is
-    within 1e-6 of its conjugate. Columns are visited in ascending order,
-    so a real column before the searching one is compared in realified
-    form and is realified even if it is taken as a mate later.
-    """
-    single = np.flatnonzero((pairing == np.arange(lam.size)) & (lam.imag == 0))
-    S = V[:, single]
-    flat = (np.abs(S.imag).max(axis=0, initial=0.0)
-            <= realness * np.maximum(np.abs(S.real).max(axis=0, initial=0.0), 1e-300))
-    real_cols = single[flat]
-    norms = np.array([np.linalg.norm(V[:, i].real) for i in real_cols])
-    R = V[:, real_cols].real / norms + 0j
-    realified = dict(zip(real_cols.tolist(), R.T))
-    for i in single[~flat]:
-        if pairing[i] != i:
-            continue
-        vi = V[:, i].conj()
-        for j in single[np.abs(lam[single] - lam[i]) <= match]:
-            if j == i or pairing[j] != j:
-                continue
-            vj = realified.get(int(j), V[:, j]) if j < i else V[:, j]
-            if np.linalg.norm(vj - vi) < 1e-6:
-                pairing[i], pairing[j] = j, i
-                break
-    # a real column taken by an earlier complex column was never realified
-    keep = pairing[real_cols] >= real_cols
-    V[:, real_cols[keep]] = R[:, keep]
 
 
 def rank_cutoff(sv_max: float, shape, rtol: float | None) -> float:

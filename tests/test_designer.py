@@ -249,6 +249,24 @@ class TestDesignBlocking:
             res = np.linalg.norm(A_cl @ v - sd.eigenvalues[i] * v) / scale
             assert res < 1e-6
 
+    def test_snapped_zero_pair_stays_a_pair_and_needs_no_repair(self):
+        # the zero pair splits to +-5.9e-10i and snaps, and must stay a
+        # conjugate pair: as one real column twice it makes the modal
+        # matrix singular (a repair of column 23) and takes a disk of
+        # radius 1.6 that merges 8 clusters and moves lambda_p to -3.61
+        net = random_network(12, 2, density=0.4, seed=3093, m=2, q=4)
+        sd = decompose(assemble(net)[0])
+        columns = {sd.modal_matrix[:, i].tobytes() for i in range(sd.dim)}
+        assert len(columns) == sd.dim
+        assert [i for i in range(sd.dim) if sd.is_vector_paired(i)] == [22, 23]
+        assert sd.radius.max() < 1e-3
+        assert len(set(sd.cluster)) == 23
+        design = design_blocking(net, DesignOptions())
+        assert design.lambda_p == pytest.approx(-0.832134, abs=1e-6)
+        assert design.repaired == ()
+        report = verify_design(design)
+        assert report.verdict, report.reasons
+
     def test_q_equal_m_rejected(self):
         net = random_network(n=7, seed=2, m=2, q=2)
         with pytest.raises(InsufficientActuationError):

@@ -89,30 +89,15 @@ def reference_decompose(A, tol=DEFAULT_TOLERANCES):
     order = np.lexsort((lam.imag, lam.real))
     lam, raw, V, W = lam[order], raw[order], V[:, order], W[:, order]
     pairing = np.arange(d)
-    taken = set()
-    for i in [i for i in range(d) if lam[i].imag > 0]:
-        cands = [j for j in range(d)
-                 if j not in taken and lam[j].imag < 0
-                 and abs(lam[j] - lam[i].conjugate()) <= tol.lambda_match * scale]
-        if not cands:
-            continue
-        j = min(cands, key=lambda j: np.linalg.norm(V[:, j] - V[:, i].conj()))
-        lam[j] = lam[i].conjugate()
-        pairing[i], pairing[j] = j, i
-        taken.update((i, j))
     for i in range(d):
-        if pairing[i] != i or lam[i].imag != 0:
-            continue
-        if np.abs(V[:, i].imag).max() <= tol.realness * max(
-                np.abs(V[:, i].real).max(), 1e-300):
+        if raw[i].imag > 0:
+            # the solver's mate: an exact conjugate, value and vector
+            j = min((j for j in range(d) if raw[j] == raw[i].conjugate()),
+                    key=lambda j: np.linalg.norm(V[:, j] - V[:, i].conj()))
+            pairing[i], pairing[j] = j, i
+    for i in range(d):
+        if pairing[i] == i:
             V[:, i] = V[:, i].real / np.linalg.norm(V[:, i].real) + 0j
-            continue
-        mates = [j for j in range(d)
-                 if j != i and pairing[j] == j and lam[j].imag == 0
-                 and abs(lam[j] - lam[i]) <= tol.lambda_match * scale
-                 and np.linalg.norm(V[:, j] - V[:, i].conj()) < 1e-6]
-        if mates:
-            pairing[i], pairing[mates[0]] = mates[0], i
     for i in range(d):
         j = pairing[i]
         if j == i:
@@ -208,19 +193,21 @@ class TestDecompose:
 
     @pytest.mark.parametrize("eps, eta, delta, split", [
         (1e-7, 1e-8, -1e-7, 1e-9), (1e-7, 1e-9, -1e-8, 1e-10)])
-    def test_real_column_before_a_snapped_pair_is_realified_then_mated(
+    def test_snapped_pair_keeps_its_solver_mate_beside_a_close_real_column(
             self, eps, eta, delta, split):
         # eigenvectors x -+ i*eps*y of 1 +- i*split (snapped) and a real
-        # x + eta*z of 1 + delta just below them: the first snapped column
-        # takes the realified real column as its mate
+        # x + eta*z of 1 + delta just below them: the snapped columns stay
+        # each other's mate, and the real column stays self-paired and real
         x, y, z = np.eye(3)
         V = np.stack([x + 1j * eps * y, x - 1j * eps * y, x + eta * z], axis=1)
         lam = np.array([1 + 1j * split, 1 - 1j * split, 1 + delta])
         A = (V @ np.diag(lam) @ la.inv(V)).real
         sd = decompose(A)
         assert_matches_reference(sd, A)
-        assert list(sd.pairing) == [1, 0, 2]
+        assert list(sd.pairing) == [0, 2, 1]
         assert not sd.modal_matrix[:, 0].imag.any()
+        assert sd.modal_matrix[:, 1].imag.any()
+        assert [i for i in range(sd.dim) if sd.is_vector_paired(i)] == [1, 2]
 
     def test_jordan_block_halves_share_a_cluster(self):
         # both eigenvectors are (up to roundoff) e1 and both left ones e2:
