@@ -7,9 +7,9 @@ truth for reordering, the graph itself is never mutated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
-import math
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -18,7 +18,6 @@ from scipy.sparse.csgraph import connected_components, maximum_flow
 from .errors import InvalidInputError, OrderMismatchError
 
 
-@dataclass(frozen=True)
 class WeightedDigraph:
     """Directed graph with one positive weight per derivative order on each edge.
 
@@ -26,58 +25,98 @@ class WeightedDigraph:
     ----------
     n : int
         Node count; nodes are labeled 1..n.
-    edges : tuple
+    edges : iterable
         Entries (from_id, to_id, weights) where weights has length equal
         to the network order N and every weight is strictly positive.
 
-    Construction converts every entry once (int ids, float weights),
-    checks the edges with array operations and keeps, read-only and in
-    edge order, the 0-based tail and head ids and the (edges x order)
-    weight array (tails, heads, weights).
+    The graph is its read-only edge arrays, in edge order: the 0-based
+    tail and head ids and the (edges x order) weight array (tails,
+    heads, weights). The constructor converts every entry once (int ids,
+    float weights); from_arrays takes the arrays without per-edge
+    objects. Both check the edges with the same array operations, and
+    `edges` is derived from the arrays on first use.
     """
 
-    n: int
-    edges: tuple = field(default_factory=tuple)
-    tails: np.ndarray = field(init=False, repr=False, compare=False)
-    heads: np.ndarray = field(init=False, repr=False, compare=False)
-    weights: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInputError(f"node count must be positive, got {self.n}")
+    def __init__(self, n: int, edges=()):
         us, vs, wss = [], [], []
         unconverted = None
         try:
-            for u, v, ws in self.edges:
+            for u, v, ws in edges:
                 u, v, ws = int(u), int(v), tuple(map(float, ws))
                 us.append(u)
                 vs.append(v)
                 wss.append(ws)
         except Exception as exc:   # noqa: BLE001 - re-raised once the edges
             unconverted = exc      # before the unconvertible one are checked
-        tails, heads, weights = _checked_edge_arrays(self.n, us, vs, wss)
+        counts = np.fromiter(map(len, wss), np.intp, len(wss))
+        flat = np.fromiter(chain.from_iterable(wss), float, int(counts.sum()))
+        self._keep(n, us, vs, counts, flat)
         if unconverted is not None:
             raise unconverted
-        for name, a in (("tails", tails), ("heads", heads), ("weights", weights)):
+
+    @classmethod
+    def from_arrays(cls, n: int, sources, targets, weights) -> "WeightedDigraph":
+        """Graph from 1-based tail and head id sequences and an
+        (edges x order) weight array, checked as the constructor checks
+        its entries."""
+        weights = np.array(weights, dtype=float, order="C")
+        m = len(sources)
+        if len(targets) != m or weights.ndim != 2 or len(weights) != m:
+            raise InvalidInputError(
+                f"{m} tails, {len(targets)} heads and weights of shape "
+                f"{weights.shape} do not describe one edge list")
+        g = cls.__new__(cls)
+        g._keep(n, sources, targets, np.full(m, weights.shape[1], np.intp),
+                weights.ravel())
+        return g
+
+    def _keep(self, n, us, vs, counts, flat):
+        if n < 1:
+            raise InvalidInputError(f"node count must be positive, got {n}")
+        arrays = _checked_edge_arrays(n, us, vs, counts, flat)
+        for a in arrays:
             a.flags.writeable = False
-            object.__setattr__(self, name, a)
-        object.__setattr__(self, "edges", tuple(zip(us, vs, wss)))
+        self.n = n
+        self.tails, self.heads, self.weights = arrays
+
+    @cached_property
+    def edges(self) -> tuple:
+        """(from_id, to_id, weights) per edge: 1-based ints and a tuple of floats."""
+        return tuple(zip((self.tails + 1).tolist(), (self.heads + 1).tolist(),
+                         map(tuple, self.weights.tolist())))
 
     @property
     def order(self) -> int:
         """Number of weights per edge (network order N); 0 for edgeless graphs."""
         return self.weights.shape[1]
 
+    def __eq__(self, other):
+        if not isinstance(other, WeightedDigraph):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(a, b) for a, b in ((self.tails, other.tails),
+                                              (self.heads, other.heads),
+                                              (self.weights, other.weights)))
 
-def _node_ids(ids: list, n) -> np.ndarray:
+    def __hash__(self):
+        return hash((self.n, self.weights.shape, self.tails.tobytes(),
+                     self.heads.tobytes(), self.weights.tobytes()))
+
+    def __repr__(self):
+        return f"WeightedDigraph(n={self.n!r}, edges={self.edges!r})"
+
+
+def _node_ids(ids, n) -> np.ndarray:
     try:
         return np.fromiter(ids, np.intp, len(ids))
     except OverflowError:   # beyond the C range is outside 1..n as well
         return np.fromiter((u if 1 <= u <= n else 0 for u in ids), np.intp, len(ids))
 
 
-def _checked_edge_arrays(n, us: list, vs: list, wss: list):
-    """0-based tails and heads and the weight array of converted edges.
+def _checked_edge_arrays(n, us, vs, counts: np.ndarray, flat: np.ndarray):
+    """0-based tails and heads and the weight array of converted edges:
+    1-based ids us and vs, each edge's weight count and all weights in
+    edge order.
 
     Raises the error of the first bad edge, with the check that fails
     first in this order: ids in 1..n, no self-loop, no repeat of an
@@ -86,9 +125,7 @@ def _checked_edge_arrays(n, us: list, vs: list, wss: list):
     """
     m = len(us)
     t, h = _node_ids(us, n), _node_ids(vs, n)
-    counts = np.fromiter(map(len, wss), np.intp, m)
     width = int(counts[0]) if m else 0
-    flat = np.fromiter(chain.from_iterable(wss), float, int(counts.sum()))
 
     outside = (t < 1) | (t > n) | (h < 1) | (h > n)
     loop = t == h
@@ -100,8 +137,9 @@ def _checked_edge_arrays(n, us: list, vs: list, wss: list):
     repeat = np.zeros(m, dtype=bool)
     repeat[later] = (tk[later] == tk[earlier]) & (h[later] == h[earlier])
     miscount = counts != width
+    good = np.isfinite(flat) & (flat > 0.0)
     bad_weight = np.zeros(m, dtype=bool)
-    bad_weight[np.repeat(np.arange(m), counts)[~(np.isfinite(flat) & (flat > 0.0))]] = True
+    bad_weight[np.repeat(np.arange(m), counts)[~good]] = True
 
     bad = np.flatnonzero(outside | loop | repeat | miscount | (counts == 0) | bad_weight)
     if bad.size:
@@ -115,10 +153,11 @@ def _checked_edge_arrays(n, us: list, vs: list, wss: list):
             raise InvalidInputError(f"duplicate edge ({u},{v})")
         if miscount[i]:
             raise OrderMismatchError(
-                f"edge ({u},{v}) carries {len(wss[i])} weights, expected {width}")
-        if not wss[i]:
+                f"edge ({u},{v}) carries {counts[i]} weights, expected {width}")
+        if not counts[i]:
             raise InvalidInputError(f"edge ({u},{v}) has no weights")
-        w = next(w for w in wss[i] if not (math.isfinite(w) and w > 0.0))
+        start = int(counts[:i].sum())
+        w = float(flat[start + np.argmin(good[start:start + counts[i]])])
         raise InvalidInputError(f"edge ({u},{v}) weight {w} not finite positive")
     return t - 1, h - 1, flat.reshape(m, width)
 
@@ -140,20 +179,20 @@ def laplacian(g: WeightedDigraph, k: int) -> np.ndarray:
     row sums vanish.
     """
     n_orders = g.order
-    if g.edges and not (0 <= k < n_orders):
+    if g.tails.size and not (0 <= k < n_orders):
         raise OrderMismatchError(f"derivative order {k} outside 0..{n_orders - 1}")
-    if not g.edges and k < 0:
+    if not g.tails.size and k < 0:
         raise OrderMismatchError(f"derivative order {k} negative")
-    if not g.edges:
+    if not g.tails.size:
         return np.zeros((g.n, g.n))
     return _coupling(g.n, g.tails, g.heads, g.weights[:, k])
 
 
 def laplacian_stack(g: WeightedDigraph, order: int) -> list:
     """All N Laplacians of a graph whose edges carry N weights."""
-    if g.edges and g.order != order:
+    if g.tails.size and g.order != order:
         raise OrderMismatchError(f"graph carries {g.order} weights per edge, need {order}")
-    if not g.edges:
+    if not g.tails.size:
         return [np.zeros((g.n, g.n)) for _ in range(order)]
     return [_coupling(g.n, g.tails, g.heads, g.weights[:, k]) for k in range(order)]
 
@@ -212,10 +251,14 @@ class CutsetPlan:
             raise InvalidInputError("V1 contains a measurement node")
         if set(self.v2) & set(actuation):
             raise InvalidInputError("V2 contains an actuation node")
-        s1, s2 = set(self.v1), set(self.v2)
-        for (u, v, _) in g.edges:
-            if (u in s1 and v in s2) or (u in s2 and v in s1):
-                raise InvalidInputError(f"edge ({u},{v}) crosses the cut")
+        side = np.zeros(g.n, dtype=np.int8)
+        side[np.array(self.v1, dtype=np.intp) - 1] = 1
+        side[np.array(self.v2, dtype=np.intp) - 1] = 2
+        crossing = np.flatnonzero(side[g.tails] * side[g.heads] == 2)
+        if crossing.size:
+            i = crossing[0]
+            raise InvalidInputError(
+                f"edge ({g.tails[i] + 1},{g.heads[i] + 1}) crosses the cut")
 
 
 _INF = 1 << 30  # "never cut"; fits the int32 capacities maximum_flow uses

@@ -183,26 +183,33 @@ def closed_loop(A: np.ndarray, B: np.ndarray, F: np.ndarray) -> np.ndarray:
 
 
 def network_to_dict(network: IntegratorNetwork) -> dict:
-    """Plain-dict form matching the network file schema.
+    """Plain-dict form matching the network file schema, written from the
+    graph's edge arrays: `edges` holds the 1-based `from` and `to` ids
+    and one row of `weights` per derivative order, in edge order.
 
     The coupling matrices are written under "couplings" only when they
     were given explicitly and differ from the Laplacians of the edge
-    weights.
+    weights: per matrix its diagonal, and its entry L[to-1, from-1] for
+    each edge in edge order. IntegratorNetwork rejects any other nonzero
+    entry, so the two rows hold every matrix exactly.
     """
+    g = network.graph
+    weights = (g.weights.T.tolist() if g.tails.size
+               else [[] for _ in range(network.order)])
     data = {
         "order": network.order,
         "n": network.n,
-        "edges": [
-            {"from": u, "to": v, "weights": list(ws)}
-            for (u, v, ws) in network.graph.edges
-        ],
+        "edges": {"from": (g.tails + 1).tolist(), "to": (g.heads + 1).tolist(),
+                  "weights": weights},
         "actuation": list(network.actuation),
         "measurement": list(network.measurement),
     }
     if network.explicit_couplings:
-        stack = laplacian_stack(network.graph, network.order)
+        stack = laplacian_stack(g, network.order)
         if not all(np.array_equal(L, S) for L, S in zip(network.laplacians, stack)):
-            data["couplings"] = [L.tolist() for L in network.laplacians]
+            data["couplings"] = {
+                "diagonal": [np.diagonal(L).tolist() for L in network.laplacians],
+                "edges": [L[g.heads, g.tails].tolist() for L in network.laplacians]}
     return data
 
 
@@ -218,42 +225,101 @@ def _first_not(types, values):
     return next(x for x in values if type(x) not in types)
 
 
-def network_from_dict(data: dict) -> IntegratorNetwork:
-    """Network from the file schema. Node ids, n and order must be JSON
-    integers and weights JSON numbers; the edges go to WeightedDigraph
-    as read, which converts and checks them once."""
-    try:
-        order, n = data["order"], data["n"]
-        edges = [(e["from"], e["to"], e["weights"]) for e in data["edges"]]
-        actuation, measurement = list(data["actuation"]), list(data["measurement"])
-        couplings = data.get("couplings")
-        if couplings is not None:
-            couplings = tuple(np.array(L, dtype=float) for L in couplings)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise _malformed(str(exc)) from exc
-    for key, value in (("order", order), ("n", n)):
-        if type(value) is not int:
-            raise _malformed(f"{key} must be an integer, got {value!r}")
-    us, vs, wss = zip(*edges) if edges else ((), (), ())
-    for ids in (us + vs, actuation, measurement):
-        bad = _first_not({int}, ids)
-        if bad is not None:
-            raise _malformed(f"node id {bad!r} is not an integer")
+def _listed_edges(edges: list, order) -> tuple:
+    """Ids and (edges x order) weight array of the layout written before
+    format /4: one {"from", "to", "weights"} object per edge."""
+    us = [e["from"] for e in edges]
+    vs = [e["to"] for e in edges]
+    wss = [e["weights"] for e in edges]
+    _check_ids(us + vs)
     if not set(map(type, wss)) <= {list}:
         i = next(i for i, ws in enumerate(wss) if type(ws) is not list)
         raise _malformed(f"edge ({us[i]},{vs[i]}) weights {wss[i]!r} is not a list")
-    bad = _first_not({int, float}, list(chain.from_iterable(wss)))
-    if bad is not None:
-        raise _malformed(f"weight {bad!r} is not a number")
+    _check_weights(wss)
     counts = np.fromiter(map(len, wss), np.intp, len(wss))
     wrong = np.flatnonzero(counts != order)
     if wrong.size:
         i = wrong[0]
         raise NetworkFileError(
             f"edge ({us[i]},{vs[i]}) carries {counts[i]} weights, file order is {order}")
+    return us, vs, np.array(wss, dtype=float) if wss else np.zeros((0, 0))
+
+
+def _columnar_edges(edges: dict, order) -> tuple:
+    """Ids and (edges x order) weight array of the columnar layout:
+    `from` and `to` id lists and one `weights` row per derivative order."""
+    us, vs, rows = list(edges["from"]), list(edges["to"]), edges["weights"]
+    if len(us) != len(vs):
+        raise _malformed(f"edges have {len(us)} from ids and {len(vs)} to ids")
+    _check_ids(us + vs)
+    if type(rows) is not list or not set(map(type, rows)) <= {list}:
+        raise _malformed("edge weights are not a list of rows")
+    _check_weights(rows)
+    if len(rows) != order:
+        raise NetworkFileError(
+            f"edges carry {len(rows)} weight rows, file order is {order}")
+    wrong = [k for k, row in enumerate(rows) if len(row) != len(us)]
+    if wrong:
+        k = wrong[0]
+        raise NetworkFileError(
+            f"weight row {k} has {len(rows[k])} entries for {len(us)} edges")
+    return us, vs, np.array(rows, dtype=float).reshape(order, len(us)).T
+
+
+def _check_ids(ids: list) -> None:
+    bad = _first_not({int}, ids)
+    if bad is not None:
+        raise _malformed(f"node id {bad!r} is not an integer")
+
+
+def _check_weights(rows: list) -> None:
+    bad = _first_not({int, float}, list(chain.from_iterable(rows)))
+    if bad is not None:
+        raise _malformed(f"weight {bad!r} is not a number")
+
+
+def _columnar_couplings(couplings: dict, graph: WeightedDigraph) -> tuple:
+    """Dense coupling matrices from their diagonals and edge entries."""
+    n, m = graph.n, graph.tails.size
+    diagonal = np.array(couplings["diagonal"], dtype=float)
+    on_edges = np.array(couplings["edges"], dtype=float)
+    if diagonal.ndim != 2 or diagonal.shape[1:] != (n,) or \
+            on_edges.shape != (len(diagonal), m):
+        raise _malformed(
+            f"couplings diagonal {diagonal.shape} and edges {on_edges.shape}, "
+            f"expected (k, {n}) and (k, {m})")
+    mats = np.zeros((len(diagonal), n, n))
+    mats[:, graph.heads, graph.tails] = on_edges
+    mats[:, np.arange(n), np.arange(n)] = diagonal
+    return tuple(mats)
+
+
+def network_from_dict(data: dict) -> IntegratorNetwork:
+    """Network from the file schema, in either layout: columnar (`edges`
+    an object of id and weight rows, `couplings` an object of diagonal
+    and edge rows) or the one written before format /4 (one object per
+    edge, dense `couplings` matrices). Node ids, n and order must be
+    JSON integers and weights JSON numbers; either edge layout becomes
+    id lists and a weight array, which WeightedDigraph.from_arrays
+    checks once."""
     try:
-        graph = WeightedDigraph(n=n, edges=edges)
-    except OverflowError as exc:   # an integer weight beyond float range
+        order, n = data["order"], data["n"]
+        actuation, measurement = list(data["actuation"]), list(data["measurement"])
+        edges, couplings = data["edges"], data.get("couplings")
+        if couplings is not None and not isinstance(couplings, dict):
+            couplings = tuple(np.array(L, dtype=float) for L in couplings)
+        for key, value in (("order", order), ("n", n)):
+            if type(value) is not int:
+                raise _malformed(f"{key} must be an integer, got {value!r}")
+        _check_ids(actuation)
+        _check_ids(measurement)
+        us, vs, weights = (_columnar_edges if isinstance(edges, dict)
+                           else _listed_edges)(edges, order)
+        graph = WeightedDigraph.from_arrays(n, us, vs, weights)
+        if isinstance(couplings, dict):
+            couplings = _columnar_couplings(couplings, graph)
+    # OverflowError: an integer weight beyond float range
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise _malformed(str(exc)) from exc
     return IntegratorNetwork(order=order, graph=graph, actuation=tuple(actuation),
                              measurement=tuple(measurement), laplacians=couplings)
@@ -261,7 +327,7 @@ def network_from_dict(data: dict) -> IntegratorNetwork:
 
 def load_network(path) -> IntegratorNetwork:
     """Read a network file (JSON with order/n/edges/actuation/measurement
-    and optional couplings)."""
+    and optional couplings), in either edge layout."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -273,6 +339,14 @@ def load_network(path) -> IntegratorNetwork:
     return network_from_dict(data)
 
 
+def dumps(data: dict) -> str:
+    """Single-line JSON with sorted keys and compact separators.
+
+    Without indent json.dumps runs CPython's C encoder. Files written
+    with indent=2 before hold the same content and load the same way.
+    """
+    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def save_network(network: IntegratorNetwork, path) -> None:
-    Path(path).write_text(
-        json.dumps(network_to_dict(network), indent=2, sort_keys=True) + "\n")
+    Path(path).write_text(dumps(network_to_dict(network)))

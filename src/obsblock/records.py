@@ -19,15 +19,17 @@ from .errors import NetworkFileError
 from .graph import CutsetPlan
 # assemble and decompose go unused since loading stopped decomposing, but
 # bench/tracer.py wraps these module bindings
-from .model import FeedbackGain, _first_not, assemble, network_from_dict, network_to_dict
+from .model import (FeedbackGain, _first_not, assemble, dumps, network_from_dict,
+                    network_to_dict)
 from .spectrum import decompose
 from .verify import VerificationReport
 
-FORMAT = "obsblock-design/3"
+FORMAT = "obsblock-design/4"
 # /1 records also carried the designer's modal matrices (h_p, z_p, V, Z),
 # and /1 and /2 records a residual of the gain's imaginary part, always 0.0;
-# they load through the same path and those keys are ignored.
-READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", FORMAT)
+# those keys are ignored. /1 to /3 records hold the network with one object
+# per edge and dense couplings, which network_from_dict still reads.
+READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", "obsblock-design/3", FORMAT)
 
 
 def _carray(a) -> dict:
@@ -190,15 +192,6 @@ def verification_to_dict(report: VerificationReport) -> dict:
     data = dataclasses.asdict(report)
     data["verdict"] = "pass" if report.verdict else "fail"
     return data
-
-
-def dumps(data: dict) -> str:
-    """Single-line JSON with sorted keys and compact separators.
-
-    Without indent json.dumps runs CPython's C encoder. Records written
-    with indent=2 before hold the same content and load the same way.
-    """
-    return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def _sig4(x) -> str:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +16,8 @@ from obsblock.model import assemble, load_network, network_to_dict
 from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose
 from obsblock.verify import verify_design
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestGen:
@@ -279,24 +282,27 @@ class TestRecords:
         cut = design_via_cutset(fig2_din(seed=2), options=DesignOptions(seed=2))
         for design in (direct, cut):
             data = records.design_to_dict(design)
-            assert data["format"] == "obsblock-design/3"
+            assert data["format"] == "obsblock-design/4"
             assert not {"h_p", "z_p", "V", "Z", "realness_residual"} & set(data)
 
     def test_format_1_record_loads_and_verifies_the_same(self):
-        design = design_blocking(random_network(n=7, seed=4, m=1, q=3),
-                                 DesignOptions(seed=4))
-        data = records.design_to_dict(design)
+        # a /3 record, relabeled /2 and /1 with the keys those formats
+        # also carried; each loads to the design of the /3 record
+        data = json.loads((DATA / "direct-generic-n7-seed2.v3.json").read_text())
+        assert data["format"] == "obsblock-design/3"
         v2 = dict(data, format="obsblock-design/2", realness_residual=0.0)
         v1 = dict(v2, format="obsblock-design/1")
         for key in ("h_p", "z_p", "V", "Z"):
             v1[key] = {"real": [[0.0]], "imag": [[0.0]]}
-        new_loaded = records.design_from_dict(json.loads(records.dumps(data)))
-        report = records.verification_to_dict(verify_design(new_loaded))
+        loaded = records.design_from_dict(data)
+        resaved = records.design_to_dict(loaded)
+        assert resaved["format"] == records.FORMAT
+        report = records.verification_to_dict(verify_design(loaded))
         assert report["verdict"] == "pass"
         for old in (v1, v2):
             old_loaded = records.design_from_dict(json.loads(records.dumps(old)))
-            assert np.array_equal(old_loaded.F, new_loaded.F)
-            assert records.design_to_dict(old_loaded) == data
+            assert np.array_equal(old_loaded.F, loaded.F)
+            assert records.design_to_dict(old_loaded) == resaved
             assert records.verification_to_dict(verify_design(old_loaded)) == report
 
     @pytest.mark.parametrize("kind", ["direct", "cutset"])

@@ -130,11 +130,11 @@ def test_snapped_pair_draws_an_independent_second_column():
     assert verify_design(design).verdict
     record = records.dumps(records.design_to_dict(design))
     assert hashlib.sha256(record.encode()).hexdigest() == \
-        "a1047fc09d098a1ae0c97749397434f6caea4e760278812fd7660c7123276f96"
+        "e44c999a616056da53b5d96938d27a21b57759b1aaf1e80e8b39e4fe851e2724"
     # the same content written with indent=2, as records were before
     indented = json.dumps(json.loads(record), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == \
-        "d97254cd1e5de6eb956d32f1a3be1f7a91bf618ebba7fa0bf02f1cb329c8655d"
+        "3eb87513a30a1fa5958053ce0d444365ca514cfa5b96576adfdbe8e9cac1b426"
 
 
 def test_snapped_pair_at_zero_fails_on_a_balanced_graph():

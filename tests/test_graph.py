@@ -225,6 +225,43 @@ class TestWeightedDigraph:
         assert weights.tobytes() == np.array(
             [ws for (_, _, ws) in expected], dtype=float).reshape(m, g.order).tobytes()
 
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(edge_lists())
+    def test_from_arrays_checks_like_the_constructor(self, case):
+        # the reader's path: converted ids and a regular weight array
+        n, edges = case
+        try:
+            rows = [(int(u), int(v), tuple(map(float, ws))) for (u, v, ws) in edges]
+        except (TypeError, ValueError):
+            return
+        if len({len(ws) for (_, _, ws) in rows}) > 1:
+            return
+        us, vs = [u for (u, _, _) in rows], [v for (_, v, _) in rows]
+        weights = np.array([ws for (_, _, ws) in rows]) if rows else np.zeros((0, 0))
+        try:
+            expected = WeightedDigraph(n=n, edges=tuple(rows))
+        except InvalidInputError as exc:
+            with pytest.raises(type(exc)) as got:
+                WeightedDigraph.from_arrays(n, us, vs, weights)
+            assert str(got.value) == str(exc)
+            return
+        g = WeightedDigraph.from_arrays(n, us, vs, weights)
+        assert "edges" not in vars(g)
+        assert g == expected and hash(g) == hash(expected)
+        assert g.edges == expected.edges == tuple(rows)
+        for a in (g.tails, g.heads, g.weights):
+            assert not a.flags.writeable
+
+    def test_from_arrays_takes_one_edge_list(self):
+        with pytest.raises(InvalidInputError, match="do not describe one edge list"):
+            WeightedDigraph.from_arrays(3, [1, 2], [2], np.ones((2, 1)))
+        with pytest.raises(InvalidInputError, match="do not describe one edge list"):
+            WeightedDigraph.from_arrays(3, [1, 2], [2, 3], np.ones(2))
+        weights = np.ones((2, 1))
+        g = WeightedDigraph.from_arrays(3, [1, 2], [2, 3], weights)
+        weights[0, 0] = 5.0
+        assert g.weights.tolist() == [[1.0], [1.0]]
+
     def test_checks_report_the_first_bad_edge(self):
         # edge 2 repeats edge 0 and edge 3 is out of range: edge 2 wins;
         # an unconvertible edge is reached only after the edges before it
@@ -255,8 +292,13 @@ class TestWeightedDigraph:
             assert not a.flags.writeable
         assert g.tails.tolist() == [1, 2] and g.heads.tolist() == [0, 1]
         assert g == WeightedDigraph(n=3, edges=[(2, 1, [1, 2]), (3, 2, (3.0, 4.0))])
+        assert g != WeightedDigraph(n=4, edges=g.edges)
+        assert g != WeightedDigraph(n=3, edges=((2, 1, (1.0, 2.0)),))
+        assert repr(g) == \
+            "WeightedDigraph(n=3, edges=((2, 1, (1.0, 2.0)), (3, 2, (3.0, 4.0))))"
         empty = WeightedDigraph(n=2)
         assert empty.order == 0 and empty.weights.shape == (0, 0)
+        assert empty.edges == ()
 
 
 class TestLaplacian:
@@ -486,3 +528,23 @@ class TestMinVertexCut:
         bad = CutsetPlan(v1=(1, 2), vcut=(), v2=(3,), permutation=(1, 2, 3))
         with pytest.raises(InvalidInputError):
             bad.validate(g, [1], [3])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_plan_validation_names_the_first_crossing_edge(self, seed):
+        # a random split of a random digraph, against a per-edge scan
+        rng = np.random.default_rng(900 + seed)
+        n = int(rng.integers(3, 12))
+        g = random_digraph(n, rng, density=float(rng.uniform(0.1, 0.6)))
+        side = rng.integers(0, 3, n)
+        v1, vcut, v2 = (tuple(int(i) + 1 for i in np.flatnonzero(side == k))
+                        for k in range(3))
+        plan = CutsetPlan(v1=v1, vcut=vcut, v2=v2, permutation=v1 + vcut + v2)
+        crossing = [(u, v) for (u, v, _) in g.edges
+                    if {side[u - 1], side[v - 1]} == {0, 2}]
+        if not crossing:
+            plan.validate(g, [], [])
+            return
+        with pytest.raises(InvalidInputError) as got:
+            plan.validate(g, [], [])
+        u, v = crossing[0]
+        assert str(got.value) == f"edge ({u},{v}) crosses the cut"
