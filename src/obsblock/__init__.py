@@ -6,8 +6,7 @@ vertex-cutset pipeline for sparser actuation and independent
 verification oracles.
 """
 
-from .config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
-                     VARIANT_DERIVATIVE, VARIANT_POSITION)
+from .config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
 from .cutset import (CutsetDesign, LgCondition, TransferCertificate,
                      design_via_cutset, lg_condition)
 from .designer import (BlockingDesign, NullspaceBundle, build_candidate,
@@ -35,8 +34,6 @@ __all__ = [
     "SpectralData",
     "Tolerances",
     "TransferCertificate",
-    "VARIANT_DERIVATIVE",
-    "VARIANT_POSITION",
     "VerificationReport",
     "WeightedDigraph",
     "assemble",

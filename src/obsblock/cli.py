@@ -13,8 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from . import records
-from .config import (DesignOptions, Tolerances, VARIANT_DERIVATIVE,
-                     VARIANT_POSITION)
+from .config import DesignOptions, Tolerances
 from .cutset import CutsetDesign, design_via_cutset
 from .designer import design_blocking
 from .errors import EXIT_NUMERICAL, InvalidInputError, ObsBlockError
@@ -23,8 +22,6 @@ from .model import assemble, cutset_output, load_network, save_network
 from .scenarios import SCENARIOS, fig2_din, random_network
 from .spectrum import check_stacked_structure, decompose
 from .verify import verify_design
-
-_VARIANTS = {"n4": VARIANT_POSITION, "n6": VARIANT_DERIVATIVE}
 
 
 def _parse_lambda(text: str):
@@ -54,7 +51,6 @@ def _tolerances(args) -> Tolerances:
 
 def _options(args) -> DesignOptions:
     return DesignOptions(
-        variant=_VARIANTS[args.variant],
         lambda_selection=_parse_lambda(args.lam),
         seed=args.seed,
         tolerances=_tolerances(args),
@@ -183,8 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol-spec", type=float, default=None,
                        help="spectrum tolerance (verifier quotient, designer multiset)")
         if with_design_flags:
-            p.add_argument("--variant", choices=sorted(_VARIANTS), default="n4",
-                           help="constraint block: n4 positions, n6 top derivatives")
             p.add_argument("--lambda", dest="lam", default="default",
                            help="default | index:<k> | value:<re>[,<im>]")
 

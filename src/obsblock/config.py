@@ -61,10 +61,6 @@ class Tolerances:
 
 DEFAULT_TOLERANCES = Tolerances()
 
-VARIANT_POSITION = "measure-position"
-VARIANT_DERIVATIVE = "measure-derivative"
-
-
 @dataclass(frozen=True)
 class DesignOptions:
     """Knobs for a single blocking design run.
@@ -76,11 +72,6 @@ class DesignOptions:
     no null direction.
     """
 
-    variant: str = VARIANT_POSITION
     lambda_selection: object = "default"
     seed: int = 0
     tolerances: Tolerances = field(default_factory=Tolerances)
-
-    def __post_init__(self):
-        if self.variant not in (VARIANT_POSITION, VARIANT_DERIVATIVE):
-            raise ValueError(f"unknown variant: {self.variant!r}")

@@ -16,8 +16,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.linalg import lapack
 
-from .config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
-                     VARIANT_DERIVATIVE, VARIANT_POSITION)
+from .config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
 from .errors import (ControllabilityError, DegenerateCandidateError,
                      IllConditionedDesignError, InsufficientActuationError,
                      InvalidInputError, NoEligibleEigenvalueError,
@@ -37,9 +36,9 @@ class NullspaceBundle:
     full is an orthonormal basis of the null space; n1/n2 are its
     state/input row blocks. state_rows holds the state indices of the
     measured nodes, one row per derivative order
-    (IntegratorNetwork.state_index), so both the position variant
-    (order 0) and the derivative variant (order N-1) can carve out
-    their constraint block.
+    (IntegratorNetwork.state_index). The constraint block n4 is their
+    position rows: a null vector stacks as [v; lambda v; ...], so h
+    with n4 h = 0 zeroes every derivative entry of the measured nodes.
     """
 
     full: np.ndarray
@@ -51,18 +50,9 @@ class NullspaceBundle:
     def q(self) -> int:
         return self.full.shape[1]
 
-    def meas_rows(self, k: int) -> np.ndarray:
-        return self.n1[self.state_rows[k], :]
-
-    # N=2 names from the construction: N4 holds the measured rows of the
-    # position block, N6 those of the top-derivative block.
     @property
     def n4(self) -> np.ndarray:
-        return self.meas_rows(0)
-
-    @property
-    def n6(self) -> np.ndarray:
-        return self.meas_rows(-1)
+        return self.n1[self.state_rows[0], :]
 
 
 @dataclass
@@ -71,7 +61,6 @@ class BlockingDesign:
 
     lambda_p: complex
     lambda_index: int
-    variant: str
     v_hat: np.ndarray
     gain: FeedbackGain
     preserved: tuple
@@ -292,19 +281,13 @@ def nullspace_bundle(network: IntegratorNetwork, lam,
                            state_rows=network.state_index(measured_nodes))
 
 
-def select_hp(bundle: NullspaceBundle, variant: str = VARIANT_POSITION) -> np.ndarray:
+def select_hp(bundle: NullspaceBundle) -> np.ndarray:
     """Direction in the constraint-block null space, unit norm.
 
-    Among null directions of N4 (or N6 for the derivative variant) the
-    one maximizing ||N1 h|| is taken; exact ties fall back to the
-    earliest canonical coordinate.
+    Among null directions of N4 the one maximizing ||N1 h|| is taken;
+    exact ties fall back to the earliest canonical coordinate.
     """
-    if variant == VARIANT_POSITION:
-        block = bundle.n4
-    elif variant == VARIANT_DERIVATIVE:
-        block = bundle.n6
-    else:
-        raise InvalidInputError(f"unknown variant {variant!r}")
+    block = bundle.n4
     K = _null_basis(block)
     if K.shape[1] == 0:
         raise InsufficientActuationError(
@@ -484,10 +467,12 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
         Vr, Zr = _realify(V, Z, pairing)
         sv = la.svdvals(Vr)
 
-    F, cond_V = _real_gain(Vr, Zr, sv, tol)
+    cond_V = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
     if cond_V > tol.cond_limit:
         raise IllConditionedDesignError(
             f"modal matrix condition number {cond_V:.3e} exceeds {tol.cond_limit:g}")
+    F = la.solve(Vr.T, Zr.T).T
+    F -= la.solve(Vr.T, (F @ Vr - Zr).T).T       # one refinement step
     gain = FeedbackGain(matrix=F)
 
     A_cl = A + B @ F
@@ -503,11 +488,10 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     }
     _enforce_postconditions(residuals, tol)
     return BlockingDesign(
-        lambda_p=complex(lam_p), lambda_index=p, variant=options.variant,
-        v_hat=v_hat, gain=gain,
+        lambda_p=complex(lam_p), lambda_index=p, v_hat=v_hat, gain=gain,
         preserved=tuple(preserved),
         repaired=tuple(i for unit in failed for i in unit),
-        replaced=tuple(replaced), cond_V=float(cond_V), residuals=residuals,
+        replaced=tuple(replaced), cond_V=cond_V, residuals=residuals,
         measured_nodes=tuple(measured_nodes), network=network)
 
 
@@ -569,20 +553,6 @@ def _realify(V, Z, pairing):
     return Vr, Zr
 
 
-def _real_gain(Vr, Zr, sv, tol: Tolerances):
-    """F = Zr Vr^-1 and cond_V from the singular values sv of Vr.
-
-    F is zero when cond_V exceeds tol.cond_limit; the caller rejects
-    the design on cond_V.
-    """
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if not np.isfinite(cond) or cond > tol.cond_limit:
-        return np.zeros_like(Zr), cond
-    F = la.solve(Vr.T, Zr.T).T
-    F -= la.solve(Vr.T, (F @ Vr - Zr).T).T       # one refinement step
-    return F, cond
-
-
 def _zero_screen(sd: SpectralData, tol: Tolerances) -> float:
     return tol.lambda_match * max(1.0, sd.matrix_norm)
 
@@ -635,10 +605,6 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
                 "no usable eigenvalue satisfies the selection policy")
     else:
         raise InvalidInputError(f"bad lambda selection {sel!r}")
-
-    if options.variant == VARIANT_DERIVATIVE and abs(sd.eigenvalues[p]) <= screen:
-        raise InvalidInputError(
-            "the measure-derivative variant requires a nonzero eigenvalue")
     return p
 
 
@@ -688,13 +654,12 @@ def design_blocking(network: IntegratorNetwork,
     p = select_lambda(sd, options, eligible=eligible)
     lam_p = sd.eigenvalues[p]
     if abs(lam_p) <= _zero_screen(sd, tol):
-        # permitted under the position variant only; the theorem statement
-        # asks for a nonzero eigenvalue, so the record carries a flag
-        warnings.append("design targets the zero eigenvalue; allowed for the "
-                        "measure-position variant but outside the nonzero-"
-                        "eigenvalue wording of the design guarantee")
+        # the theorem statement asks for a nonzero eigenvalue, so the
+        # record carries a flag
+        warnings.append("design targets the zero eigenvalue, outside the "
+                        "nonzero-eigenvalue wording of the design guarantee")
     bundle = nullspace_bundle(network, lam_p, measured_nodes)
-    h = select_hp(bundle, options.variant)
+    h = select_hp(bundle)
     candidate = build_candidate(bundle, h)
     design = assemble_and_gain(network, sd, p, candidate, bundle, A, B,
                                options, measured_nodes)

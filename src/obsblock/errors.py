@@ -32,7 +32,7 @@ class ModelAssemblyError(InvalidInputError):
 
 
 class InsufficientActuationError(ObsBlockError):
-    """Fewer actuators than the selected design variant requires."""
+    """No actuation node, or no null direction in the constraint block."""
 
     exit_code = EXIT_PRECONDITION
 

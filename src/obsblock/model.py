@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidInputError, ModelAssemblyError, NetworkFileError
+from .errors import (InvalidInputError, ModelAssemblyError, NetworkFileError,
+                     OrderMismatchError)
 from .graph import CutsetPlan, WeightedDigraph, laplacian_stack
 
 
@@ -72,6 +73,11 @@ class IntegratorNetwork:
                     i, j = stray[0]
                     raise ModelAssemblyError(
                         f"matrix {k} couples nodes {j + 1}->{i + 1} without an edge")
+            # laplacian_stack checks this for the Laplacian form; writing the
+            # network needs it too
+            if self.graph.tails.size and self.graph.order != self.order:
+                raise OrderMismatchError(f"graph carries {self.graph.order} "
+                                         f"weights per edge, need {self.order}")
         object.__setattr__(self, "laplacians", mats)
 
     @classmethod

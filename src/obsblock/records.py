@@ -24,12 +24,15 @@ from .model import (FeedbackGain, _first_not, assemble, dumps, network_from_dict
 from .spectrum import decompose
 from .verify import VerificationReport
 
-FORMAT = "obsblock-design/4"
+FORMAT = "obsblock-design/5"
 # /1 records also carried the designer's modal matrices (h_p, z_p, V, Z),
-# and /1 and /2 records a residual of the gain's imaginary part, always 0.0;
-# those keys are ignored. /1 to /3 records hold the network with one object
-# per edge and dense couplings, which network_from_dict still reads.
-READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", "obsblock-design/3", FORMAT)
+# /1 and /2 records a residual of the gain's imaginary part, always 0.0,
+# and /1 to /4 records whether the measured nodes' positions or top
+# derivatives were constrained (one constraint for a nonzero lambda);
+# those keys are ignored. /1 to /3 records hold the network with one
+# object per edge and dense couplings, which network_from_dict still reads.
+READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", "obsblock-design/3",
+                "obsblock-design/4", FORMAT)
 
 
 def _carray(a) -> dict:
@@ -56,7 +59,6 @@ def design_to_dict(design) -> dict:
     data = {
         "format": FORMAT,
         "network": network_to_dict(design.network),
-        "variant": design.variant,
         "lambda_p": _complex(design.lambda_p),
         "lambda_index": design.lambda_index,
         "v_hat": _carray(design.v_hat),
@@ -112,7 +114,6 @@ def design_from_dict(data: dict):
         design = BlockingDesign(
             lambda_p=complex(*data["lambda_p"]),
             lambda_index=data["lambda_index"],
-            variant=data["variant"],
             v_hat=v_hat,
             gain=FeedbackGain(matrix=F),
             preserved=tuple(data["preserved"]),
@@ -218,7 +219,6 @@ def report_text(design, verification: VerificationReport | None = None) -> str:
     push(f"network: n={net.n} order={net.order} q={net.q} "
          f"actuation={list(net.actuation)} measurement={list(net.measurement)}")
     push(f"measured (constraint) nodes: {list(design.measured_nodes)}")
-    push(f"variant: {design.variant}")
     push(f"lambda_p: {_sig4(design.lambda_p)}  (column {design.lambda_index})")
     push(f"modal condition number: {_sig4(design.cond_V)}")
     push(f"preserved eigenvectors: {len(design.preserved)} of {net.state_dim}")

@@ -208,6 +208,18 @@ class TestExitCodes:
         assert main(["design", "--input", str(net_file),
                      "--lambda", "nonsense"]) == 2
 
+    def test_variant_flag_is_a_usage_error(self, tmp_path, capsys):
+        # the constraint block is always the measured positions
+        net_file = tmp_path / "net.json"
+        main(["gen", "--n", "6", "--output", str(net_file)])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["design", "--input", str(net_file), "--variant", "n6"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: obsblock")
+        assert "unrecognized arguments: --variant n6" in err
+
     @pytest.mark.parametrize("spec", ["index:abc", "index:", "value:x",
                                       "value:1,2,3", "value:1,"])
     def test_malformed_lambda_number_is_precondition(self, spec, tmp_path,
@@ -282,8 +294,9 @@ class TestRecords:
         cut = design_via_cutset(fig2_din(seed=2), options=DesignOptions(seed=2))
         for design in (direct, cut):
             data = records.design_to_dict(design)
-            assert data["format"] == "obsblock-design/4"
-            assert not {"h_p", "z_p", "V", "Z", "realness_residual"} & set(data)
+            assert data["format"] == "obsblock-design/5"
+            assert not {"h_p", "z_p", "V", "Z", "realness_residual",
+                        "variant"} & set(data)
 
     def test_format_1_record_loads_and_verifies_the_same(self):
         # a /3 record, relabeled /2 and /1 with the keys those formats
@@ -304,6 +317,27 @@ class TestRecords:
             assert np.array_equal(old_loaded.F, loaded.F)
             assert records.design_to_dict(old_loaded) == resaved
             assert records.verification_to_dict(verify_design(old_loaded)) == report
+
+    def test_derivative_variant_record_verifies_like_its_resave(self, tmp_path):
+        # a /4 record designed with the measure-derivative variant; for a
+        # nonzero lambda its top-derivative constraint is the position one,
+        # and the variant key is ignored
+        path = DATA / "direct-n8-seed10-derivative.v4.json"
+        data = json.loads(path.read_text())
+        assert data["format"] == "obsblock-design/4"
+        assert data["variant"] == "measure-derivative"
+        old = records.load_design(path)
+        resaved_path = tmp_path / "resaved.json"
+        records.save_design(old, resaved_path)
+        resaved = json.loads(resaved_path.read_text())
+        data.pop("variant")
+        assert resaved == dict(data, format=records.FORMAT)
+        new = records.load_design(resaved_path)
+        report = records.verification_to_dict(
+            verify_design(old, rng=np.random.default_rng(0)))
+        assert report["verdict"] == "pass"
+        assert records.verification_to_dict(
+            verify_design(new, rng=np.random.default_rng(0))) == report
 
     @pytest.mark.parametrize("kind", ["direct", "cutset"])
     def test_indented_format_2_record_loads_the_same_design(self, kind, tmp_path):

@@ -9,16 +9,15 @@ import pytest
 import scipy.linalg as la
 from hypothesis import assume, example, given, settings, strategies as st
 
-from obsblock.config import (DEFAULT_TOLERANCES, DesignOptions, Tolerances,
-                             VARIANT_DERIVATIVE)
+from obsblock.config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
 from obsblock.designer import (NullspaceBundle, _conjugate_classes,
                                build_candidate, check_controllability,
                                companion_pencil, design_blocking,
                                nullspace_bundle, pbh_screen, select_hp,
                                select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
-                             InvalidInputError, NoEligibleEigenvalueError,
-                             NotAnEigenvalueError, ObsBlockError)
+                             NoEligibleEigenvalueError, NotAnEigenvalueError,
+                             ObsBlockError)
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.graph import WeightedDigraph
 from obsblock.scenarios import fig2_din, generic_network, random_network
@@ -180,30 +179,24 @@ class TestSelectHp:
         with pytest.raises(InsufficientActuationError):
             select_hp(bundle)
 
-    def test_derivative_variant_uses_top_block(self):
-        net = random_network(n=8, seed=9, m=1, q=3)
-        A, B, _ = assemble(net)
-        sd = decompose(A)
-        p = select_lambda(sd, DesignOptions(seed=9))
-        bundle = nullspace_bundle(net, sd.eigenvalues[p], net.measurement)
-        h = select_hp(bundle, VARIANT_DERIVATIVE)
-        assert np.abs(bundle.n6 @ h).max() < 1e-10
-
 
 class TestBuildCandidate:
-    def test_position_zeros_propagate_to_derivatives(self):
-        net = random_network(n=8, seed=4, m=2, q=4)
+    @pytest.mark.parametrize("order", [2, 3, 4])
+    def test_position_zeros_propagate_to_derivatives(self, order):
+        # the lemma behind the single constraint block: v[j + k n] =
+        # lambda^k v[j], so zeroing a measured node's position entry zeroes
+        # every one of its derivative entries
+        net = random_network(n=8, order=order, seed=4, m=2, q=4)
         A, B, _ = assemble(net)
         sd = decompose(A)
         p = select_lambda(sd, DesignOptions(seed=4))
         lam = sd.eigenvalues[p]
         bundle = nullspace_bundle(net, lam, net.measurement)
         v_hat, z = build_candidate(bundle, select_hp(bundle))
-        n = net.n
-        for r in net.measurement:
-            assert abs(v_hat[r - 1]) < 1e-10
-            assert abs(v_hat[r - 1 + n]) < 1e-9   # velocity follows by stacking
-        assert np.abs((A - lam * np.eye(2 * n)) @ v_hat + B @ z).max() < 1e-10
+        measured = v_hat[net.state_index()]
+        assert measured.shape == (order, 2)
+        assert np.abs(measured).max() < 1e-8
+        assert np.abs((A - lam * np.eye(A.shape[0])) @ v_hat + B @ z).max() < 1e-10
 
     def test_order3_propagation(self, rng):
         from conftest import random_digraph
@@ -327,22 +320,6 @@ class TestDesignBlocking:
         with pytest.raises(NotAnEigenvalueError):
             design_blocking(
                 net, DesignOptions(seed=6, lambda_selection=("value", 40.0 + 0j)))
-
-    def test_derivative_variant_rejects_zero_lambda(self):
-        net = random_network(n=6, seed=8, m=1, q=3)
-        with pytest.raises(InvalidInputError):
-            design_blocking(net, DesignOptions(
-                seed=8, variant=VARIANT_DERIVATIVE,
-                lambda_selection=("value", 0.0 + 0j)))
-
-    def test_derivative_variant_blocks(self):
-        net = random_network(n=8, seed=10, m=1, q=3)
-        design = design_blocking(net, DesignOptions(seed=10,
-                                                    variant=VARIANT_DERIVATIVE))
-        assert design.residuals["zero_pattern"] < 1e-8
-        A, B, C = assemble(net)
-        A_cl = closed_loop(A, B, design.F)
-        assert pbh_test(A_cl, C, design.lambda_p) <= 2 * net.n - 1
 
     def test_order3_design_generic(self):
         net = generic_network(n=6, order=3, seed=15, m=1, q=3)

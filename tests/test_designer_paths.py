@@ -130,11 +130,11 @@ def test_snapped_pair_draws_an_independent_second_column():
     assert verify_design(design).verdict
     record = records.dumps(records.design_to_dict(design))
     assert hashlib.sha256(record.encode()).hexdigest() == \
-        "e44c999a616056da53b5d96938d27a21b57759b1aaf1e80e8b39e4fe851e2724"
+        "f9ce1c15dc856d1f0e0a64410f311143d4ff7c175ef7cc18470bf18807aeca7e"
     # the same content written with indent=2, as records were before
     indented = json.dumps(json.loads(record), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == \
-        "3eb87513a30a1fa5958053ce0d444365ca514cfa5b96576adfdbe8e9cac1b426"
+        "98c888e636dfd95e6d2c7a296e03f0b788a7a585f8ec49dcb4b86ee46d3ba0b1"
 
 
 def test_snapped_pair_at_zero_fails_on_a_balanced_graph():
@@ -207,13 +207,3 @@ def test_lambda_index_out_of_range():
 def test_generation_retry_budget():
     with pytest.raises(GenerationError):
         random_network(n=30, seed=0, density=0.01, max_tries=3)
-
-
-def test_cli_n6_variant(tmp_path):
-    from obsblock.cli import main
-    from obsblock.model import save_network
-    net = random_network(n=8, seed=10, m=1, q=3)
-    net_file = tmp_path / "net.json"
-    save_network(net, net_file)
-    assert main(["design", "--input", str(net_file), "--variant", "n6",
-                 "--seed", "10"]) == 0

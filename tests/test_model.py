@@ -7,8 +7,9 @@ import scipy.linalg as la
 from obsblock import model
 from obsblock.config import DesignOptions
 from obsblock.cutset import design_via_cutset
-from obsblock.errors import InvalidInputError, ModelAssemblyError, NetworkFileError
-from obsblock.graph import WeightedDigraph, min_vertex_cut
+from obsblock.errors import (InvalidInputError, ModelAssemblyError, NetworkFileError,
+                             OrderMismatchError)
+from obsblock.graph import WeightedDigraph, laplacian, min_vertex_cut
 from obsblock.model import (FeedbackGain, IntegratorNetwork, assemble, closed_loop,
                             cutset_output, load_network, network_from_dict,
                             network_to_dict, save_network)
@@ -92,6 +93,22 @@ class TestAssemble:
                            match=r"^matrix 1 couples nodes 3->1 without an edge$"):
             IntegratorNetwork(order=2, graph=g, actuation=(1,), measurement=(3,),
                               laplacians=(good, bad))
+
+    def test_explicit_matrices_need_the_graph_order(self):
+        # three matrices over edges carrying two weights cannot be written
+        # back, since the record holds one weight row per order
+        g = WeightedDigraph(n=3, edges=((1, 2, (1.0, 2.0)), (2, 1, (1.0, 2.0)),
+                                        (2, 3, (1.0, 2.0)), (3, 2, (1.0, 2.0))))
+        mats = tuple(laplacian(g, 0) for _ in range(3))
+        with pytest.raises(OrderMismatchError,
+                           match=r"^graph carries 2 weights per edge, need 3$") as info:
+            IntegratorNetwork(order=3, graph=g, actuation=(1,), measurement=(3,),
+                              laplacians=mats)
+        assert info.value.exit_code == 2
+        edgeless = IntegratorNetwork(order=3, graph=WeightedDigraph(n=2),
+                                     actuation=(1,), measurement=(2,),
+                                     laplacians=(np.zeros((2, 2)),) * 3)
+        assert network_from_dict(network_to_dict(edgeless)).order == 3
 
     @pytest.mark.parametrize("seed", range(10))
     def test_sparsity_error_matches_the_per_entry_scan(self, seed):

@@ -66,7 +66,7 @@ def audit(design) -> dict:
 
 class TestFormat3Files:
     @pytest.mark.parametrize("name", FORMAT_3_RECORDS)
-    def test_record_verifies_like_its_format_4_resave(self, name, tmp_path):
+    def test_record_verifies_like_its_resave(self, name, tmp_path):
         data = json.loads((DATA / name).read_text())
         assert data["format"] == "obsblock-design/3"
         assert isinstance(data["network"]["edges"], list)
@@ -74,13 +74,14 @@ class TestFormat3Files:
         path = tmp_path / "resaved.json"
         records.save_design(old, path)
         resaved = json.loads(path.read_text())
-        assert resaved["format"] == "obsblock-design/4"
+        assert resaved["format"] == records.FORMAT
         assert set(resaved["network"]["edges"]) == {"from", "to", "weights"}
         new = records.load_design(path)
         assert records.design_to_dict(new) == resaved
-        # every key but the format string and the network is unchanged
+        # every key but the format string, the network and the dropped
+        # variant is unchanged
         assert {k: v for k, v in resaved.items() if k not in ("format", "network")} == \
-            {k: v for k, v in data.items() if k not in ("format", "network")}
+            {k: v for k, v in data.items() if k not in ("format", "network", "variant")}
         report = audit(old)
         assert report["verdict"] == "pass"
         assert audit(new) == report

@@ -247,6 +247,8 @@ class TestDecompose:
         # zero velocity coupling: eigenvalues come in +-i*sqrt(mu) pairs
         # for each symmetric-Laplacian eigenvalue mu (independent oracle)
         g = symmetric_graph(6, rng, order=1)
+        # the graph carries one weight per order; the matrices below set A
+        g = WeightedDigraph(n=6, edges=tuple((u, v, w * 2) for (u, v, w) in g.edges))
         Ls = np.zeros((6, 6))
         for (u, v, w) in g.edges:
             Ls[v - 1, u - 1] -= w[0]
