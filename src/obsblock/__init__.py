@@ -12,7 +12,7 @@ from .cutset import (CutsetDesign, LgCondition, TransferCertificate,
 from .designer import (BlockingDesign, NullspaceBundle, build_candidate,
                        design_blocking, nullspace_bundle, select_hp)
 from .graph import (CutsetPlan, WeightedDigraph, is_strongly_connected,
-                    laplacian, min_vertex_cut)
+                    min_vertex_cut)
 from .model import (FeedbackGain, IntegratorNetwork, assemble, closed_loop,
                     cutset_output, load_network, save_network)
 from .spectrum import SpectralData, check_stacked_structure, decompose
@@ -45,7 +45,6 @@ __all__ = [
     "design_blocking",
     "design_via_cutset",
     "is_strongly_connected",
-    "laplacian",
     "lg_condition",
     "load_network",
     "min_vertex_cut",

@@ -40,13 +40,10 @@ def _parse_lambda(text: str):
         f"bad --lambda {text!r}; use default, index:<k> or value:<re>[,<im>]")
 
 
-def _tolerances(args) -> Tolerances:
-    overrides = {}
-    if getattr(args, "tol_rank", None) is not None:
-        overrides["rank_decision"] = args.tol_rank
-    if getattr(args, "tol_spec", None) is not None:
-        overrides["spectrum_match"] = args.tol_spec
-    return Tolerances().with_overrides(**overrides)
+def _tolerances(args, spectrum_match: float | None = None) -> Tolerances:
+    """Package tolerances, with --tol-spec, else spectrum_match, as spectrum budget."""
+    spec = spectrum_match if args.tol_spec is None else args.tol_spec
+    return Tolerances() if spec is None else Tolerances(spectrum_match=spec)
 
 
 def _options(args) -> DesignOptions:
@@ -137,12 +134,10 @@ def cmd_repro(args) -> int:
     if args.scenario not in SCENARIOS:
         raise InvalidInputError(
             f"unknown scenario {args.scenario!r}; available: {', '.join(SCENARIOS)}")
-    tol = _tolerances(args)
-    if args.order == 3:
-        # structural zero cluster of an order-3 chain shifts the raw
-        # spectrum comparison to the eigensolver's cube-root noise floor
-        tol = tol.with_overrides(spectrum_match=1e-4)
-    net = fig2_din(seed=args.seed, order=args.order, tol=tol)
+    # structural zero cluster of an order-3 chain shifts the raw
+    # spectrum comparison to the eigensolver's cube-root noise floor
+    tol = _tolerances(args, 1e-4 if args.order == 3 else None)
+    net = fig2_din(seed=args.seed, order=args.order)
     options = DesignOptions(seed=args.seed, tolerances=tol)
     design = design_via_cutset(net, options=options)
     verification = _audit(design, tol, args.seed)
@@ -174,8 +169,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, with_design_flags=True):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol-rank", type=float, default=None,
-                       help="relative rank-decision tolerance")
         p.add_argument("--tol-spec", type=float, default=None,
                        help="spectrum tolerance (verifier quotient, designer multiset)")
         if with_design_flags:

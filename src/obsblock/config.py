@@ -7,7 +7,7 @@ mismatch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class Tolerances:
     candidate_residual: float = 1e-7
     cond_limit: float = 1e12
     lambda_match: float = 1e-6
-
-    def with_overrides(self, **kwargs) -> "Tolerances":
-        return replace(self, **kwargs)
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg as la
 
 from .config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
-from .designer import BlockingDesign, design_blocking
+from .designer import BlockingDesign, design_blocking, select_lambda
 from .errors import InvalidInputError, LgConditionError, NoEligibleEigenvalueError
 from .graph import CutsetPlan, is_strongly_connected, min_vertex_cut
 from .model import IntegratorNetwork, assemble
@@ -80,9 +80,9 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
     """Blocking design with the cut nodes as the measurement surrogate.
 
     A plan is computed with min_vertex_cut when not supplied. Explicit
-    lambda overrides are screened against the L_g condition before
-    anything else so ineligible requests fail fast; the default
-    selection only considers eligible eigenvalues.
+    lambda overrides are screened against L_g before the design, so they
+    fail fast; the default selection only considers eligible eigenvalues.
+    The certificate carries the screen's condition at lambda_p.
     """
     tol = options.tolerances
     if plan is None:
@@ -98,21 +98,22 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
     A, B, _ = assemble(network)
     sd = decompose(A, tol)
 
+    conditions = {}     # lambda -> its L_g condition, computed once
+
+    def screen(lam) -> LgCondition:
+        lam = complex(lam)
+        if lam not in conditions:
+            conditions[lam] = lg_condition(network, plan, lam, tol)
+        return conditions[lam]
+
     sel = options.lambda_selection
     if isinstance(sel, tuple) and sel[0] in ("value", "index"):
-        if sel[0] == "index":
-            idx = int(sel[1])
-            if not 0 <= idx < sd.dim:
-                raise InvalidInputError(f"eigenvalue index {idx} out of range")
-            lam_req = sd.eigenvalues[idx]
-        else:
-            lam_req = complex(sel[1])
-        cond = lg_condition(network, plan, lam_req, tol)
+        lam_req = (sd.eigenvalues[select_lambda(sd, options)] if sel[0] == "index"
+                   else complex(sel[1]))
+        cond = screen(lam_req)
         if not cond.satisfied:
-            alts = [
-                f"{lam:.6g}" for lam in sd.eigenvalues[sd.eigenvalues.imag >= 0]
-                if lg_condition(network, plan, lam, tol).satisfied
-            ]
+            alts = [f"{lam:.6g}" for lam in sd.eigenvalues[sd.eigenvalues.imag >= 0]
+                    if screen(lam).satisfied]
             raise LgConditionError(
                 f"lambda = {lam_req:.6g} fails the L_g condition "
                 f"(margin {cond.margin:.3e} <= {cond.tolerance:.3e}); "
@@ -120,15 +121,13 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
         eligible = None
     else:
         def eligible(lam, i):
-            return lg_condition(network, plan, lam, tol).satisfied
+            return screen(lam).satisfied
 
     design = design_blocking(network, options, measured_nodes=plan.vcut,
                              eligible=eligible, precomputed=(A, B, sd))
-    cond = lg_condition(network, plan, design.lambda_p, tol)
-    if not cond.satisfied:  # pragma: no cover - selection already screened
-        raise NoEligibleEigenvalueError(
-            f"selected eigenvalue {design.lambda_p:.6g} fails the L_g condition")
-
+    # a value request was screened as given, so this screens its matched
+    # eigenvalue; the zero-pattern check below is the transfer evidence
+    cond = screen(design.lambda_p)
     certificate = _certify(network, plan, design, cond)
     worst = max(certificate.cut_zero_pattern, certificate.far_zero_pattern)
     if worst > tol.zero_pattern:

@@ -415,8 +415,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                 raise RepairFailureError(
                     "no independent second direction for the snapped defective "
                     f"pair at {lam_p:.6g} (structural for weight-balanced graphs "
-                    "at lambda = 0)",
-                    rank_gap=d - numerical_rank(V))
+                    "at lambda = 0)")
             _, V[:, partner], Z[:, partner] = drawn
             pairing[p] = p
             pairing[partner] = partner
@@ -456,8 +455,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                                   real=lam_k.imag == 0.0 and len(unit) == 1)
             if drawn is None:
                 raise RepairFailureError(
-                    f"independence repair failed at eigenvalue {lam_k:.6g}",
-                    rank_gap=d - numerical_rank(M))
+                    f"independence repair failed at eigenvalue {lam_k:.6g}")
             M, v, z = drawn
             V[:, unit[0]], Z[:, unit[0]] = v, z
             if len(unit) == 2:

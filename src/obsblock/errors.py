@@ -54,10 +54,6 @@ class RepairFailureError(ObsBlockError):
 
     exit_code = EXIT_NUMERICAL
 
-    def __init__(self, msg: str, rank_gap: int = 0):
-        super().__init__(msg)
-        self.rank_gap = rank_gap
-
 
 class IllConditionedDesignError(ObsBlockError):
     """Closed-loop modal matrix is numerically singular."""

@@ -171,25 +171,10 @@ def _coupling(n: int, tails, heads, w) -> np.ndarray:
     return L
 
 
-def laplacian(g: WeightedDigraph, k: int) -> np.ndarray:
-    """Weighted Laplacian for derivative order k.
-
-    An edge (u -> v, w) adds w to L[v,v] and -w to L[v,u], so L x
-    realizes the in-neighbor coupling sums of the node dynamics and all
-    row sums vanish.
-    """
-    n_orders = g.order
-    if g.tails.size and not (0 <= k < n_orders):
-        raise OrderMismatchError(f"derivative order {k} outside 0..{n_orders - 1}")
-    if not g.tails.size and k < 0:
-        raise OrderMismatchError(f"derivative order {k} negative")
-    if not g.tails.size:
-        return np.zeros((g.n, g.n))
-    return _coupling(g.n, g.tails, g.heads, g.weights[:, k])
-
-
 def laplacian_stack(g: WeightedDigraph, order: int) -> list:
-    """All N Laplacians of a graph whose edges carry N weights."""
+    """All N Laplacians of a graph whose edges carry N weights. In L^(k),
+    an edge (u -> v, w) adds w_k to L[v,v] and -w_k to L[v,u], so L x sums
+    the in-neighbor couplings of the node dynamics and rows sum to zero."""
     if g.tails.size and g.order != order:
         raise OrderMismatchError(f"graph carries {g.order} weights per edge, need {order}")
     if not g.tails.size:

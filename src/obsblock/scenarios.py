@@ -15,7 +15,6 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from .config import Tolerances, DEFAULT_TOLERANCES
 from .designer import check_controllability
 from .errors import ControllabilityError, GenerationError, InvalidInputError
 from .graph import WeightedDigraph, is_strongly_connected
@@ -33,6 +32,7 @@ FIG2_ACTUATION = (1, 10)
 FIG2_ACTUATION_ORDER3 = (1, 4, 10)
 
 SCENARIOS = ("fig2-din",)
+_FIG2_TRIES = 50    # weight draws fig2_din makes before giving up
 
 
 def _weights(rng, order: int, top=(4.0, 8.0)) -> tuple:
@@ -61,9 +61,7 @@ def _with_diagonals(net: IntegratorNetwork, draw) -> IntegratorNetwork:
     return replace(net, laplacians=tuple(mats))
 
 
-def fig2_din(seed: int = 0, order: int = 2,
-             tol: Tolerances = DEFAULT_TOLERANCES,
-             max_tries: int = 50) -> IntegratorNetwork:
+def fig2_din(seed: int = 0, order: int = 2) -> IntegratorNetwork:
     """The reconstructed 11-node benchmark network.
 
     Weights are random positive draws; the top-derivative couplings are
@@ -74,19 +72,19 @@ def fig2_din(seed: int = 0, order: int = 2,
         raise InvalidInputError("order must be >= 2")
     act = FIG2_ACTUATION if order == 2 else FIG2_ACTUATION_ORDER3
     rng = np.random.default_rng(np.random.SeedSequence([seed, order, 0xF162]))
-    for _ in range(max_tries):
+    for _ in range(_FIG2_TRIES):
         graph = _undirected_graph(11, FIG2_UNDIRECTED_EDGES, rng, order)
         net = IntegratorNetwork.from_graph(graph, act, FIG2_MEASUREMENT)
-        sd = decompose(assemble(net)[0], tol)
+        sd = decompose(assemble(net)[0])
         if order == 2 and not sd.all_real():
             continue
         try:
-            check_controllability(net, sd, tol)
+            check_controllability(net, sd)
         except ControllabilityError:
             continue
         return net
     raise GenerationError(
-        f"no admissible fig2 weight draw within {max_tries} tries (seed {seed})")
+        f"no admissible fig2 weight draw within {_FIG2_TRIES} tries (seed {seed})")
 
 
 def random_network(n: int, order: int = 2, density: float = 0.3,

@@ -145,8 +145,8 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
     the square of E^p. That is about log2(T/dt) d x d squarings plus
     O(d^2 T/dt) flops, with no per-step Python loop. Should a power
     overflow, the trajectory advances in blocks of the largest finite
-    power instead. The powers come from `propagator`, which must be
-    step_propagator(A_cl, T, dt) and is computed here when not given;
+    power instead. The powers, and the grid, come from `propagator`, a
+    step_propagator of A_cl, computed here from T and dt when not given;
     a caller that runs several starts on one loop passes it to each.
 
     The horizon is cut short at step k, the last step before the first
@@ -157,7 +157,7 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
     """
     prop = step_propagator(A_cl, T, dt) if propagator is None else propagator
     C = np.asarray(C, dtype=float)
-    steps, powers = prop.steps, prop.powers
+    dt, steps, powers = prop.dt, prop.steps, prop.powers
     top = 1 << (len(powers) - 1)    # the largest power
     X = np.empty((steps + 1, powers[0].shape[0]))   # row j holds x(j*dt)
     X[0] = np.asarray(x0, dtype=float)
@@ -182,8 +182,8 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
 
 
 def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
-                  tol: Tolerances = DEFAULT_TOLERANCES, T: float = 10.0,
-                  dt: float = 0.01, rng=None) -> VerificationReport:
+                  tol: Tolerances = DEFAULT_TOLERANCES,
+                  rng=None) -> VerificationReport:
     """Run every oracle against a design and aggregate the verdict.
 
     C defaults to the network's base measurement output (assemble's C).
@@ -191,14 +191,14 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     of a cutset result it audits the transfer claim, blocking at the
     measurement nodes rather than at the cut.
 
-    The energy witness runs the blocked start (from v_hat) and a random
-    unit start on A_cl - sigma*I, sigma = max(0, max Re lambda(A_cl)),
-    through one shared propagator. The shift scales every trajectory by
-    e^(-sigma t) and leaves every invariant subspace, the blocked one
-    included, exactly in place, so it keeps the horizon on unstable
-    loops without touching darkness. The witness fails when the blocked
-    energy exceeds candidate_residual^2 times the random energy: a start
-    delta away from its mode shows about delta^2 of a generic start's
+    The energy witness runs the blocked start (from v_hat) and a random unit
+    start on A_cl - sigma*I, sigma = max(0, max Re lambda(A_cl)), through one
+    propagator on step_propagator's grid (T = 10, dt = 0.01). The shift scales
+    every trajectory by e^(-sigma t) and leaves every invariant subspace, the
+    blocked one included, exactly in place, so it keeps the horizon on
+    unstable loops without touching darkness. The witness fails when the
+    blocked energy exceeds candidate_residual^2 times the random energy: a
+    start delta away from its mode shows about delta^2 of a generic start's
     energy, and the designer certifies v_hat to candidate_residual.
     """
     A, B, C_base = assemble(design.network)
@@ -220,13 +220,13 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     # for this call
     sigma = max(0.0, float(eig[0].real.max()))
     A_shift = A_cl - sigma * np.eye(d)
-    propagator = step_propagator(A_shift, T, dt)
-    energy, _ = output_energy(A_shift, C, x0, T, dt, propagator)
+    propagator = step_propagator(A_shift)
+    energy, _ = output_energy(A_shift, C, x0, propagator=propagator)
 
     rng = np.random.default_rng(0) if rng is None else rng
     xr = rng.standard_normal(d)
     xr /= np.linalg.norm(xr)
-    energy_rand, _ = output_energy(A_shift, C, xr, T, dt, propagator)
+    energy_rand, _ = output_energy(A_shift, C, xr, propagator=propagator)
     bound = tol.candidate_residual ** 2 * energy_rand
 
     reasons = []

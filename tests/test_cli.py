@@ -220,6 +220,19 @@ class TestExitCodes:
         assert err.startswith("usage: obsblock")
         assert "unrecognized arguments: --variant n6" in err
 
+    @pytest.mark.parametrize("command", [["design", "--input", "net.json"],
+                                         ["verify", "--input", "d.json"],
+                                         ["repro", "fig2-din"]])
+    def test_tol_rank_flag_is_a_usage_error(self, command, capsys):
+        # PBH verdicts, in the designer and the verifier alike, and the
+        # fig2 weight draws take the package rank tolerance
+        with pytest.raises(SystemExit) as info:
+            main(command + ["--tol-rank", "1e-9"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: obsblock")
+        assert "unrecognized arguments: --tol-rank 1e-9" in err
+
     @pytest.mark.parametrize("spec", ["index:abc", "index:", "value:x",
                                       "value:1,2,3", "value:1,"])
     def test_malformed_lambda_number_is_precondition(self, spec, tmp_path,
@@ -254,6 +267,15 @@ class TestRepro:
         assert main(["repro", "fig2-din", "--order", "3", "--seed", "0",
                      "--output", str(out)]) == 0
         assert "repro verdict: pass" in out.read_text()
+
+    def test_fig2_order3_keeps_an_explicit_tol_spec(self, tmp_path, capsys):
+        # 1e-4 is the order-3 spectrum budget only when --tol-spec is absent
+        out = tmp_path / "r3.txt"
+        assert main(["repro", "fig2-din", "--order", "3", "--seed", "0",
+                     "--tol-spec", "1e-6", "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: eigenvalue multiset deviation 1.266e-05 exceeds 1e-06\n")
+        assert not out.exists()
 
 
 class TestRecords:

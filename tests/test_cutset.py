@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 import scipy.linalg as la
 
+from obsblock import cutset
+from obsblock.cli import main
 from obsblock.config import DesignOptions
 from obsblock.cutset import design_via_cutset, lg_condition
 from obsblock.errors import (IllConditionedDesignError,
                              InsufficientActuationError, LgConditionError,
-                             RepairFailureError)
+                             NotAnEigenvalueError, RepairFailureError)
 from obsblock.graph import CutsetPlan, WeightedDigraph, min_vertex_cut
-from obsblock.model import IntegratorNetwork, assemble, closed_loop
+from obsblock.model import (IntegratorNetwork, assemble, closed_loop,
+                            save_network)
 from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
                                 cut_friendly_network, fig2_din, random_network)
-from obsblock.spectrum import multiset_error
+from obsblock.spectrum import decompose, multiset_error
 from obsblock.verify import pbh_test
 
 
@@ -107,6 +110,58 @@ class TestDesignViaCutset:
                               DesignOptions(seed=5,
                                             lambda_selection=("value", lam)))
         assert "eligible alternatives" in str(err.value)
+
+    def test_index_override_rejected_with_alternatives(self):
+        # lambda index 13 is an open-loop eigenvalue, unlike the crafted
+        # values, and fails L_g by a small margin
+        net = cut_friendly_network(4, 4, seed=5)
+        plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
+        with pytest.raises(LgConditionError) as err:
+            design_via_cutset(net, plan,
+                              DesignOptions(lambda_selection=("index", 13)))
+        assert err.value.exit_code == 2
+        head, alts = str(err.value).split("; eligible alternatives: ")
+        assert head == ("lambda = -0.126554+0j fails the L_g condition "
+                        "(margin 2.379e-07 <= 2.567e-06)")
+        eigs = decompose(assemble(net)[0]).eigenvalues
+        assert alts.split(", ") == [f"{lam:.6g}" for lam in eigs[eigs.imag >= 0]
+                                    if lg_condition(net, plan, lam).satisfied]
+        assert len(alts.split(", ")) == 17 and "-0.126554+0j" not in alts
+
+    def test_index_out_of_range_is_not_an_eigenvalue(self):
+        net = cut_friendly_network(4, 4, seed=5)
+        with pytest.raises(NotAnEigenvalueError,
+                           match=r"^eigenvalue index 99 outside 0\.\.17$") as err:
+            design_via_cutset(net, options=DesignOptions(lambda_selection=("index", 99)))
+        assert err.value.exit_code == 2
+
+    def test_cli_index_override_rejected(self, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        save_network(cut_friendly_network(4, 4, seed=5), path)
+        assert main(["design", "--input", str(path), "--cutset",
+                     "--lambda", "index:13"]) == 2
+        assert "eligible alternatives" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("make, walked", [
+        (lambda: fig2_din(seed=0), 1),
+        (lambda: cut_friendly_network(4, 4, seed=9), 2)], ids=["fig2-din", "bridged"])
+    def test_lg_condition_runs_once_per_walked_candidate(self, make, walked,
+                                                          monkeypatch):
+        net = make()
+        calls = []
+
+        def spy(network, plan, lam, tol):
+            calls.append((complex(lam), lg_condition(network, plan, lam, tol)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(cutset, "lg_condition", spy)
+        result = design_via_cutset(net, options=DesignOptions(seed=0))
+        # the walk stops at the first eligible candidate, and the
+        # certificate carries its condition
+        assert [cond.satisfied for _, cond in calls] == [False] * (walked - 1) + [True]
+        assert len({lam for lam, _ in calls}) == walked
+        assert calls[-1][0] == result.design.lambda_p
+        assert result.certificate.condition is calls[-1][1]
 
     def test_q_below_cut_requirement(self):
         # 2-node cut with q = 2 actuators cannot satisfy |Vcut| + 1

@@ -340,8 +340,7 @@ class TestDesignBlocking:
         from conftest import random_digraph
         g = random_digraph(6, rng, density=0.5, order=3)
         net = IntegratorNetwork.from_graph(g, (1, 2, 3), (6,))
-        tols = Tolerances().with_overrides(spectrum_match=1e-4,
-                                           preserved_residual=1e-5)
+        tols = Tolerances(spectrum_match=1e-4, preserved_residual=1e-5)
         design = design_blocking(net, DesignOptions(seed=1, tolerances=tols))
         assert design.residuals["zero_pattern"] < 1e-8
         assert design.residuals["spectrum_match"] < 1e-4

@@ -13,7 +13,8 @@ from obsblock import graph
 from obsblock.errors import InvalidInputError, OrderMismatchError
 from obsblock.graph import (CutsetPlan, WeightedDigraph, _cut_candidates,
                             _partition_after_removal, _split_network,
-                            is_strongly_connected, laplacian, min_vertex_cut)
+                            is_strongly_connected, laplacian_stack,
+                            min_vertex_cut)
 from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
                                 cut_friendly_network, fig2_din)
 
@@ -307,22 +308,21 @@ class TestLaplacian:
         rng = np.random.default_rng(700 + seed)
         g = random_digraph(int(rng.integers(2, 30)), rng,
                            density=float(rng.uniform(0.1, 0.9)), order=3)
-        for k in range(3):
-            assert laplacian(g, k).tobytes() == reference_laplacian(g, k).tobytes()
-        empty = laplacian(WeightedDigraph(n=3), 0)
+        for k, L in enumerate(laplacian_stack(g, 3)):
+            assert L.tobytes() == reference_laplacian(g, k).tobytes()
+        empty, = laplacian_stack(WeightedDigraph(n=3), 1)
         assert empty.tobytes() == np.zeros((3, 3)).tobytes()
 
     def test_two_node_symmetric(self):
         g = WeightedDigraph(n=2, edges=((1, 2, (1.0,)), (2, 1, (1.0,))))
-        L = laplacian(g, 0)
+        L, = laplacian_stack(g, 1)
         assert np.allclose(L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_row_sums_vanish_random(self, rng):
         for _ in range(30):
             n = int(rng.integers(2, 13))
             g = random_digraph(n, rng, density=float(rng.uniform(0.1, 0.9)))
-            for k in range(2):
-                L = laplacian(g, k)
+            for L in laplacian_stack(g, 2):
                 assert np.abs(L.sum(axis=1)).max() < 1e-12
                 off = L - np.diag(np.diag(L))
                 assert off.max() <= 0.0
@@ -330,7 +330,7 @@ class TestLaplacian:
     def test_directed_cycle_eigenvalues_match_charpoly_oracle(self):
         g = WeightedDigraph(n=3, edges=(
             (1, 2, (1.0,)), (2, 3, (1.0,)), (3, 1, (1.0,))))
-        L = laplacian(g, 0)
+        L, = laplacian_stack(g, 1)
         got = np.sort_complex(la.eigvals(L))
         oracle = np.sort_complex(np.roots(poly_det3(L)))
         assert np.abs(got - oracle).max() < 1e-9
@@ -340,8 +340,9 @@ class TestLaplacian:
 
     def test_order_out_of_range(self):
         g = WeightedDigraph(n=2, edges=((1, 2, (1.0, 2.0)), (2, 1, (1.0, 2.0))))
-        with pytest.raises(OrderMismatchError):
-            laplacian(g, 2)
+        with pytest.raises(OrderMismatchError,
+                           match=r"^graph carries 2 weights per edge, need 3$"):
+            laplacian_stack(g, 3)
 
     def test_weight_validation(self):
         with pytest.raises(InvalidInputError):

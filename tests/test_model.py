@@ -9,7 +9,7 @@ from obsblock.config import DesignOptions
 from obsblock.cutset import design_via_cutset
 from obsblock.errors import (InvalidInputError, ModelAssemblyError, NetworkFileError,
                              OrderMismatchError)
-from obsblock.graph import WeightedDigraph, laplacian, min_vertex_cut
+from obsblock.graph import WeightedDigraph, laplacian_stack, min_vertex_cut
 from obsblock.model import (FeedbackGain, IntegratorNetwork, assemble, closed_loop,
                             cutset_output, load_network, network_from_dict,
                             network_to_dict, save_network)
@@ -99,7 +99,7 @@ class TestAssemble:
         # back, since the record holds one weight row per order
         g = WeightedDigraph(n=3, edges=((1, 2, (1.0, 2.0)), (2, 1, (1.0, 2.0)),
                                         (2, 3, (1.0, 2.0)), (3, 2, (1.0, 2.0))))
-        mats = tuple(laplacian(g, 0) for _ in range(3))
+        mats = (laplacian_stack(g, 2)[0],) * 3
         with pytest.raises(OrderMismatchError,
                            match=r"^graph carries 2 weights per edge, need 3$") as info:
             IntegratorNetwork(order=3, graph=g, actuation=(1,), measurement=(3,),

@@ -493,9 +493,9 @@ class TestOutputEnergyDoubling:
         plain = records.verification_to_dict(verify_design(design))
         calls = []
 
-        def spy(*args):
-            calls.append(args[-1])
-            return output_energy(*args)
+        def spy(*args, propagator):
+            calls.append(propagator)
+            return output_energy(*args, propagator=propagator)
 
         monkeypatch.setattr(verify, "output_energy", spy)
         assert records.verification_to_dict(verify_design(design)) == plain
