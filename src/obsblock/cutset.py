@@ -9,13 +9,14 @@ the spectrum of L_g.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as la
 
 from .config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
-from .designer import BlockingDesign, design_blocking, select_lambda
+from .designer import (BlockingDesign, candidates, design_blocking,
+                       select_lambda)
 from .errors import InvalidInputError, LgConditionError, NoEligibleEigenvalueError
 from .graph import CutsetPlan, is_strongly_connected, min_vertex_cut
 from .model import IntegratorNetwork, assemble
@@ -79,10 +80,10 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
                       options: DesignOptions = DesignOptions()) -> CutsetDesign:
     """Blocking design with the cut nodes as the measurement surrogate.
 
-    A plan is computed with min_vertex_cut when not supplied. Explicit
-    lambda overrides are screened against L_g before the design, so they
-    fail fast; the default selection only considers eligible eigenvalues.
-    The certificate carries the screen's condition at lambda_p.
+    A plan is computed with min_vertex_cut when not supplied. The L_g
+    screen filters the designer's candidates: the default takes the first
+    that passes; an explicit override fails fast and lists those that
+    pass. The certificate carries the screen's condition at lambda_p.
     """
     tol = options.tolerances
     if plan is None:
@@ -90,10 +91,8 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
                               network.measurement)
     else:
         plan.validate(network.graph, network.actuation, network.measurement)
-
-    laplacian_form = network.is_laplacian_form()
-    if laplacian_form and not is_strongly_connected(network.graph):
-        raise InvalidInputError("cutset design requires a strongly connected graph")
+        if network.is_laplacian_form() and not is_strongly_connected(network.graph):
+            raise InvalidInputError("cutset design requires a strongly connected graph")
 
     A, B, _ = assemble(network)
     sd = decompose(A, tol)
@@ -106,25 +105,27 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
             conditions[lam] = lg_condition(network, plan, lam, tol)
         return conditions[lam]
 
+    eligible = (p for p in candidates(sd, tol) if screen(sd.eigenvalues[p]).satisfied)
     sel = options.lambda_selection
     if isinstance(sel, tuple) and sel[0] in ("value", "index"):
         lam_req = (sd.eigenvalues[select_lambda(sd, options)] if sel[0] == "index"
                    else complex(sel[1]))
         cond = screen(lam_req)
         if not cond.satisfied:
-            alts = [f"{lam:.6g}" for lam in sd.eigenvalues[sd.eigenvalues.imag >= 0]
-                    if screen(lam).satisfied]
+            alts = [f"index:{p} ({sd.eigenvalues[p]:.6g})" for p in eligible]
             raise LgConditionError(
                 f"lambda = {lam_req:.6g} fails the L_g condition "
                 f"(margin {cond.margin:.3e} <= {cond.tolerance:.3e}); "
                 f"eligible alternatives: {', '.join(alts) if alts else 'none'}")
-        eligible = None
-    else:
-        def eligible(lam, i):
-            return screen(lam).satisfied
+    elif sel == "default":
+        p = next(eligible, None)
+        if p is None:
+            raise NoEligibleEigenvalueError(
+                "no usable eigenvalue satisfies the L_g condition")
+        options = replace(options, lambda_selection=("index", p))
 
     design = design_blocking(network, options, measured_nodes=plan.vcut,
-                             eligible=eligible, precomputed=(A, B, sd))
+                             precomputed=(A, B, sd))
     # a value request was screened as given, so this screens its matched
     # eigenvalue; the zero-pattern check below is the transfer evidence
     cond = screen(design.lambda_p)
@@ -138,9 +139,9 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
 
 
 def _certify(network, plan, design, cond) -> TransferCertificate:
-    """Zero-pattern and derivative-relation evidence for the transfer."""
+    """Zero-pattern and derivative-relation evidence for the transfer; the
+    cut pattern is the designer's own measured-entry residual."""
     v = design.v_hat
-    cut = v[network.state_index(plan.vcut).ravel()]
     far = v[network.state_index(plan.v2)]          # order x |V2|
     base = v[network.state_index().ravel()]
     # Lemma relation on the far partition: each derivative block is
@@ -149,7 +150,7 @@ def _certify(network, plan, design, cond) -> TransferCertificate:
            if far.size else 0.0)
     return TransferCertificate(
         plan=plan, condition=cond,
-        cut_zero_pattern=float(max((abs(x) for x in cut), default=0.0)),
+        cut_zero_pattern=design.residuals["zero_pattern"],
         far_zero_pattern=float(max((abs(x) for x in far.ravel()), default=0.0)),
         base_output_infnorm=float(np.abs(base).max()) if base.size else 0.0,
         derivative_relation_residual=rel)

@@ -555,23 +555,36 @@ def _zero_screen(sd: SpectralData, tol: Tolerances) -> float:
     return tol.lambda_match * max(1.0, sd.matrix_norm)
 
 
-def select_lambda(sd: SpectralData, options: DesignOptions,
-                  eligible=None) -> int:
-    """Resolve the lambda-selection policy to a modal column index.
+def candidates(sd: SpectralData, tol: Tolerances):
+    """Lazily yield the usable modal columns in default-walk order.
 
-    Default policy: the first usable candidate in the order real
-    eigenvalues by (|lambda|, index), then upper-half conjugate pairs by
-    (|lambda|, index). A candidate is usable when it is nonzero, it is
-    not a snapped pair, it passes `eligible` when given (called only
-    until the first usable candidate) and its cluster of overlapping
+    The order is real eigenvalues by (|lambda|, index), then upper-half
+    conjugate pairs by (|lambda|, index). A candidate is usable when it
+    is nonzero, it is not a snapped pair and its cluster of overlapping
     perturbation disks is one eigenvalue: all within lambda_match *
     max(1, |lambda|), as a lone disk or the copies of a repeated
-    eigenvalue are and a scattered Jordan chain is not. Explicit
-    index/value overrides skip these screens.
+    eigenvalue are and a scattered Jordan chain is not.
+    """
+    screen = _zero_screen(sd, tol)
+    mu = sd.raw_eigenvalues
+    walk = sorted((i for i in range(sd.dim) if sd.eigenvalues[i].imag >= 0),
+                  key=lambda i: (sd.eigenvalues[i].imag > 0,
+                                 abs(sd.eigenvalues[i]), i))
+    for i in walk:
+        if abs(sd.eigenvalues[i]) > screen and not sd.is_vector_paired(i):
+            spread = np.abs(mu[sd.cluster == sd.cluster[i]] - mu[i]).max()
+            if spread <= tol.lambda_match * max(1.0, abs(mu[i])):
+                yield i
+
+
+def select_lambda(sd: SpectralData, options: DesignOptions) -> int:
+    """Resolve the lambda-selection policy to a modal column index.
+
+    The default policy takes the first of `candidates`; explicit
+    index/value overrides skip its screens.
     """
     tol = options.tolerances
     sel = options.lambda_selection
-    screen = _zero_screen(sd, tol)
 
     if isinstance(sel, tuple) and len(sel) == 2 and sel[0] == "index":
         p = int(sel[1])
@@ -584,20 +597,7 @@ def select_lambda(sd: SpectralData, options: DesignOptions,
                 f"{complex(sel[1]):.6g} is not an open-loop eigenvalue "
                 f"(match tolerance {tol.lambda_match:g} relative)")
     elif sel == "default":
-        mu = sd.raw_eigenvalues
-
-        def usable(i):
-            if abs(sd.eigenvalues[i]) <= screen or sd.is_vector_paired(i):
-                return False
-            spread = np.abs(mu[sd.cluster == sd.cluster[i]] - mu[i]).max()
-            if spread > tol.lambda_match * max(1.0, abs(mu[i])):
-                return False
-            return eligible is None or eligible(sd.eigenvalues[i], i)
-
-        walk = sorted((i for i in range(sd.dim) if sd.eigenvalues[i].imag >= 0),
-                      key=lambda i: (sd.eigenvalues[i].imag > 0,
-                                     abs(sd.eigenvalues[i]), i))
-        p = next((i for i in walk if usable(i)), None)
+        p = next(candidates(sd, tol), None)
         if p is None:
             raise NoEligibleEigenvalueError(
                 "no usable eigenvalue satisfies the selection policy")
@@ -614,14 +614,12 @@ def required_actuators(m: int, spectrum_all_real: bool) -> int:
 
 def design_blocking(network: IntegratorNetwork,
                     options: DesignOptions = DesignOptions(),
-                    measured_nodes=None, eligible=None,
-                    precomputed=None) -> BlockingDesign:
+                    measured_nodes=None, precomputed=None) -> BlockingDesign:
     """End-to-end blocking design against the network's measurement set.
 
     measured_nodes overrides the constraint set (the cutset pipeline
-    passes the cut nodes); `eligible` filters default eigenvalue
-    selection. `precomputed` may carry (A, B, sd) to avoid repeating
-    the decomposition.
+    passes the cut nodes). `precomputed` may carry (A, B, sd) to avoid
+    repeating the decomposition.
 
     Raises the specific precondition error (controllability, lambda
     selection, no null direction in the constraint block) or a
@@ -649,7 +647,7 @@ def design_blocking(network: IntegratorNetwork,
 
     check_controllability(network, sd, tol)
 
-    p = select_lambda(sd, options, eligible=eligible)
+    p = select_lambda(sd, options)
     lam_p = sd.eigenvalues[p]
     if abs(lam_p) <= _zero_screen(sd, tol):
         # the theorem statement asks for a nonzero eigenvalue, so the

@@ -19,6 +19,8 @@ from .errors import (InvalidInputError, ModelAssemblyError, NetworkFileError,
                      OrderMismatchError)
 from .graph import CutsetPlan, WeightedDigraph, laplacian_stack
 
+_ROW_SUM_TOL = 1e-12    # relative row sum under which a coupling is Laplacian
+
 
 @dataclass(frozen=True)
 class IntegratorNetwork:
@@ -103,9 +105,9 @@ class IntegratorNetwork:
     def state_dim(self) -> int:
         return self.order * self.n
 
-    def is_laplacian_form(self, tol: float = 1e-12) -> bool:
+    def is_laplacian_form(self) -> bool:
         """True when every coupling matrix has (near-)zero row sums."""
-        return all(np.abs(L.sum(axis=1)).max() <= tol * max(1.0, np.abs(L).max())
+        return all(np.abs(L.sum(axis=1)).max() <= _ROW_SUM_TOL * max(1.0, np.abs(L).max())
                    for L in self.laplacians)
 
     def input_matrix_block(self) -> np.ndarray:

@@ -33,6 +33,7 @@ FIG2_ACTUATION_ORDER3 = (1, 4, 10)
 
 SCENARIOS = ("fig2-din",)
 _FIG2_TRIES = 50    # weight draws fig2_din makes before giving up
+_RANDOM_TRIES = 200  # draws random_network makes before giving up
 
 
 def _weights(rng, order: int, top=(4.0, 8.0)) -> tuple:
@@ -89,8 +90,8 @@ def fig2_din(seed: int = 0, order: int = 2) -> IntegratorNetwork:
 
 def random_network(n: int, order: int = 2, density: float = 0.3,
                    seed: int = 0, m: int = 1, q: int | None = None,
-                   overdamped: bool = False, undirected: bool = False,
-                   max_tries: int = 200) -> IntegratorNetwork:
+                   overdamped: bool = False,
+                   undirected: bool = False) -> IntegratorNetwork:
     """Random strongly connected positive-weight network.
 
     Measurement nodes are the last m ids, actuation the first q; draws
@@ -107,7 +108,7 @@ def random_network(n: int, order: int = 2, density: float = 0.3,
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, order, 0x6E37]))
     top = (4.0, 8.0) if overdamped else (0.5, 1.5)
     pairs = combinations if undirected else permutations
-    for _ in range(max_tries):
+    for _ in range(_RANDOM_TRIES):
         edges = []
         for u, v in pairs(range(1, n + 1), 2):
             if rng.random() < density:
@@ -121,22 +122,21 @@ def random_network(n: int, order: int = 2, density: float = 0.3,
         return IntegratorNetwork.from_graph(
             graph, tuple(range(1, q + 1)), tuple(range(n - m + 1, n + 1)))
     raise GenerationError(
-        f"no strongly connected draw at density {density} within {max_tries} tries")
+        f"no strongly connected draw at density {density} within {_RANDOM_TRIES} tries")
 
 
 def generic_network(n: int, order: int = 2, density: float = 0.4,
-                    seed: int = 0, m: int = 1, q: int | None = None,
-                    scale: float = 1.0, max_tries: int = 200) -> IntegratorNetwork:
+                    seed: int = 0, m: int = 1, q: int | None = None) -> IntegratorNetwork:
     """Graph-sparse network with non-Laplacian coupling matrices.
 
     Off-diagonal entries follow the edge pattern, diagonals are generic
     positive draws instead of row sums, so there is no structural zero
     eigenvalue and the spectrum is non-defective generically.
     """
-    base = random_network(n, order, density, seed, m, q, max_tries=max_tries)
+    base = random_network(n, order, density, seed, m, q)
     rng = np.random.default_rng(np.random.SeedSequence([seed, n, order, 0x9E4E]))
     return _with_diagonals(
-        base, lambda: rng.uniform(0.5, 1.5, n) * scale * (1 + np.arange(n) % 3))
+        base, lambda: rng.uniform(0.5, 1.5, n) * (1 + np.arange(n) % 3))
 
 
 def cut_friendly_network(n1_size: int, n2_size: int, order: int = 2,

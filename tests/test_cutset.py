@@ -1,23 +1,26 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg as la
 
 from obsblock import cutset
 from obsblock.cli import main
-from obsblock.config import DesignOptions
+from obsblock.config import DEFAULT_TOLERANCES, DesignOptions
 from obsblock.cutset import design_via_cutset, lg_condition
 from obsblock.errors import (IllConditionedDesignError,
                              InsufficientActuationError, LgConditionError,
-                             NotAnEigenvalueError, RepairFailureError)
+                             NoEligibleEigenvalueError, NotAnEigenvalueError,
+                             RepairFailureError)
 from obsblock.graph import CutsetPlan, WeightedDigraph, min_vertex_cut
 from obsblock.model import (IntegratorNetwork, assemble, closed_loop,
                             save_network)
 from obsblock.scenarios import (FIG2_ACTUATION, FIG2_MEASUREMENT,
                                 cut_friendly_network, fig2_din, random_network)
 from obsblock.spectrum import decompose, multiset_error
-from obsblock.verify import pbh_test
+from obsblock.verify import pbh_test, verify_design
 
 
 def grounded_companion_eigs(network, plan):
@@ -113,7 +116,8 @@ class TestDesignViaCutset:
 
     def test_index_override_rejected_with_alternatives(self):
         # lambda index 13 is an open-loop eigenvalue, unlike the crafted
-        # values, and fails L_g by a small margin
+        # values, and fails L_g by a small margin; every alternative is a
+        # usable candidate that passes L_g, listed as an index request
         net = cut_friendly_network(4, 4, seed=5)
         plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
         with pytest.raises(LgConditionError) as err:
@@ -123,10 +127,47 @@ class TestDesignViaCutset:
         head, alts = str(err.value).split("; eligible alternatives: ")
         assert head == ("lambda = -0.126554+0j fails the L_g condition "
                         "(margin 2.379e-07 <= 2.567e-06)")
-        eigs = decompose(assemble(net)[0]).eigenvalues
-        assert alts.split(", ") == [f"{lam:.6g}" for lam in eigs[eigs.imag >= 0]
-                                    if lg_condition(net, plan, lam).satisfied]
-        assert len(alts.split(", ")) == 17 and "-0.126554+0j" not in alts
+        listed = [re.fullmatch(r"index:(\d+) \((.+)\)", a).groups()
+                  for a in alts.split(", ")]
+        assert len(listed) == 15 and "13" not in [k for k, _ in listed]
+        A, _, C = assemble(net)
+        sd = decompose(A)
+        zero_screen = DEFAULT_TOLERANCES.lambda_match * max(1.0, sd.matrix_norm)
+        for k, value in listed:
+            lam = sd.eigenvalues[int(k)]
+            assert value == f"{lam:.6g}" and abs(lam) > zero_screen
+            result = design_via_cutset(
+                net, plan, DesignOptions(lambda_selection=("index", int(k))))
+            assert result.design.lambda_index == int(k)
+            assert verify_design(result.design, C=C,
+                                 rng=np.random.default_rng(0)).verdict
+
+    def test_no_candidate_passes_lg(self, monkeypatch, capsys):
+        def unsatisfied(network, plan, lam, tol):
+            cond = lg_condition(network, plan, lam, tol)
+            cond.satisfied = False
+            return cond
+
+        monkeypatch.setattr(cutset, "lg_condition", unsatisfied)
+        with pytest.raises(NoEligibleEigenvalueError,
+                           match="^no usable eigenvalue satisfies the L_g "
+                                 "condition$"):
+            design_via_cutset(fig2_din(seed=0), options=DesignOptions())
+        assert main(["repro", "fig2-din"]) == 2
+        assert capsys.readouterr().err == (
+            "error: no usable eigenvalue satisfies the L_g condition\n")
+
+    @pytest.mark.parametrize("make", [
+        lambda: fig2_din(seed=0), lambda: cut_friendly_network(4, 4, seed=9)],
+        ids=["fig2-din", "bridged"])
+    def test_cut_zero_pattern_is_the_designer_residual(self, make):
+        net = make()
+        result = design_via_cutset(net, options=DesignOptions())
+        v = result.design.v_hat
+        cut = v[net.state_index(result.certificate.plan.vcut).ravel()]
+        assert result.certificate.cut_zero_pattern == \
+            result.design.residuals["zero_pattern"]
+        assert result.certificate.cut_zero_pattern == max(abs(x) for x in cut)
 
     def test_index_out_of_range_is_not_an_eigenvalue(self):
         net = cut_friendly_network(4, 4, seed=5)

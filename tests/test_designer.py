@@ -11,10 +11,10 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from obsblock.config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
 from obsblock.designer import (NullspaceBundle, _conjugate_classes,
-                               build_candidate, check_controllability,
-                               companion_pencil, design_blocking,
-                               nullspace_bundle, pbh_screen, select_hp,
-                               select_lambda)
+                               build_candidate, candidates,
+                               check_controllability, companion_pencil,
+                               design_blocking, nullspace_bundle, pbh_screen,
+                               select_hp, select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
                              NoEligibleEigenvalueError, NotAnEigenvalueError,
                              ObsBlockError)
@@ -360,12 +360,12 @@ class TestUntargetedModesKeepRank:
             assert pbh_test(A, C, lam) == pbh_test(A_cl, C, lam) == d
 
 
-def two_pass_default(sd, tol, eligible):
-    """Reference default policy: screen every candidate, then take the
-    smallest usable real eigenvalue, else the smallest usable upper-half
-    pair, both by (|lambda|, index); None when nothing is usable. A
-    candidate whose disk overlaps another is usable only when every
-    eigenvalue of its cluster is a copy of it (within lambda_match)."""
+def two_pass_order(sd, tol):
+    """Reference default walk: screen every candidate, then list the
+    usable real eigenvalues, then the usable upper-half pairs, each by
+    (|lambda|, index). A candidate whose disk overlaps another is usable
+    only when every eigenvalue of its cluster is a copy of it (within
+    lambda_match)."""
     screen = tol.lambda_match * max(1.0, sd.matrix_norm)
     mu = sd.raw_eigenvalues
 
@@ -376,16 +376,12 @@ def two_pass_default(sd, tol, eligible):
     def usable(i):
         if not one_eigenvalue(i) or abs(sd.eigenvalues[i]) <= screen:
             return False
-        if sd.is_vector_paired(i):
-            return False
-        return eligible(sd.eigenvalues[i], i)
+        return not sd.is_vector_paired(i)
 
     key = lambda i: (abs(sd.eigenvalues[i]), i)
     reals = [i for i in range(sd.dim) if sd.is_real(i) and usable(i)]
-    if reals:
-        return min(reals, key=key)
     pairs = [i for i in range(sd.dim) if sd.eigenvalues[i].imag > 0 and usable(i)]
-    return min(pairs, key=key) if pairs else None
+    return sorted(reals, key=key) + sorted(pairs, key=key)
 
 
 def equal_ring(n=7):
@@ -427,24 +423,27 @@ class TestSelectLambdaWalk:
     def test_matches_two_pass_reference_and_stops_early(self, data):
         sd = walk_spectrum(data.draw(st.sampled_from(sorted(WALK_NETWORKS))))
         allowed = data.draw(st.sets(st.sampled_from(range(sd.dim))))
+        reference = two_pass_order(sd, DEFAULT_TOLERANCES)
+        assert list(candidates(sd, DEFAULT_TOLERANCES)) == reference
+        if reference:
+            assert select_lambda(sd, DesignOptions()) == reference[0]
+        else:
+            with pytest.raises(NoEligibleEigenvalueError):
+                select_lambda(sd, DesignOptions())
+
+        # a filter on the lazy walk sees each candidate once, in order,
+        # and stops at the first allowed one
         calls = []
 
-        def eligible(lam, i):
-            assert lam == sd.eigenvalues[i]
+        def allow(i):
             calls.append(i)
             return i in allowed
 
-        expected = two_pass_default(sd, DEFAULT_TOLERANCES,
-                                    lambda lam, i: i in allowed)
-        if expected is None:
-            with pytest.raises(NoEligibleEigenvalueError):
-                select_lambda(sd, DesignOptions(), eligible)
-        else:
-            assert select_lambda(sd, DesignOptions(), eligible) == expected
-            key = lambda i: (sd.eigenvalues[i].imag > 0, abs(sd.eigenvalues[i]), i)
-            assert all(key(i) <= key(expected) for i in calls)
-            assert calls[-1] == expected
-        assert len(calls) == len(set(calls))
+        first = next((i for i in candidates(sd, DEFAULT_TOLERANCES) if allow(i)), None)
+        expected = next((i for i in reference if i in allowed), None)
+        assert first == expected
+        assert calls == (reference[:reference.index(expected) + 1]
+                         if expected is not None else reference)
 
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("s", range(20))

@@ -204,5 +204,5 @@ def test_lambda_index_out_of_range():
 
 
 def test_generation_retry_budget():
-    with pytest.raises(GenerationError):
-        random_network(n=30, seed=0, density=0.01, max_tries=3)
+    with pytest.raises(GenerationError, match="within 200 tries"):
+        random_network(n=30, seed=0, density=0.01)
