@@ -82,8 +82,9 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
 
     A plan is computed with min_vertex_cut when not supplied. The L_g
     screen filters the designer's candidates: the default takes the first
-    that passes; an explicit override fails fast and lists those that
-    pass. The certificate carries the screen's condition at lambda_p.
+    that passes; an explicit request is resolved by select_lambda, and
+    its eigenvalue failing the screen lists those that pass. The
+    certificate carries the screen's condition at lambda_p.
     """
     tol = options.tolerances
     if plan is None:
@@ -106,28 +107,23 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
         return conditions[lam]
 
     eligible = (p for p in candidates(sd, tol) if screen(sd.eigenvalues[p]).satisfied)
-    sel = options.lambda_selection
-    if isinstance(sel, tuple) and sel[0] in ("value", "index"):
-        lam_req = (sd.eigenvalues[select_lambda(sd, options)] if sel[0] == "index"
-                   else complex(sel[1]))
-        cond = screen(lam_req)
-        if not cond.satisfied:
-            alts = [f"index:{p} ({sd.eigenvalues[p]:.6g})" for p in eligible]
-            raise LgConditionError(
-                f"lambda = {lam_req:.6g} fails the L_g condition "
-                f"(margin {cond.margin:.3e} <= {cond.tolerance:.3e}); "
-                f"eligible alternatives: {', '.join(alts) if alts else 'none'}")
-    elif sel == "default":
+    if options.lambda_selection == "default":
         p = next(eligible, None)
         if p is None:
             raise NoEligibleEigenvalueError(
                 "no usable eigenvalue satisfies the L_g condition")
-        options = replace(options, lambda_selection=("index", p))
+    else:
+        p = select_lambda(sd, options)
+        cond = screen(sd.eigenvalues[p])
+        if not cond.satisfied:
+            alts = [f"index:{k} ({sd.eigenvalues[k]:.6g})" for k in eligible]
+            raise LgConditionError(
+                f"lambda = {sd.eigenvalues[p]:.6g} fails the L_g condition "
+                f"(margin {cond.margin:.3e} <= {cond.tolerance:.3e}); "
+                f"eligible alternatives: {', '.join(alts) if alts else 'none'}")
 
-    design = design_blocking(network, options, measured_nodes=plan.vcut,
-                             precomputed=(A, B, sd))
-    # a value request was screened as given, so this screens its matched
-    # eigenvalue; the zero-pattern check below is the transfer evidence
+    design = design_blocking(network, replace(options, lambda_selection=("index", p)),
+                             measured_nodes=plan.vcut, precomputed=(A, B, sd))
     cond = screen(design.lambda_p)
     certificate = _certify(network, plan, design, cond)
     worst = max(certificate.cut_zero_pattern, certificate.far_zero_pattern)

@@ -107,25 +107,13 @@ def companion_pencil(network: IntegratorNetwork, lam) -> np.ndarray:
     return np.hstack([P, network.input_matrix_block()])
 
 
-def _conjugate_classes(eigenvalues, tol: Tolerances) -> np.ndarray:
-    """First column of each conjugate class, in column order: a column
-    within lambda_match of an earlier class's first column (compared in
-    the upper half plane) shares that class's verdict."""
-    up = eigenvalues.real + 1j * np.abs(eigenvalues.imag)
-    near = np.tril(np.abs(up[:, None] - up[None, :])
-                   <= tol.lambda_match * np.maximum(1.0, np.abs(up))[None, :], -1)
-    first = np.ones(up.size, dtype=bool)
-    for i in np.flatnonzero(near.any(axis=1)):
-        first[i] = not (near[i] & first).any()
-    return np.flatnonzero(first)
-
-
 def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
                tol: Tolerances = DEFAULT_TOLERANCES):
     """Certify PBH classes controllable from the modal data, with no SVD.
 
-    Returns (classes, bound, cutoff). classes holds the first column of
-    each conjugate class, in the order check_controllability walks them;
+    Returns (classes, bound, cutoff). classes holds the leading column of
+    each conjugate pair of the eigensolver (a real eigenvalue is its own
+    pair), in column order, the order check_controllability walks them;
     bound[k] is a lower bound on the smallest singular value of the
     companion pencil [P(z), Bhat] at z = eigenvalues[classes[k]], and
     cutoff[k] a value above which the pencil's own rank test cannot come
@@ -177,7 +165,7 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
     n, N, q = network.n, network.order, network.q
     V, W = sd.modal_matrix, sd.left_modal_matrix
     mu, kappa, radius = sd.raw_eigenvalues, sd.kappa, sd.radius
-    classes = _conjugate_classes(sd.eigenvalues, tol)
+    classes = sd.leading
     z = sd.eigenvalues[classes]
     single = sd.isolated
 
@@ -225,10 +213,11 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
 
 def check_controllability(network: IntegratorNetwork, sd: SpectralData,
                           tol: Tolerances = DEFAULT_TOLERANCES) -> None:
-    """PBH test at every distinct eigenvalue; raises on rank deficiency.
+    """PBH test at every open-loop eigenvalue; raises on rank deficiency.
 
-    Conjugate eigenvalues share a verdict, so each conjugate class is
-    checked once, at its first member in column order. pbh_screen
+    Conjugate eigenvalues share a verdict, so each conjugate pair of the
+    eigensolver is checked once, at its leading column; each copy of a
+    repeated eigenvalue is checked on its own. pbh_screen
     certifies most classes from the left and right eigenvectors of `sd`;
     the rest run on the companion pencil (see companion_pencil), in the
     same order, and are rank deficient when its smallest singular value

@@ -71,9 +71,18 @@ class SpectralData:
         """True for the columns whose disk is alone in its cluster."""
         return np.bincount(self.cluster)[self.cluster] == 1
 
+    @property
+    def leading(self) -> np.ndarray:
+        """Self-paired or leading column of each solver conjugate pair."""
+        return _leading(self.pairing)
+
     def is_vector_paired(self, i: int) -> bool:
         """Distinct conjugate partner despite a real eigenvalue (snapped pair)."""
         return self.pairing[i] != i and self.is_real(i)
+
+
+def _leading(pairing: np.ndarray) -> np.ndarray:
+    return np.flatnonzero(pairing >= np.arange(pairing.size))
 
 
 def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
@@ -124,7 +133,7 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
 
     # canonical phase on each self-paired or leading column, then exact
     # conjugates onto the partners
-    lead = np.flatnonzero(pairing >= np.arange(d))
+    lead = _leading(pairing)
     U = V[:, lead]
     mags = np.abs(U)
     top = mags.max(axis=0, initial=0.0)

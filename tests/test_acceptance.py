@@ -16,7 +16,7 @@ import scipy.linalg as la
 from obsblock.config import DesignOptions
 from obsblock.cutset import design_via_cutset, lg_condition
 from obsblock.designer import design_blocking, required_actuators
-from obsblock.errors import LgConditionError, NoEligibleEigenvalueError
+from obsblock.errors import LgConditionError, NotAnEigenvalueError
 from obsblock.graph import min_vertex_cut
 from obsblock.model import IntegratorNetwork, assemble, closed_loop
 from obsblock.scenarios import (cut_friendly_network, fig2_din,
@@ -148,9 +148,18 @@ def test_criterion_5_lg_condition_screen():
     bad = grounded_companion_eigs(net, plan)[0]
     cond = lg_condition(net, plan, bad)
     assert not cond.satisfied
-    with pytest.raises((LgConditionError, NoEligibleEigenvalueError)):
+    # it is no open-loop eigenvalue, so the pipeline refuses it as such
+    with pytest.raises(NotAnEigenvalueError):
         design_via_cutset(net, plan, DesignOptions(
             seed=50, lambda_selection=("value", bad)))
+    # an open-loop eigenvalue that fails the screen is rejected by it
+    net = cut_friendly_network(4, 4, seed=5)
+    plan = min_vertex_cut(net.graph, net.actuation, net.measurement)
+    lam = decompose(assemble(net)[0]).eigenvalues[13]
+    assert not lg_condition(net, plan, lam).satisfied
+    with pytest.raises(LgConditionError, match="eligible alternatives"):
+        design_via_cutset(net, plan, DesignOptions(
+            lambda_selection=("index", 13)))
 
     # lambda = 0 always eligible on strongly connected positive weights:
     # grounded far-partition spectra sit in the open right half plane

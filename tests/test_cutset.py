@@ -11,7 +11,8 @@ from obsblock.cli import main
 from obsblock.config import DEFAULT_TOLERANCES, DesignOptions
 from obsblock.cutset import design_via_cutset, lg_condition
 from obsblock.errors import (IllConditionedDesignError,
-                             InsufficientActuationError, LgConditionError,
+                             InsufficientActuationError, InvalidInputError,
+                             LgConditionError,
                              NoEligibleEigenvalueError, NotAnEigenvalueError,
                              RepairFailureError)
 from obsblock.graph import CutsetPlan, WeightedDigraph, min_vertex_cut
@@ -104,15 +105,28 @@ class TestDesignViaCutset:
         A_cl = closed_loop(A, B, result.design.F)
         assert pbh_test(A_cl, C, result.design.lambda_p) <= 2 * net.n - 1
 
-    def test_crafted_override_rejected_with_alternatives(self):
+    def test_crafted_value_is_refused_before_the_screen(self, monkeypatch):
+        # the crafted value fails L_g but is no open-loop eigenvalue: the
+        # request is refused as such, and the screen never runs on it
         net = fig2_din(seed=5)
         plan = min_vertex_cut(net.graph, FIG2_ACTUATION, FIG2_MEASUREMENT)
         lam = grounded_companion_eigs(net, plan)[0]
-        with pytest.raises(LgConditionError) as err:
+        assert not lg_condition(net, plan, lam).satisfied
+        screened = []
+        monkeypatch.setattr(cutset, "lg_condition",
+                            lambda *args: screened.append(args) or lg_condition(*args))
+        with pytest.raises(NotAnEigenvalueError,
+                           match="is not an open-loop eigenvalue") as err:
             design_via_cutset(net, plan,
                               DesignOptions(seed=5,
                                             lambda_selection=("value", lam)))
-        assert "eligible alternatives" in str(err.value)
+        assert err.value.exit_code == 2 and screened == []
+
+    @pytest.mark.parametrize("sel", [("value",), ("index",)])
+    def test_malformed_request_is_invalid_input(self, sel):
+        net = cut_friendly_network(4, 4, seed=5)
+        with pytest.raises(InvalidInputError, match="^bad lambda selection"):
+            design_via_cutset(net, options=DesignOptions(lambda_selection=sel))
 
     def test_index_override_rejected_with_alternatives(self):
         # lambda index 13 is an open-loop eigenvalue, unlike the crafted
@@ -132,6 +146,11 @@ class TestDesignViaCutset:
         assert len(listed) == 15 and "13" not in [k for k, _ in listed]
         A, _, C = assemble(net)
         sd = decompose(A)
+        # a value request resolves to the same column and fails alike
+        with pytest.raises(LgConditionError) as by_value:
+            design_via_cutset(net, plan, DesignOptions(
+                lambda_selection=("value", sd.eigenvalues[13])))
+        assert str(by_value.value) == str(err.value)
         zero_screen = DEFAULT_TOLERANCES.lambda_match * max(1.0, sd.matrix_norm)
         for k, value in listed:
             lam = sd.eigenvalues[int(k)]

@@ -7,18 +7,18 @@ from functools import lru_cache
 import numpy as np
 import pytest
 import scipy.linalg as la
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from obsblock.cli import main
 from obsblock.config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
-from obsblock.designer import (NullspaceBundle, _conjugate_classes,
-                               build_candidate, candidates,
+from obsblock.designer import (NullspaceBundle, build_candidate, candidates,
                                check_controllability, companion_pencil,
                                design_blocking, nullspace_bundle, pbh_screen,
                                select_hp, select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
                              NoEligibleEigenvalueError, NotAnEigenvalueError,
                              ObsBlockError)
-from obsblock.model import IntegratorNetwork, assemble, closed_loop
+from obsblock.model import IntegratorNetwork, assemble, closed_loop, save_network
 from obsblock.graph import WeightedDigraph
 from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose, numerical_rank
@@ -479,19 +479,16 @@ def assert_verifies_or_raises(net):
     assert report.verdict, report.reasons
 
 
-def full_pencil_uncontrollable(network, eigenvalues, tol=DEFAULT_TOLERANCES):
+def full_pencil_uncontrollable(network, sd, tol=DEFAULT_TOLERANCES):
     """Reference PBH loop on the d x (d+q) state pencil [A - lambda I, B].
 
-    Returns the first eigenvalue (in the given order, distinct up to
-    tol.lambda_match) at which the pencil is rank deficient, or None.
+    Returns the first eigenvalue of the reference walk (reference_classes)
+    at which the pencil is rank deficient, or None.
     """
     A, B, _ = assemble(network)
     d = A.shape[0]
-    seen = []
-    for lam in eigenvalues:
-        if any(abs(lam - s) <= tol.lambda_match * max(1.0, abs(s)) for s in seen):
-            continue
-        seen.append(lam)
+    for i in reference_classes(sd):
+        lam = sd.eigenvalues[i]
         sv = la.svdvals(np.hstack([A - lam * np.eye(d), B]))
         if sv[d - 1] <= tol.rank_decision * sv[0]:
             return lam
@@ -504,6 +501,18 @@ def star_network(weights):
     ws = tuple(weights)
     edges = tuple((u, v, ws) for (u, v) in ((1, 2), (2, 1), (1, 3), (3, 1)))
     return IntegratorNetwork.from_graph(WeightedDigraph(n=3, edges=edges), (1,), ())
+
+
+def near_pair_star():
+    """Order-2 star with actuated centre 1, identical leaves 2 and 3 and
+    measured leaf 4: the leaves' antisymmetric pair -1/2 +- (sqrt 3/2) i
+    is uncontrollable, and leaf 4's weights put a controllable pair
+    3e-7 from it, inside lambda_match."""
+    leaves = {2: (1.0, 1.0), 3: (1.0, 1.0), 4: (1.00000045, 1.0000009)}
+    edges = tuple(e for leaf, ws in leaves.items()
+                  for e in ((1, leaf, ws), (leaf, 1, ws)))
+    return IntegratorNetwork.from_graph(WeightedDigraph(n=4, edges=edges),
+                                        (1,), (4,))
 
 
 def undamped_star():
@@ -541,16 +550,14 @@ def dumbbell_network(bridge, order):
                                         (1,), (3,))
 
 
-def reference_classes(eigenvalues, tol=DEFAULT_TOLERANCES):
-    """The class walk of the pencil sweep: one point per conjugate class,
-    skipping eigenvalues within lambda_match of an earlier point."""
-    seen, first = [], []
-    for i, lam in enumerate(eigenvalues):
-        up = complex(lam.real, abs(lam.imag))
-        if any(abs(up - s) <= tol.lambda_match * max(1.0, abs(s)) for s in seen):
-            continue
-        seen.append(up)
-        first.append(i)
+def reference_classes(sd):
+    """The class walk of the pencil sweep: every column in column order,
+    skipping one whose eigensolver conjugate partner came earlier."""
+    seen, first = set(), []
+    for i in range(sd.dim):
+        if int(sd.pairing[i]) not in seen:
+            first.append(i)
+        seen.add(i)
     return first
 
 
@@ -559,7 +566,7 @@ def assert_screen_sound(net, sd):
     singular value, every cutoff covers the pencil's own rank cutoff, and
     the classes are those of the reference walk."""
     classes, bound, cutoff = pbh_screen(net, sd)
-    assert list(classes) == reference_classes(sd.eigenvalues)
+    assert list(classes) == reference_classes(sd)
     rtol = DEFAULT_TOLERANCES.rank_decision
     for i, low, cut in zip(classes, bound, cutoff):
         sv = la.svdvals(companion_pencil(net, sd.eigenvalues[i]))
@@ -584,7 +591,7 @@ class TestCheckControllability:
     def test_rejects_with_reference_eigenvalue(self, case):
         net = UNCONTROLLABLE[case]()
         sd = decompose(assemble(net)[0])
-        expected = full_pencil_uncontrollable(net, sd.eigenvalues)
+        expected = full_pencil_uncontrollable(net, sd)
         assert expected is not None
         with pytest.raises(ControllabilityError,
                            match=re.escape(f"eigenvalue {expected:.6g}")):
@@ -602,7 +609,7 @@ class TestCheckControllability:
         # rank [A - lambda I, B] = (N-1) n + rank [P(lambda), Bhat]
         net = star_network(weights)
         A, B, _ = assemble(net)
-        lam = full_pencil_uncontrollable(net, decompose(A).eigenvalues)
+        lam = full_pencil_uncontrollable(net, decompose(A))
         d, n = A.shape[0], net.n
         full = numerical_rank(np.hstack([A - lam * np.eye(d), B]), 1e-12)
         reduced = numerical_rank(companion_pencil(net, lam), 1e-12)
@@ -620,7 +627,7 @@ class TestCheckControllability:
         sd = decompose(assemble(net)[0])
         eigs = sd.eigenvalues
         assert_screen_sound(net, sd)
-        expected = full_pencil_uncontrollable(net, eigs)
+        expected = full_pencil_uncontrollable(net, sd)
         if expected is not None:
             with pytest.raises(ControllabilityError,
                                match=re.escape(f"eigenvalue {expected:.6g}")):
@@ -660,7 +667,7 @@ class TestCheckControllability:
         # eigenvector that vanishes on the actuated centre, ||w^* B|| ~ 0
         net = star_network((1.0, 1.0))
         sd = decompose(assemble(net)[0])
-        expected = full_pencil_uncontrollable(net, sd.eigenvalues)
+        expected = full_pencil_uncontrollable(net, sd)
         classes, bound, cutoff = assert_screen_sound(net, sd)
         k = [sd.eigenvalues[i] for i in classes].index(expected)
         w = sd.left_modal_matrix[:, classes[k]]
@@ -671,17 +678,24 @@ class TestCheckControllability:
                            match=re.escape(f"eigenvalue {expected:.6g}")):
             check_controllability(net, sd)
 
-    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
-    @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2),
-                              st.integers(0, 4)),
-                    min_size=1, max_size=12))
-    @example([(0, 0, 0), (0, 0, 1), (0, 0, 2)])
-    def test_classes_match_the_reference_walk(self, points):
-        # steps of 0.6 lambda_match make chains of near points in which
-        # the ends are apart: the walk's order decides which ones merge
-        lam = np.array([complex(re + 6e-7 * k, im) for re, im, k in points])
-        assert list(_conjugate_classes(lam, DEFAULT_TOLERANCES)) == \
-            reference_classes(lam)
+    def test_a_pair_next_to_an_earlier_pair_is_checked(self, tmp_path, capsys):
+        # columns 2, 3 hold the controllable pair, columns 4, 5 the
+        # uncontrollable one 3e-7 away: a walk that merged eigenvalues
+        # within lambda_match would never send columns 4, 5 to the pencil
+        net = near_pair_star()
+        sd = decompose(assemble(net)[0])
+        assert list(sd.pairing[2:6]) == [3, 2, 5, 4]
+        assert abs(sd.eigenvalues[4] - sd.eigenvalues[2]) < 1e-6
+        classes, _, _ = assert_screen_sound(net, sd)
+        assert {2, 4} <= set(classes)
+        assert full_pencil_uncontrollable(net, sd) == sd.eigenvalues[4]
+        message = "(A, B) uncontrollable at eigenvalue -0.5-0.866025j"
+        with pytest.raises(ControllabilityError, match=f"^{re.escape(message)}$"):
+            design_blocking(net, DesignOptions())
+        path = tmp_path / "net.json"
+        save_network(net, path)
+        assert main(["design", "--input", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 # sha256 of the fig2_din edge weights (float.hex) per (seed, order), taken
