@@ -70,7 +70,7 @@ def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p,
         Lg -= (lam ** k) * L[np.ix_(idx, idx)]
     eig_lg = la.eigvals(Lg)
     margin = float(np.abs((lam ** N) - eig_lg).min())
-    threshold = float(tol.lg_margin * (1.0 + la.norm(Lg, 2)))
+    threshold = float(tol.lg_margin * (1.0 + np.linalg.norm(Lg, 2)))
     return LgCondition(lambda_p=lam, lg_eigenvalues=eig_lg,
                        satisfied=bool(margin > threshold), margin=margin,
                        tolerance=threshold)

@@ -203,7 +203,7 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
                        - rho[ok])
 
     mag = np.abs(z)
-    sbar = (mag ** N + sum(mag ** k * la.norm(L) for k, L in
+    sbar = (mag ** N + sum(mag ** k * np.linalg.norm(L) for k, L in
                            enumerate(network.laplacians))
             + np.sqrt(c2))
     delta = (2 * N + n + q) * _EPS * sbar

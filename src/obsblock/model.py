@@ -70,6 +70,12 @@ class IntegratorNetwork:
                 if L.shape != (n, n):
                     raise ModelAssemblyError(
                         f"coupling matrix {k} has shape {L.shape}, expected {(n, n)}")
+                bad = np.argwhere(~np.isfinite(L))
+                if bad.size:
+                    i, j = bad[0]
+                    raise ModelAssemblyError(
+                        f"coupling matrix {k} entry ({i + 1},{j + 1}) is "
+                        f"{L[i, j]}, not finite")
                 stray = np.argwhere((L != 0.0) & ~coupled)
                 if stray.size:
                     i, j = stray[0]

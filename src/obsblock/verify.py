@@ -87,13 +87,13 @@ def preservation_audit(design: BlockingDesign, A_cl: np.ndarray | None = None,
     A, B, _ = assemble(design.network)
     if A_cl is None:
         A_cl = closed_loop(A, B, design.F)
-    scale = max(1.0, la.norm(A, 2))
+    scale = max(1.0, np.linalg.norm(A, 2))
     _, sv, Vh = la.svd(design.F, full_matrices=False)
-    r = int((sv * la.norm(B, 2) > tol.preserved_residual * scale).sum())
+    r = int((sv * np.linalg.norm(B, 2) > tol.preserved_residual * scale).sum())
     Yt = Vh[:r]
     YtA = Yt @ A
     quotient = YtA @ Yt.T
-    rho = la.norm(YtA - quotient @ Yt, 2) / scale
+    rho = np.linalg.norm(YtA - quotient @ Yt, 2) / scale
     err = multiset_error(la.eigvals(quotient), la.eigvals(Yt @ A_cl @ Yt.T))
     return err, float(rho), r
 
@@ -150,8 +150,9 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
     a caller that runs several starts on one loop passes it to each.
 
     The horizon is cut short at step k, the last step before the first
-    state that is non-finite or has norm above 1e150; the report says
-    so through horizon_actually_used = k*dt.
+    state that is non-finite or has norm above 1e150, found by one scan
+    once every row is filled; the report says so through
+    horizon_actually_used = k*dt.
 
     Returns (energy, horizon_actually_used).
     """
@@ -161,19 +162,18 @@ def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
     top = 1 << (len(powers) - 1)    # the largest power
     X = np.empty((steps + 1, powers[0].shape[0]))   # row j holds x(j*dt)
     X[0] = np.asarray(x0, dtype=float)
-    j, k = 1, steps                 # rows < j are filled
+    j = 1                           # rows < j are filled
     with np.errstate(over="ignore", invalid="ignore"):
         while j <= steps:
             p = min(j, top)         # rows [j, j + p) are rows [j - p, j) times E^p
             hi = min(j + p, steps + 1)
-            block = X[j:hi]
-            np.matmul(X[j - p:hi - p], powers[p.bit_length() - 1].T, out=block)
-            bad = np.flatnonzero(~(np.einsum("ij,ij->i", block, block)
-                                   <= _STATE_OVERFLOW ** 2))
-            if bad.size:
-                k = j + int(bad[0]) - 1
-                break
+            np.matmul(X[j - p:hi - p], powers[p.bit_length() - 1].T, out=X[j:hi])
             j = hi
+        # one scan of the finished trajectory: a row depends on earlier
+        # rows only, so the rows past a bad one never reach the kept rows
+        bad = np.flatnonzero(~(np.einsum("ij,ij->i", X[1:], X[1:])
+                               <= _STATE_OVERFLOW ** 2))
+        k = int(bad[0]) if bad.size else steps
 
         Y = X[:k + 1] @ C.T
         y = np.einsum("ij,ij->i", Y, Y)    # |C x(j*dt)|^2

@@ -195,6 +195,28 @@ class TestExitCodes:
         assert main(["cut", "--input", str(path)]) == 4
         assert capsys.readouterr().err.startswith("error: malformed network data: ")
 
+    @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
+    def test_non_finite_coupling_is_precondition(self, literal, tmp_path, capsys):
+        # json reads both literals; the network is rejected before any
+        # eigensolve sees the matrix
+        net = generic_network(n=6, seed=2, m=1, q=3)
+        design = records.design_to_dict(design_blocking(net, DesignOptions(seed=2)))
+        data = network_to_dict(net)
+        data["couplings"]["edges"][0][0] = float(literal)
+        design["network"]["couplings"]["diagonal"][1][2] = float(literal)
+        net_file, record = tmp_path / "net.json", tmp_path / "design.json"
+        net_file.write_text(json.dumps(data))
+        record.write_text(json.dumps(design))
+        value = "inf" if literal == "Infinity" else "nan"
+        i, j = int(net.graph.heads[0]) + 1, int(net.graph.tails[0]) + 1
+        capsys.readouterr()
+        assert main(["design", "--input", str(net_file)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: coupling matrix 0 entry ({i},{j}) is {value}, not finite\n"
+        assert main(["verify", "--input", str(record)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: coupling matrix 1 entry (3,3) is {value}, not finite\n"
+
     def test_insufficient_actuation_is_precondition(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
         main(["gen", "--n", "7", "--m", "2", "--q", "2", "--seed", "1",

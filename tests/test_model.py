@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg as la
@@ -93,6 +95,25 @@ class TestAssemble:
                            match=r"^matrix 1 couples nodes 3->1 without an edge$"):
             IntegratorNetwork(order=2, graph=g, actuation=(1,), measurement=(3,),
                               laplacians=(good, bad))
+
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("entry", [(1, 0), (2, 2), (0, 2)],
+                             ids=["edge", "diagonal", "no-edge"])
+    def test_non_finite_coupling_is_rejected_by_name(self, value, entry):
+        # json reads Infinity and NaN; an entry where no edge runs is
+        # named as non-finite too, not as a stray coupling
+        g = WeightedDigraph(n=3, edges=((1, 2, (1.0, 1.0)), (2, 1, (1.0, 1.0)),
+                                        (2, 3, (1.0, 1.0))))
+        good = laplacian_stack(g, 2)[0]
+        bad = good.copy()
+        bad[entry] = value
+        i, j = entry
+        with pytest.raises(ModelAssemblyError) as info:
+            IntegratorNetwork(order=2, graph=g, actuation=(1,), measurement=(3,),
+                              laplacians=(good, bad))
+        assert str(info.value) == \
+            f"coupling matrix 1 entry ({i + 1},{j + 1}) is {value}, not finite"
+        assert info.value.exit_code == 2
 
     def test_explicit_matrices_need_the_graph_order(self):
         # three matrices over edges carrying two weights cannot be written
@@ -290,6 +311,23 @@ class TestNetworkFile:
         data["couplings"] = [np.ones((5, 5)).tolist()] * 2
         with pytest.raises(ModelAssemblyError):
             network_from_dict(data)
+
+    @pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "NaN"])
+    def test_non_finite_coupling_literal_is_rejected(self, literal):
+        net = generic_network(n=5, seed=0, m=1, q=2)
+        columnar = network_to_dict(net)
+        columnar["couplings"]["edges"][1][0] = float(literal)
+        dense = dict(columnar, couplings=[L.tolist() for L in net.laplacians])
+        dense["couplings"][0][4][4] = float(literal)
+        g = net.graph
+        on_edge = (int(g.heads[0]) + 1, int(g.tails[0]) + 1)
+        for data, (k, (i, j)) in ((columnar, (1, on_edge)), (dense, (0, (5, 5)))):
+            text = json.dumps(data)
+            assert literal in text
+            with pytest.raises(ModelAssemblyError,
+                               match=rf"^coupling matrix {k} entry \({i},{j}\) is "
+                                     rf"-?(inf|nan), not finite$"):
+                network_from_dict(json.loads(text))
 
     def test_missing_field(self, tmp_path):
         path = tmp_path / "bad.json"

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg as la
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse.csgraph import connected_components
 
 from obsblock.config import DEFAULT_TOLERANCES, Tolerances
 from obsblock.graph import WeightedDigraph
@@ -361,27 +362,86 @@ def _partition(label):
     return sorted(tuple(np.flatnonzero(label == c)) for c in np.unique(label))
 
 
+def scipy_components(adjacent):
+    """scipy's weak component labels, the reference for components."""
+    return connected_components(adjacent, connection="weak")[1]
+
+
+def _chain(order, ring):
+    """One-way path (or ring) through the nodes in `order`."""
+    adjacent = np.zeros((order.size, order.size), dtype=bool)
+    adjacent[order[:-1], order[1:]] = True
+    if ring:
+        adjacent[order[-1], order[0]] = True
+    return adjacent
+
+
 class TestComponents:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(size=st.integers(0, 12), seed=st.integers(0, 2**16),
-           density=st.sampled_from([0.05, 0.15, 0.3]),
+    @given(size=st.integers(0, 250), seed=st.integers(0, 2**16),
+           density=st.sampled_from([0.002, 0.01, 0.05, 0.15, 0.3]),
            symmetric=st.booleans())
     def test_matches_the_label_loop(self, size, seed, density, symmetric):
         # eigenvalue-gap adjacencies are symmetric, the dark-mode one
         # (gap within lambda_match * max(1, |lambda_i|)) is not
         rng = np.random.default_rng(seed)
-        adjacent = rng.random((size, size)) < density
+        adjacent = rng.random((size, size)) < density / max(1, size / 12)
         if symmetric:
             adjacent |= adjacent.T
         np.fill_diagonal(adjacent, True)
         got = components(adjacent)
-        assert _partition(got) == _partition(reference_components(adjacent))
-        assert sorted(set(got.tolist())) == list(range(len(set(got.tolist()))))
+        assert np.array_equal(got, scipy_components(adjacent))
+        if size <= 12:
+            assert _partition(got) == _partition(reference_components(adjacent))
+
+    @pytest.mark.parametrize("size", [2, 3, 7, 64, 250])
+    @pytest.mark.parametrize("ring", [False, True])
+    @pytest.mark.parametrize("walk", ["forward", "backward", "shuffled"])
+    def test_chains_match_scipy(self, size, ring, walk):
+        # a chain is the slow case for label propagation: labels must
+        # travel its whole length
+        order = {"forward": np.arange(size), "backward": np.arange(size)[::-1],
+                 "shuffled": np.random.default_rng(size).permutation(size)}[walk]
+        adjacent = _chain(order, ring)
+        got = components(adjacent)
+        assert np.array_equal(got, scipy_components(adjacent))
+        assert np.array_equal(got, np.zeros(size, dtype=int))
+        # two interleaved chains stay two components
+        twice = np.zeros((2 * size, 2 * size), dtype=bool)
+        twice[::2, ::2] = adjacent
+        twice[1::2, 1::2] = adjacent[::-1, ::-1]
+        assert np.array_equal(components(twice), scipy_components(twice))
+        assert np.array_equal(components(twice), np.arange(2 * size) % 2)
+
+    @pytest.mark.parametrize("adjacent", [np.zeros((0, 0), dtype=bool),
+                                          np.zeros((1, 1), dtype=bool),
+                                          np.ones((1, 1), dtype=bool)],
+                             ids=["0x0", "1x1-false", "1x1-true"])
+    def test_tiny_inputs_match_scipy(self, adjacent):
+        got = components(adjacent)
+        assert got.shape == (adjacent.shape[0],)
+        assert np.array_equal(got, scipy_components(adjacent))
 
     def test_one_way_edge_joins_its_ends(self):
         adjacent = np.eye(3, dtype=bool)
         adjacent[2, 0] = True
         assert _partition(components(adjacent)) == [(0, 2), (1,)]
+        assert np.array_equal(components(adjacent), [0, 1, 0])
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_order3_zero_chain_cluster_matches_scipy(self, seed):
+        # the zero Jordan chain of an order-3 Laplacian loop scatters into
+        # three eigenvalues of size eps^(1/3) whose disks overlap
+        sd = decompose(assemble(random_network(n=6, seed=seed, m=1, q=2,
+                                               order=3))[0])
+        raw, radius = sd.raw_eigenvalues, sd.radius
+        adjacent = (np.abs(raw[:, None] - raw[None, :])
+                    <= radius[:, None] + radius[None, :])
+        assert np.array_equal(sd.cluster, scipy_components(adjacent))
+        sizes = np.bincount(sd.cluster)
+        assert sizes.max() == 3 and (sizes > 1).sum() == 1
+        chain = np.flatnonzero(sizes[sd.cluster] == 3)
+        assert np.abs(raw[chain]).max() < 1e-4
 
 
 class TestStackedStructure:

@@ -356,6 +356,35 @@ def stepwise_output_energy(A_cl, C, x0, T=10.0, dt=0.01):
     return acc, used
 
 
+def per_level_output_energy(A_cl, C, x0, T=10.0, dt=0.01):
+    """The former doubling loop, kept as the reference for the single
+    overflow scan: it checks each block of rows as it is filled and
+    stops at the first bad row."""
+    prop = step_propagator(A_cl, T, dt)
+    C = np.asarray(C, dtype=float)
+    dt, steps, powers = prop.dt, prop.steps, prop.powers
+    top = 1 << (len(powers) - 1)
+    X = np.empty((steps + 1, powers[0].shape[0]))
+    X[0] = np.asarray(x0, dtype=float)
+    j, k = 1, steps
+    with np.errstate(over="ignore", invalid="ignore"):
+        while j <= steps:
+            p = min(j, top)
+            hi = min(j + p, steps + 1)
+            block = X[j:hi]
+            np.matmul(X[j - p:hi - p], powers[p.bit_length() - 1].T, out=block)
+            bad = np.flatnonzero(~(np.einsum("ij,ij->i", block, block)
+                                   <= 1e150 ** 2))
+            if bad.size:
+                k = j + int(bad[0]) - 1
+                break
+            j = hi
+        Y = X[:k + 1] @ C.T
+        y = np.einsum("ij,ij->i", Y, Y)
+        energy = 0.5 * dt * float(np.sum(y[:-1] + y[1:]))
+    return energy, k * dt
+
+
 def _agreement_loops():
     """(name, A_cl, C, blocked x0 or None) for the doubling/stepwise
     comparison: designed Laplacian loops (Jordan block at zero), designed
@@ -442,6 +471,44 @@ class TestOutputEnergyDoubling:
                 shared = output_energy(A_cl, C, x0 / np.linalg.norm(x0),
                                        propagator=prop)
                 assert np.array(shared).tobytes() == np.array(alone).tobytes(), label
+
+    def test_single_scan_gives_the_per_level_bits(self, agreement_runs):
+        runs = iter(agreement_runs)
+        rng = np.random.default_rng(21)
+        for name, A_cl, C, x_blocked in _agreement_loops():
+            starts = [rng.standard_normal(A_cl.shape[0])]
+            if x_blocked is not None:
+                starts.append(x_blocked)
+            for x0 in starts:
+                label, _, got, _ = next(runs)
+                ref = per_level_output_energy(A_cl, C, x0 / np.linalg.norm(x0))
+                assert np.array(got).tobytes() == np.array(ref).tobytes(), label
+
+    @pytest.mark.parametrize("loop", ["scalar-400", "scalar-4000",
+                                      "unstable-shift-40"])
+    def test_cut_inside_a_doubling_level_gives_the_per_level_bits(self, loop):
+        # the first bad row lies strictly inside a block [p, 2p), so the
+        # rows filled after it in that block and the later blocks are
+        # garbage the scan must not reach past
+        if loop.startswith("scalar"):
+            A, C = np.array([[float(loop.split("-")[1])]]), np.eye(1)
+            starts = [np.ones(1)]
+        else:
+            _, A, C, _ = next(x for x in _agreement_loops() if x[0] == loop)
+            starts = [np.random.default_rng(s).standard_normal(8) for s in range(4)]
+        for x0 in starts:
+            got = output_energy(A, C, x0)
+            ref = per_level_output_energy(A, C, x0)
+            assert np.array(got).tobytes() == np.array(ref).tobytes()
+            k = round(got[1] / 0.01)
+            assert k < 1000 and (k + 1) & k != 0    # row k + 1 is no block start
+
+    @pytest.mark.parametrize("x0", [[0.0, 1.0], [1.0, 1.0], [0.6, 0.8], [0.0, 0.0]])
+    def test_overflowing_power_gives_the_per_level_bits(self, x0):
+        A = np.diag([400.0, -1.0])
+        got = output_energy(A, np.eye(2), np.array(x0))
+        ref = per_level_output_energy(A, np.eye(2), np.array(x0))
+        assert np.array(got).tobytes() == np.array(ref).tobytes()
 
     def test_blocked_energy_non_negative(self, agreement_runs):
         for label, kind, (energy, _), _ in agreement_runs:
