@@ -146,7 +146,7 @@ def cmd_repro(args) -> int:
     cert = design.certificate
     blocked_nodes = sorted(set(cert.plan.vcut) | set(cert.plan.v2))
     worst = max(cert.cut_zero_pattern, cert.far_zero_pattern)
-    structure = check_stacked_structure(decompose(assemble(net)[0], tol), net.n, N)
+    structure = check_stacked_structure(decompose(assemble(net)[0]), net.n, N)
 
     lines = [records.report_text(design, verification)]
     lines.append(f"scenario {args.scenario} (order {N}, seed {args.seed})")

@@ -1,32 +1,36 @@
 """Shared numerical tolerances and run configuration.
 
-A single Tolerances instance flows through design and verification so a
-design cannot pass synthesis and fail its own audit on a tolerance
-mismatch.
+The spectrum budget is the only tolerance a caller sets: one Tolerances
+instance carries it through design and verification, so a design cannot
+pass synthesis and fail its own audit on a budget mismatch. The other
+budgets are constants of the Tolerances class, written down once and
+read as Tolerances.<name> (or through any instance).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 
 @dataclass(frozen=True)
 class Tolerances:
     """Numerical thresholds used across the pipeline.
 
-    Relative tolerances scale with the norm of the matrix they gate
-    unless noted otherwise. Eigenvalue clusters take no width: they are
-    overlapping perturbation disks (spectrum.SpectralData).
+    spectrum_match is the one field; the rest are class constants, never
+    per-run settings. Relative tolerances scale with the norm of the
+    matrix they gate unless noted otherwise. Eigenvalue clusters take no
+    width: they are overlapping perturbation disks (spectrum.SpectralData).
 
     Attributes
     ----------
+    spectrum_match : float
+        Allowed eigenvalue multiset deviation, open against closed loop
+        (designer) or on the quotient by null(F) (verifier).
     rank_decision : float
         Relative singular-value cutoff for PBH verdicts.
     snap_imag : float
         Imaginary parts below snap_imag * ||A|| are snapped to real.
-    spectrum_match : float
-        Allowed eigenvalue multiset deviation, open against closed loop
-        (designer) or on the quotient by null(F) (verifier).
     lg_margin : float
         The L_g condition demands margin > lg_margin * (1 + ||L_g||).
     zero_pattern : float
@@ -45,15 +49,16 @@ class Tolerances:
         Relative distance under which eigenvalues match or count as one.
     """
 
-    rank_decision: float = 1e-12
-    snap_imag: float = 1e-8
     spectrum_match: float = 1e-6
-    lg_margin: float = 1e-6
-    zero_pattern: float = 1e-8
-    preserved_residual: float = 1e-6
-    candidate_residual: float = 1e-7
-    cond_limit: float = 1e12
-    lambda_match: float = 1e-6
+
+    rank_decision: ClassVar[float] = 1e-12
+    snap_imag: ClassVar[float] = 1e-8
+    lg_margin: ClassVar[float] = 1e-6
+    zero_pattern: ClassVar[float] = 1e-8
+    preserved_residual: ClassVar[float] = 1e-6
+    candidate_residual: ClassVar[float] = 1e-7
+    cond_limit: ClassVar[float] = 1e12
+    lambda_match: ClassVar[float] = 1e-6
 
 
 DEFAULT_TOLERANCES = Tolerances()

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.linalg as la
 
-from .config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
+from .config import DesignOptions, Tolerances
 from .designer import (BlockingDesign, candidates, design_blocking,
                        select_lambda)
 from .errors import InvalidInputError, LgConditionError, NoEligibleEigenvalueError
@@ -52,8 +52,7 @@ class CutsetDesign:
     certificate: TransferCertificate
 
 
-def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p,
-                 tol: Tolerances = DEFAULT_TOLERANCES) -> LgCondition:
+def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p) -> LgCondition:
     """Check that lambda_p^N is not an eigenvalue of L_g on the far partition.
 
     L_g = -(sum_k lambda_p^k L^(k)_22); an empty far partition satisfies
@@ -70,7 +69,7 @@ def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p,
         Lg -= (lam ** k) * L[np.ix_(idx, idx)]
     eig_lg = la.eigvals(Lg)
     margin = float(np.abs((lam ** N) - eig_lg).min())
-    threshold = float(tol.lg_margin * (1.0 + np.linalg.norm(Lg, 2)))
+    threshold = float(Tolerances.lg_margin * (1.0 + np.linalg.norm(Lg, 2)))
     return LgCondition(lambda_p=lam, lg_eigenvalues=eig_lg,
                        satisfied=bool(margin > threshold), margin=margin,
                        tolerance=threshold)
@@ -86,7 +85,6 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
     its eigenvalue failing the screen lists those that pass. The
     certificate carries the screen's condition at lambda_p.
     """
-    tol = options.tolerances
     if plan is None:
         plan = min_vertex_cut(network.graph, network.actuation,
                               network.measurement)
@@ -96,17 +94,17 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
             raise InvalidInputError("cutset design requires a strongly connected graph")
 
     A, B, _ = assemble(network)
-    sd = decompose(A, tol)
+    sd = decompose(A)
 
     conditions = {}     # lambda -> its L_g condition, computed once
 
     def screen(lam) -> LgCondition:
         lam = complex(lam)
         if lam not in conditions:
-            conditions[lam] = lg_condition(network, plan, lam, tol)
+            conditions[lam] = lg_condition(network, plan, lam)
         return conditions[lam]
 
-    eligible = (p for p in candidates(sd, tol) if screen(sd.eigenvalues[p]).satisfied)
+    eligible = (p for p in candidates(sd) if screen(sd.eigenvalues[p]).satisfied)
     if options.lambda_selection == "default":
         p = next(eligible, None)
         if p is None:
@@ -127,10 +125,10 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
     cond = screen(design.lambda_p)
     certificate = _certify(network, plan, design, cond)
     worst = max(certificate.cut_zero_pattern, certificate.far_zero_pattern)
-    if worst > tol.zero_pattern:
+    if worst > Tolerances.zero_pattern:
         raise NoEligibleEigenvalueError(
             f"transfer failed: replacement eigenvector magnitude {worst:.3e} "
-            f"on Vcut u V2 exceeds {tol.zero_pattern:g}")
+            f"on Vcut u V2 exceeds {Tolerances.zero_pattern:g}")
     return CutsetDesign(design=design, certificate=certificate)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.linalg as la
 from scipy.linalg import lapack
 
-from .config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
+from .config import DesignOptions, Tolerances
 from .errors import (ControllabilityError, DegenerateCandidateError,
                      IllConditionedDesignError, InsufficientActuationError,
                      InvalidInputError, NoEligibleEigenvalueError,
@@ -107,8 +107,7 @@ def companion_pencil(network: IntegratorNetwork, lam) -> np.ndarray:
     return np.hstack([P, network.input_matrix_block()])
 
 
-def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
-               tol: Tolerances = DEFAULT_TOLERANCES):
+def pbh_screen(network: IntegratorNetwork, sd: SpectralData):
     """Certify PBH classes controllable from the modal data, with no SVD.
 
     Returns (classes, bound, cutoff). classes holds the leading column of
@@ -207,12 +206,11 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData,
                            enumerate(network.laplacians))
             + np.sqrt(c2))
     delta = (2 * N + n + q) * _EPS * sbar
-    cutoff = tol.rank_decision * sbar + (1.0 + tol.rank_decision) * delta
+    cutoff = Tolerances.rank_decision * sbar + (1.0 + Tolerances.rank_decision) * delta
     return classes, bound, cutoff
 
 
-def check_controllability(network: IntegratorNetwork, sd: SpectralData,
-                          tol: Tolerances = DEFAULT_TOLERANCES) -> None:
+def check_controllability(network: IntegratorNetwork, sd: SpectralData) -> None:
     """PBH test at every open-loop eigenvalue; raises on rank deficiency.
 
     Conjugate eigenvalues share a verdict, so each conjugate pair of the
@@ -221,14 +219,15 @@ def check_controllability(network: IntegratorNetwork, sd: SpectralData,
     certifies most classes from the left and right eigenvectors of `sd`;
     the rest run on the companion pencil (see companion_pencil), in the
     same order, and are rank deficient when its smallest singular value
-    is at most tol.rank_decision times its largest. The screen only
+    is at most Tolerances.rank_decision times its largest. The screen only
     skips classes the pencil would pass, so the verdict and the
     eigenvalue named on failure are those of the pencil sweep alone.
     """
-    classes, bound, cutoff = pbh_screen(network, sd, tol)
+    classes, bound, cutoff = pbh_screen(network, sd)
+    rtol = Tolerances.rank_decision
     for i in classes[bound <= cutoff]:
         lam = sd.eigenvalues[i]
-        if numerical_rank(companion_pencil(network, lam), tol.rank_decision) < network.n:
+        if numerical_rank(companion_pencil(network, lam), rtol) < network.n:
             raise ControllabilityError(
                 f"(A, B) uncontrollable at eigenvalue {lam:.6g}")
 
@@ -284,7 +283,7 @@ def select_hp(bundle: NullspaceBundle) -> np.ndarray:
             f"m = {bundle.state_rows.shape[1]}); more actuation nodes are required")
     M = bundle.n1 @ K
     _, sv, Vh = la.svd(M)
-    if sv.size == 0 or sv[0] <= max(M.shape) * _EPS:
+    if sv[0] <= max(M.shape) * _EPS:
         raise DegenerateCandidateError(
             "every admissible direction yields a zero replacement eigenvector")
     tied = np.flatnonzero(sv >= sv[0] * (1.0 - 1e-9))
@@ -358,7 +357,7 @@ def _greedy_units(sd: SpectralData, targets):
         if i in seen:
             continue
         j = int(sd.pairing[i])
-        unit = (i,) if j == i or j in seen else tuple(sorted((i, j)))
+        unit = (i,) if j == i else tuple(sorted((i, j)))
         units.append(unit)
         seen.update(unit)
     return units
@@ -374,7 +373,6 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     defective pair consumes a second seeded draw. The modal matrices
     (V, Z) stay local: F and the network determine them.
     """
-    tol = options.tolerances
     d = sd.dim
     q = B.shape[1]
     v_hat, z_p = candidate
@@ -455,9 +453,10 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
         sv = la.svdvals(Vr)
 
     cond_V = float(sv[0] / sv[-1]) if sv[-1] > 0 else np.inf
-    if cond_V > tol.cond_limit:
+    if cond_V > Tolerances.cond_limit:
         raise IllConditionedDesignError(
-            f"modal matrix condition number {cond_V:.3e} exceeds {tol.cond_limit:g}")
+            f"modal matrix condition number {cond_V:.3e} exceeds "
+            f"{Tolerances.cond_limit:g}")
     F = la.solve(Vr.T, Zr.T).T
     F -= la.solve(Vr.T, (F @ Vr - Zr).T).T       # one refinement step
     gain = FeedbackGain(matrix=F)
@@ -473,7 +472,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
         "spectrum_match": spec_err,
         "zero_pattern": float(max((abs(x) for x in measured), default=0.0)),
     }
-    _enforce_postconditions(residuals, tol)
+    _enforce_postconditions(residuals, options.tolerances)
     return BlockingDesign(
         lambda_p=complex(lam_p), lambda_index=p, v_hat=v_hat, gain=gain,
         preserved=tuple(preserved),
@@ -517,7 +516,7 @@ def _realify(V, Z, pairing):
             continue
         j = int(pairing[i])
         col = V[:, i]
-        if j == i or j in done:
+        if j == i:
             imax = np.abs(col.imag).max()
             if imax > 1e-7 * max(np.abs(col.real).max(), 1e-300):
                 raise IllConditionedDesignError(
@@ -540,11 +539,11 @@ def _realify(V, Z, pairing):
     return Vr, Zr
 
 
-def _zero_screen(sd: SpectralData, tol: Tolerances) -> float:
-    return tol.lambda_match * max(1.0, sd.matrix_norm)
+def _zero_screen(sd: SpectralData) -> float:
+    return Tolerances.lambda_match * max(1.0, sd.matrix_norm)
 
 
-def candidates(sd: SpectralData, tol: Tolerances):
+def candidates(sd: SpectralData):
     """Lazily yield the usable modal columns in default-walk order.
 
     The order is real eigenvalues by (|lambda|, index), then upper-half
@@ -554,7 +553,7 @@ def candidates(sd: SpectralData, tol: Tolerances):
     max(1, |lambda|), as a lone disk or the copies of a repeated
     eigenvalue are and a scattered Jordan chain is not.
     """
-    screen = _zero_screen(sd, tol)
+    screen = _zero_screen(sd)
     mu = sd.raw_eigenvalues
     walk = sorted((i for i in range(sd.dim) if sd.eigenvalues[i].imag >= 0),
                   key=lambda i: (sd.eigenvalues[i].imag > 0,
@@ -562,7 +561,7 @@ def candidates(sd: SpectralData, tol: Tolerances):
     for i in walk:
         if abs(sd.eigenvalues[i]) > screen and not sd.is_vector_paired(i):
             spread = np.abs(mu[sd.cluster == sd.cluster[i]] - mu[i]).max()
-            if spread <= tol.lambda_match * max(1.0, abs(mu[i])):
+            if spread <= Tolerances.lambda_match * max(1.0, abs(mu[i])):
                 yield i
 
 
@@ -572,7 +571,6 @@ def select_lambda(sd: SpectralData, options: DesignOptions) -> int:
     The default policy takes the first of `candidates`; explicit
     index/value overrides skip its screens.
     """
-    tol = options.tolerances
     sel = options.lambda_selection
 
     if isinstance(sel, tuple) and len(sel) == 2 and sel[0] == "index":
@@ -580,13 +578,13 @@ def select_lambda(sd: SpectralData, options: DesignOptions) -> int:
         if not 0 <= p < sd.dim:
             raise NotAnEigenvalueError(f"eigenvalue index {p} outside 0..{sd.dim - 1}")
     elif isinstance(sel, tuple) and len(sel) == 2 and sel[0] == "value":
-        p = match_eigenvalue(sd, complex(sel[1]), tol)
+        p = match_eigenvalue(sd, complex(sel[1]))
         if p < 0:
             raise NotAnEigenvalueError(
                 f"{complex(sel[1]):.6g} is not an open-loop eigenvalue "
-                f"(match tolerance {tol.lambda_match:g} relative)")
+                f"(match tolerance {Tolerances.lambda_match:g} relative)")
     elif sel == "default":
-        p = next(candidates(sd, tol), None)
+        p = next(candidates(sd), None)
         if p is None:
             raise NoEligibleEigenvalueError(
                 "no usable eigenvalue satisfies the selection policy")
@@ -614,14 +612,13 @@ def design_blocking(network: IntegratorNetwork,
     selection, no null direction in the constraint block) or a
     numerical error from the replacement steps.
     """
-    tol = options.tolerances
     measured_nodes = tuple(measured_nodes if measured_nodes is not None
                            else network.measurement)
     if not measured_nodes:
         raise InvalidInputError("no measured nodes to block")
     if precomputed is None:
         A, B, _ = assemble(network)
-        sd = decompose(A, tol)
+        sd = decompose(A)
     else:
         A, B, sd = precomputed
 
@@ -634,11 +631,11 @@ def design_blocking(network: IntegratorNetwork,
                         f"(m = {len(measured_nodes)}, spectrum "
                         f"{'all real' if sd.all_real() else 'has complex pairs'})")
 
-    check_controllability(network, sd, tol)
+    check_controllability(network, sd)
 
     p = select_lambda(sd, options)
     lam_p = sd.eigenvalues[p]
-    if abs(lam_p) <= _zero_screen(sd, tol):
+    if abs(lam_p) <= _zero_screen(sd):
         # the theorem statement asks for a nonzero eigenvalue, so the
         # record carries a flag
         warnings.append("design targets the zero eigenvalue, outside the "

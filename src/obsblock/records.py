@@ -15,7 +15,7 @@ import numpy as np
 
 from .cutset import CutsetDesign, LgCondition, TransferCertificate
 from .designer import BlockingDesign
-from .errors import NetworkFileError
+from .errors import InvalidInputError, NetworkFileError
 from .graph import CutsetPlan
 # assemble and decompose go unused since loading stopped decomposing, but
 # bench/tracer.py wraps these module bindings
@@ -102,7 +102,8 @@ def _certificate_to_dict(cert: TransferCertificate) -> dict:
 
 def design_from_dict(data: dict):
     """Rebuild a design record; index fields must be JSON integers. Nothing
-    is recomputed: verification reads only F, v_hat, lambda_p and the network."""
+    is recomputed: verification reads only F, v_hat, lambda_p and the network.
+    A defect of the network section is a malformed record too."""
     if data.get("format") not in READ_FORMATS:
         raise NetworkFileError(f"not a design record (format {data.get('format')!r})")
     try:
@@ -126,7 +127,7 @@ def design_from_dict(data: dict):
             warnings=tuple(data.get("warnings", ())),
         )
         cert = _certificate_from_dict(data["cutset"]) if "cutset" in data else None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidInputError) as exc:
         raise NetworkFileError(f"malformed design record: {exc}") from exc
     d = network.n * network.order
     if design.v_hat.shape != (d,) or design.F.shape != (network.q, d):

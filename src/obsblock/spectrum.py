@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg as la
 
-from .config import Tolerances, DEFAULT_TOLERANCES
+from .config import Tolerances
 
 _EPS = np.finfo(float).eps
 
@@ -84,7 +84,7 @@ def _leading(pairing: np.ndarray) -> np.ndarray:
     return np.flatnonzero(pairing >= np.arange(pairing.size))
 
 
-def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralData:
+def decompose(A: np.ndarray) -> SpectralData:
     """Full eigendecomposition of a real state matrix.
 
     One eigensolve returns both eigenvector sets: the left ones add a
@@ -111,7 +111,7 @@ def decompose(A: np.ndarray, tol: Tolerances = DEFAULT_TOLERANCES) -> SpectralDa
     scale = max(1.0, nrm)
 
     raw = lam.copy()
-    lam = np.where(np.abs(lam.imag) <= tol.snap_imag * scale, lam.real + 0j, lam)
+    lam = np.where(np.abs(lam.imag) <= Tolerances.snap_imag * scale, lam.real + 0j, lam)
     V = V.astype(complex) / np.linalg.norm(V, axis=0)
     W = W.astype(complex) / np.linalg.norm(W, axis=0)
 
@@ -269,14 +269,14 @@ def check_stacked_structure(sd: SpectralData, n: int, N: int) -> float:
     return worst
 
 
-def match_eigenvalue(sd: SpectralData, value: complex, tol: Tolerances) -> int:
+def match_eigenvalue(sd: SpectralData, value: complex) -> int:
     """Column index whose eigenvalue is numerically `value`, or -1.
 
     Ties resolve to the lexicographically first (re, im) candidate.
     """
     scale = max(1.0, sd.matrix_norm)
     dist = np.abs(sd.eigenvalues - value)
-    ok = np.flatnonzero(dist <= tol.lambda_match * scale)
+    ok = np.flatnonzero(dist <= Tolerances.lambda_match * scale)
     if ok.size == 0:
         return -1
     best = min(ok, key=lambda i: (dist[i], sd.eigenvalues[i].real,

@@ -34,8 +34,7 @@ class VerificationReport:
     reasons: list = field(default_factory=list)
 
 
-def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam,
-             tol: Tolerances = DEFAULT_TOLERANCES) -> int:
+def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam) -> int:
     """Rank of [A_cl - lambda I; C]; below the state dimension means
     the mode at lambda is unobservable. The matrix is real for a real
     lambda."""
@@ -43,11 +42,10 @@ def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam,
     lam = complex(lam)
     s = lam.real if lam.imag == 0.0 else lam
     M = np.vstack([A_cl - s * np.eye(A_cl.shape[0]), np.asarray(C, dtype=float)])
-    return numerical_rank(M, tol.rank_decision)
+    return numerical_rank(M, Tolerances.rank_decision)
 
 
-def observability_rank(A_cl: np.ndarray, C: np.ndarray,
-                       tol: Tolerances = DEFAULT_TOLERANCES, eig=None) -> int:
+def observability_rank(A_cl: np.ndarray, C: np.ndarray, eig=None) -> int:
     """d minus the dark modes (eigenvectors C maps to zero), which is d
     minus the PBH deficiencies summed over the distinct eigenvalues.
 
@@ -58,22 +56,22 @@ def observability_rank(A_cl: np.ndarray, C: np.ndarray,
     lambda_match relative, so a defective eigenvalue's nearly parallel
     eigenvectors span one. `eig` is la.eig(A_cl) when the caller has it.
     """
+    match, zero = Tolerances.lambda_match, Tolerances.zero_pattern
     C = np.asarray(C, dtype=float)
     lam, V = la.eig(np.asarray(A_cl, dtype=float)) if eig is None else eig
     label = components(np.abs(lam[:, None] - lam[None, :])
-                       <= tol.lambda_match * np.maximum(1.0, np.abs(lam))[:, None])
+                       <= match * np.maximum(1.0, np.abs(lam))[:, None])
     size = np.bincount(label, minlength=lam.size)
     single = size[label] == 1
-    dark = int((np.linalg.norm(C @ V[:, single], axis=0) <= tol.zero_pattern).sum())
+    dark = int((np.linalg.norm(C @ V[:, single], axis=0) <= zero).sum())
     for g in np.flatnonzero(size > 1):
         U, sv, _ = la.svd(V[:, label == g], full_matrices=False)
-        span = U[:, sv > tol.lambda_match * sv[0]]
-        dark += span.shape[1] - int((la.svdvals(C @ span) > tol.zero_pattern).sum())
+        span = U[:, sv > match * sv[0]]
+        dark += span.shape[1] - int((la.svdvals(C @ span) > zero).sum())
     return lam.size - dark
 
 
-def preservation_audit(design: BlockingDesign, A_cl: np.ndarray | None = None,
-                       tol: Tolerances = DEFAULT_TOLERANCES):
+def preservation_audit(design: BlockingDesign, A_cl: np.ndarray | None = None):
     """Certificate from F's row space that A_cl = A + B F keeps A's
     spectrum and every eigenvector F does not act on.
 
@@ -89,7 +87,7 @@ def preservation_audit(design: BlockingDesign, A_cl: np.ndarray | None = None,
         A_cl = closed_loop(A, B, design.F)
     scale = max(1.0, np.linalg.norm(A, 2))
     _, sv, Vh = la.svd(design.F, full_matrices=False)
-    r = int((sv * np.linalg.norm(B, 2) > tol.preserved_residual * scale).sum())
+    r = int((sv * np.linalg.norm(B, 2) > Tolerances.preserved_residual * scale).sum())
     Yt = Vh[:r]
     YtA = Yt @ A
     quotient = YtA @ Yt.T
@@ -206,11 +204,11 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     A_cl = closed_loop(A, B, design.F)
     d = A.shape[0]
 
-    rank = pbh_test(A_cl, C, design.lambda_p, tol)
+    rank = pbh_test(A_cl, C, design.lambda_p)
     # one eigensolve feeds the dark-mode count and the energy shift
     eig = la.eig(A_cl)
-    obs_rank = observability_rank(A_cl, C, tol, eig)
-    spec_err, rho, gain_rank = preservation_audit(design, A_cl, tol)
+    obs_rank = observability_rank(A_cl, C, eig)
+    spec_err, rho, gain_rank = preservation_audit(design, A_cl)
 
     x0 = np.real(design.v_hat)
     if np.linalg.norm(x0) < 1e-8:

@@ -197,25 +197,57 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("literal", ["Infinity", "NaN"])
     def test_non_finite_coupling_is_precondition(self, literal, tmp_path, capsys):
-        # json reads both literals; the network is rejected before any
-        # eigensolve sees the matrix
+        # json reads both literals; the network file is rejected before
+        # any eigensolve sees the matrix
         net = generic_network(n=6, seed=2, m=1, q=3)
-        design = records.design_to_dict(design_blocking(net, DesignOptions(seed=2)))
         data = network_to_dict(net)
         data["couplings"]["edges"][0][0] = float(literal)
-        design["network"]["couplings"]["diagonal"][1][2] = float(literal)
-        net_file, record = tmp_path / "net.json", tmp_path / "design.json"
+        net_file = tmp_path / "net.json"
         net_file.write_text(json.dumps(data))
-        record.write_text(json.dumps(design))
         value = "inf" if literal == "Infinity" else "nan"
         i, j = int(net.graph.heads[0]) + 1, int(net.graph.tails[0]) + 1
         capsys.readouterr()
         assert main(["design", "--input", str(net_file)]) == 2
         assert capsys.readouterr().err == \
             f"error: coupling matrix 0 entry ({i},{j}) is {value}, not finite\n"
-        assert main(["verify", "--input", str(record)]) == 2
+
+    @pytest.mark.parametrize("defect", ["Infinity coupling", "NaN coupling",
+                                        "non-positive weight", "stray coupling",
+                                        "extra coupling matrix", "overlapping sets"])
+    def test_record_network_defect_is_io_error(self, defect, tmp_path, capsys):
+        # a record is program output: every check of the network
+        # constructor reads as a malformed record when the network comes
+        # from a design record, as a non-finite F or v_hat does
+        net = generic_network(n=6, seed=2, m=1, q=3)
+        design = records.design_to_dict(design_blocking(net, DesignOptions(seed=2)))
+        section = design["network"]
+        if defect in ("Infinity coupling", "NaN coupling"):
+            literal = defect.split()[0]
+            section["couplings"]["diagonal"][1][2] = float(literal)
+            value = "inf" if literal == "Infinity" else "nan"
+            message = f"coupling matrix 1 entry (3,3) is {value}, not finite"
+        elif defect == "non-positive weight":
+            section["edges"]["weights"][0][0] = -1.0
+            message = "edge (1,3) weight -1.0 not finite positive"
+        elif defect == "stray coupling":
+            # the dense layout of records before /4 can couple a non-edge
+            mats = [L.copy() for L in net.laplacians]
+            mats[0][0, 1] = 0.25
+            section["couplings"] = [L.tolist() for L in mats]
+            message = "matrix 0 couples nodes 2->1 without an edge"
+        elif defect == "extra coupling matrix":
+            section["couplings"]["diagonal"].append([1.0] * net.n)
+            section["couplings"]["edges"].append(section["couplings"]["edges"][0])
+            message = "need 2 coupling matrices, got 3"
+        else:
+            section["measurement"] = [1]
+            message = "actuation and measurement sets overlap"
+        record = tmp_path / "design.json"
+        record.write_text(json.dumps(design))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(record)]) == 4
         assert capsys.readouterr().err == \
-            f"error: coupling matrix 1 entry (3,3) is {value}, not finite\n"
+            f"error: malformed design record: {message}\n"
 
     def test_insufficient_actuation_is_precondition(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"

@@ -162,8 +162,8 @@ class TestDesignViaCutset:
                                  rng=np.random.default_rng(0)).verdict
 
     def test_no_candidate_passes_lg(self, monkeypatch, capsys):
-        def unsatisfied(network, plan, lam, tol):
-            cond = lg_condition(network, plan, lam, tol)
+        def unsatisfied(network, plan, lam):
+            cond = lg_condition(network, plan, lam)
             cond.satisfied = False
             return cond
 
@@ -210,8 +210,8 @@ class TestDesignViaCutset:
         net = make()
         calls = []
 
-        def spy(network, plan, lam, tol):
-            calls.append((complex(lam), lg_condition(network, plan, lam, tol)))
+        def spy(network, plan, lam):
+            calls.append((complex(lam), lg_condition(network, plan, lam)))
             return calls[-1][1]
 
         monkeypatch.setattr(cutset, "lg_condition", spy)

@@ -10,7 +10,7 @@ import scipy.linalg as la
 from hypothesis import assume, given, settings, strategies as st
 
 from obsblock.cli import main
-from obsblock.config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
+from obsblock.config import DesignOptions, Tolerances
 from obsblock.designer import (NullspaceBundle, build_candidate, candidates,
                                check_controllability, companion_pencil,
                                design_blocking, nullspace_bundle, pbh_screen,
@@ -336,15 +336,16 @@ class TestDesignBlocking:
     def test_order3_laplacian_design_engineering_tolerance(self, rng):
         # the structural triple zero of a Laplacian order-3 stack splits at
         # the cube root of machine noise, so the spectrum comparison runs
-        # at an engineering tolerance here
+        # at an engineering tolerance here; every other budget is the
+        # default one
         from conftest import random_digraph
         g = random_digraph(6, rng, density=0.5, order=3)
         net = IntegratorNetwork.from_graph(g, (1, 2, 3), (6,))
-        tols = Tolerances(spectrum_match=1e-4, preserved_residual=1e-5)
+        tols = Tolerances(spectrum_match=1e-4)
         design = design_blocking(net, DesignOptions(seed=1, tolerances=tols))
-        assert design.residuals["zero_pattern"] < 1e-8
+        assert design.residuals["zero_pattern"] < Tolerances.zero_pattern
         assert design.residuals["spectrum_match"] < 1e-4
-        assert design.residuals["preserved_max"] < 1e-5
+        assert design.residuals["preserved_max"] < Tolerances.preserved_residual
 
 
 class TestUntargetedModesKeepRank:
@@ -360,17 +361,18 @@ class TestUntargetedModesKeepRank:
             assert pbh_test(A, C, lam) == pbh_test(A_cl, C, lam) == d
 
 
-def two_pass_order(sd, tol):
+def two_pass_order(sd):
     """Reference default walk: screen every candidate, then list the
     usable real eigenvalues, then the usable upper-half pairs, each by
     (|lambda|, index). A candidate whose disk overlaps another is usable
     only when every eigenvalue of its cluster is a copy of it (within
     lambda_match)."""
-    screen = tol.lambda_match * max(1.0, sd.matrix_norm)
+    match = Tolerances.lambda_match
+    screen = match * max(1.0, sd.matrix_norm)
     mu = sd.raw_eigenvalues
 
     def one_eigenvalue(i):
-        return all(abs(mu[j] - mu[i]) <= tol.lambda_match * max(1.0, abs(mu[i]))
+        return all(abs(mu[j] - mu[i]) <= match * max(1.0, abs(mu[i]))
                    for j in range(sd.dim) if sd.cluster[j] == sd.cluster[i])
 
     def usable(i):
@@ -423,8 +425,8 @@ class TestSelectLambdaWalk:
     def test_matches_two_pass_reference_and_stops_early(self, data):
         sd = walk_spectrum(data.draw(st.sampled_from(sorted(WALK_NETWORKS))))
         allowed = data.draw(st.sets(st.sampled_from(range(sd.dim))))
-        reference = two_pass_order(sd, DEFAULT_TOLERANCES)
-        assert list(candidates(sd, DEFAULT_TOLERANCES)) == reference
+        reference = two_pass_order(sd)
+        assert list(candidates(sd)) == reference
         if reference:
             assert select_lambda(sd, DesignOptions()) == reference[0]
         else:
@@ -439,7 +441,7 @@ class TestSelectLambdaWalk:
             calls.append(i)
             return i in allowed
 
-        first = next((i for i in candidates(sd, DEFAULT_TOLERANCES) if allow(i)), None)
+        first = next((i for i in candidates(sd) if allow(i)), None)
         expected = next((i for i in reference if i in allowed), None)
         assert first == expected
         assert calls == (reference[:reference.index(expected) + 1]
@@ -479,7 +481,7 @@ def assert_verifies_or_raises(net):
     assert report.verdict, report.reasons
 
 
-def full_pencil_uncontrollable(network, sd, tol=DEFAULT_TOLERANCES):
+def full_pencil_uncontrollable(network, sd):
     """Reference PBH loop on the d x (d+q) state pencil [A - lambda I, B].
 
     Returns the first eigenvalue of the reference walk (reference_classes)
@@ -490,7 +492,7 @@ def full_pencil_uncontrollable(network, sd, tol=DEFAULT_TOLERANCES):
     for i in reference_classes(sd):
         lam = sd.eigenvalues[i]
         sv = la.svdvals(np.hstack([A - lam * np.eye(d), B]))
-        if sv[d - 1] <= tol.rank_decision * sv[0]:
+        if sv[d - 1] <= Tolerances.rank_decision * sv[0]:
             return lam
     return None
 
@@ -567,7 +569,7 @@ def assert_screen_sound(net, sd):
     the classes are those of the reference walk."""
     classes, bound, cutoff = pbh_screen(net, sd)
     assert list(classes) == reference_classes(sd)
-    rtol = DEFAULT_TOLERANCES.rank_decision
+    rtol = Tolerances.rank_decision
     for i, low, cut in zip(classes, bound, cutoff):
         sv = la.svdvals(companion_pencil(net, sd.eigenvalues[i]))
         assert low <= sv[net.n - 1], sd.eigenvalues[i]
@@ -635,7 +637,7 @@ class TestCheckControllability:
             return
         check_controllability(net, sd)
         # controllable verdicts sit well clear of the cutoff
-        rtol = DEFAULT_TOLERANCES.rank_decision
+        rtol = Tolerances.rank_decision
         for lam in eigs:
             sv = la.svdvals(companion_pencil(net, lam))
             assert sv[net.n - 1] / (rtol * sv[0]) > 10.0, lam

@@ -29,7 +29,7 @@ def test_repair_path_replaces_duplicated_column():
     net = random_network(n=8, seed=23, m=1, q=3)
     A, B, _ = assemble(net)
     opts = DesignOptions(seed=23)
-    sd = decompose(A, opts.tolerances)
+    sd = decompose(A)
     p = select_lambda(sd, opts)
     reals = sorted((i for i in range(sd.dim)
                     if sd.is_real(i) and sd.pairing[i] == i and i != p),
@@ -57,7 +57,7 @@ def test_conjugate_pair_repair_redraws_both_columns():
     net = random_network(n=8, seed=28, m=1, q=3)
     A, B, C = assemble(net)
     opts = DesignOptions(seed=28)
-    sd = decompose(A, opts.tolerances)
+    sd = decompose(A)
     p = select_lambda(sd, opts)
     assert p == 9
     assert (sd.pairing[2], sd.pairing[12]) == (3, 13)
@@ -84,7 +84,7 @@ def test_snapped_pair_left_out_of_the_subset_is_redrawn_as_a_pair(monkeypatch):
     net = random_network(n=7, seed=1, m=1, q=3, density=0.4)
     A, B, C = assemble(net)
     opts = DesignOptions(seed=1)
-    sd = decompose(A, opts.tolerances)
+    sd = decompose(A)
     p = select_lambda(sd, opts)
     assert p == 3
     assert sd.is_vector_paired(12) and sd.pairing[12] == 13

@@ -75,7 +75,7 @@ def _reference_disks(A, raw, V, W):
     return kappa, radius, label
 
 
-def reference_decompose(A, tol=DEFAULT_TOLERANCES):
+def reference_decompose(A):
     """decompose with its pairing, realification, phase and disk steps as
     per-column Python loops."""
     A = np.asarray(A, dtype=float)
@@ -84,7 +84,7 @@ def reference_decompose(A, tol=DEFAULT_TOLERANCES):
     nrm = la.norm(A, 2) if d else 0.0
     scale = max(1.0, nrm)
     raw = lam.copy()
-    lam = np.where(np.abs(lam.imag) <= tol.snap_imag * scale, lam.real + 0j, lam)
+    lam = np.where(np.abs(lam.imag) <= Tolerances.snap_imag * scale, lam.real + 0j, lam)
     V = V.astype(complex) / np.linalg.norm(V, axis=0)
     W = W.astype(complex) / np.linalg.norm(W, axis=0)
     order = np.lexsort((lam.imag, lam.real))
@@ -341,12 +341,11 @@ class TestDecompose:
         net = random_network(n=6, seed=5, m=1, q=3)
         A, _, _ = assemble(net)
         sd = decompose(A)
-        tol = Tolerances()
         for i in (0, sd.dim - 1):
-            j = match_eigenvalue(sd, complex(sd.eigenvalues[i]), tol)
+            j = match_eigenvalue(sd, complex(sd.eigenvalues[i]))
             # equal eigenvalues tie deterministically; the value must match
             assert sd.eigenvalues[j] == sd.eigenvalues[i]
-        assert match_eigenvalue(sd, 123.0 + 0j, tol) == -1
+        assert match_eigenvalue(sd, 123.0 + 0j) == -1
 
 
 def reference_components(adjacent):
