@@ -216,6 +216,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:
+            raise InvalidInputError(f"--seed {args.seed} is negative")
         return args.func(args)
     except ObsBlockError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,11 @@ read as Tolerances.<name> (or through any instance).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import ClassVar
+
+from .errors import InvalidInputError
 
 
 @dataclass(frozen=True)
@@ -26,7 +29,8 @@ class Tolerances:
     ----------
     spectrum_match : float
         Allowed eigenvalue multiset deviation, open against closed loop
-        (designer) or on the quotient by null(F) (verifier).
+        (designer) or on the quotient by null(F) (verifier). Finite and
+        positive: a NaN budget would pass every comparison against it.
     rank_decision : float
         Relative singular-value cutoff for PBH verdicts.
     snap_imag : float
@@ -60,6 +64,11 @@ class Tolerances:
     cond_limit: ClassVar[float] = 1e12
     lambda_match: ClassVar[float] = 1e-6
 
+    def __post_init__(self):
+        if not (math.isfinite(self.spectrum_match) and self.spectrum_match > 0):
+            raise InvalidInputError(f"spectrum tolerance {self.spectrum_match} "
+                                    "is not a finite positive number")
+
 
 DEFAULT_TOLERANCES = Tolerances()
 
@@ -77,3 +86,7 @@ class DesignOptions:
     lambda_selection: object = "default"
     seed: int = 0
     tolerances: Tolerances = field(default_factory=Tolerances)
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidInputError(f"seed {self.seed} is negative")

@@ -10,6 +10,7 @@ evaluated in a realified modal basis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -190,9 +191,8 @@ def pbh_screen(network: IntegratorNetwork, sd: SpectralData):
 
     b = np.linalg.norm(W[-n:][np.array(network.actuation, dtype=int) - 1][:, i],
                        axis=0)
-    # Bhat has one unit column per actuator: ||Bhat||^2 is the largest
-    # number of actuators on one node
-    c2 = float(np.bincount(network.actuation).max()) if q else 0.0
+    # Bhat has one unit column per actuator on distinct nodes: ||Bhat|| = 1
+    c2 = 1.0 if q else 0.0
     rho = radius[i] / kappa[i] + np.abs(zc - mu[i])
     with np.errstate(divide="ignore"):
         s = 1.0 / resolvent - rho
@@ -574,7 +574,11 @@ def select_lambda(sd: SpectralData, options: DesignOptions) -> int:
     sel = options.lambda_selection
 
     if isinstance(sel, tuple) and len(sel) == 2 and sel[0] == "index":
-        p = int(sel[1])
+        try:
+            p = operator.index(sel[1])
+        except TypeError:
+            raise InvalidInputError(f"bad lambda selection {sel!r}: "
+                                    "the index is not an integer") from None
         if not 0 <= p < sd.dim:
             raise NotAnEigenvalueError(f"eigenvalue index {p} outside 0..{sd.dim - 1}")
     elif isinstance(sel, tuple) and len(sel) == 2 and sel[0] == "value":

@@ -1,7 +1,9 @@
 """Independent numerical oracles for blocking designs.
 
 Everything here recomputes from the network, F, v_hat and lambda_p, with
-no open-loop eigensolve: preservation is certified from F's row space.
+no open-loop eigensolve: preservation is certified from F's row space,
+closed under A^T up to the record's count of replaced and repaired
+columns.
 """
 
 from __future__ import annotations
@@ -71,112 +73,108 @@ def observability_rank(A_cl: np.ndarray, C: np.ndarray, eig=None) -> int:
     return lam.size - dark
 
 
-def preservation_audit(design: BlockingDesign, A_cl: np.ndarray | None = None):
+def preservation_audit(design: BlockingDesign, A: np.ndarray, A_cl: np.ndarray):
     """Certificate from F's row space that A_cl = A + B F keeps A's
     spectrum and every eigenvector F does not act on.
 
-    Y holds the r right singular vectors of F with sigma_k ||B|| above
-    preserved_residual * max(1, ||A||); the rest of F is backward error.
-    If null(Y^T) is A-invariant, A_cl equals A on it, so the spectra can
-    differ only on the r x r quotients Y^T A Y and Y^T A_cl Y, and no
-    Jordan chain inside null(F) is compared. Returns (quotient multiset
-    error, ||Y^T A - (Y^T A Y) Y^T|| / max(1, ||A||), r).
+    F's rows above preserved_residual * max(1, ||A||) span Y_0 (||B|| = 1:
+    the actuation nodes are distinct); the rest of F is backward error. Y
+    is closed under A^T: while null(Y^T) is not A-invariant, the left
+    singular directions of (I - Y Y^T) A^T Y above the same budget join Y,
+    reorthogonalized, so long as Y stays within the record's claim of
+    |replaced| + |repaired| columns. If null(Y^T) is A-invariant, A_cl
+    equals A on it, so the spectra can differ only on the quotients
+    Y^T A Y and Y^T A_cl Y, and no Jordan chain inside null(F) is
+    compared. Returns (quotient multiset error,
+    ||Y^T A - (Y^T A Y) Y^T|| / max(1, ||A||) at the last Y, rank F).
     """
-    A, B, _ = assemble(design.network)
-    if A_cl is None:
-        A_cl = closed_loop(A, B, design.F)
     scale = max(1.0, np.linalg.norm(A, 2))
+    cut = Tolerances.preserved_residual * scale
     _, sv, Vh = la.svd(design.F, full_matrices=False)
-    r = int((sv * np.linalg.norm(B, 2) > Tolerances.preserved_residual * scale).sum())
+    r = int((sv > cut).sum())
+    claim = len(design.replaced) + len(design.repaired)
     Yt = Vh[:r]
-    YtA = Yt @ A
-    quotient = YtA @ Yt.T
-    rho = np.linalg.norm(YtA - quotient @ Yt, 2) / scale
+    while True:
+        YtA = Yt @ A
+        quotient = YtA @ Yt.T
+        R = YtA - quotient @ Yt
+        rho = np.linalg.norm(R, 2) / scale
+        if rho <= Tolerances.preserved_residual:
+            break
+        U, su, _ = la.svd(R.T, full_matrices=False)
+        U = U[:, su > cut]
+        if not U.shape[1] or Yt.shape[0] + U.shape[1] > claim:
+            break
+        U = la.qr(U - Yt.T @ (Yt @ U), mode="economic")[0]
+        Yt = np.vstack([Yt, U.T])
     err = multiset_error(la.eigvals(quotient), la.eigvals(Yt @ A_cl @ Yt.T))
     return err, float(rho), r
 
 
 _STATE_OVERFLOW = 1e150   # state norm at which the horizon is cut short
+HORIZON = 10.0            # the energy witness runs on t_j = j*DT over [0, HORIZON]
+DT = 0.01
+_STEPS = int(round(HORIZON / DT))
 
 
-@dataclass(frozen=True)
-class StepPropagator:
-    """The step propagator of one loop on the grid t_j = j*dt, j = 0..steps.
-
-    powers holds E = expm(A_cl*dt) and its repeated squares E^2, E^4,
-    ... up to the largest power of two at most steps, or up to the last
-    finite one should a square overflow. It depends on the loop and the
-    grid only, so every start of output_energy on that loop can share it.
-    """
-
-    dt: float
-    steps: int
-    powers: tuple
-
-
-def step_propagator(A_cl: np.ndarray, T: float = 10.0,
-                    dt: float = 0.01) -> StepPropagator:
-    """StepPropagator of A_cl over [0, T]: one expm and about log2(T/dt)
-    d x d squarings."""
-    if T <= 0 or dt <= 0:
-        raise ValueError("T and dt must be positive")
-    steps = int(round(T / dt))
-    powers = [la.expm(np.asarray(A_cl, dtype=float) * dt)]
+def step_propagator(A_cl: np.ndarray) -> tuple:
+    """E = expm(A_cl*DT) and its repeated squares E^2, E^4, ... up to the
+    largest power of two at most HORIZON/DT, or up to the last finite one
+    should a square overflow: one expm and about log2(HORIZON/DT) d x d
+    squarings. Every start of output_energy on A_cl can share them."""
+    powers = [la.expm(np.asarray(A_cl, dtype=float) * DT)]
     with np.errstate(over="ignore", invalid="ignore"):
-        while 2 ** len(powers) <= steps:
+        while 2 ** len(powers) <= _STEPS:
             Q = powers[-1] @ powers[-1]
             if not np.isfinite(Q).all():
                 break
             powers.append(Q)
-    return StepPropagator(dt=dt, steps=steps, powers=tuple(powers))
+    return tuple(powers)
 
 
-def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray,
-                  T: float = 10.0, dt: float = 0.01,
-                  propagator: StepPropagator | None = None):
-    """Trapezoidal estimate of the output energy integral over [0, T].
+def output_energy(A_cl: np.ndarray, C: np.ndarray, x0: np.ndarray, powers=None):
+    """Trapezoidal estimate of the output energy integral over [0, HORIZON].
 
-    The state is sampled on the grid t_j = j*dt, j = 0..round(T/dt),
-    through the step propagator E = expm(A_cl*dt) (exact for LTI), so the
+    The state is sampled on the grid t_j = j*DT, j = 0..HORIZON/DT,
+    through the step propagator E = expm(A_cl*DT) (exact for LTI), so the
     estimate carries only quadrature error in t. The trajectory is built
     by doubling: rows [p, 2p) are rows [0, p) times E^p, and E^(2p) is
-    the square of E^p. That is about log2(T/dt) d x d squarings plus
-    O(d^2 T/dt) flops, with no per-step Python loop. Should a power
+    the square of E^p. That is about log2(HORIZON/DT) d x d squarings plus
+    O(d^2 HORIZON/DT) flops, with no per-step Python loop. Should a power
     overflow, the trajectory advances in blocks of the largest finite
-    power instead. The powers, and the grid, come from `propagator`, a
-    step_propagator of A_cl, computed here from T and dt when not given;
-    a caller that runs several starts on one loop passes it to each.
+    power instead. The powers are step_propagator(A_cl), computed here
+    when not given; a caller that runs several starts on one loop passes
+    them to each.
 
     The horizon is cut short at step k, the last step before the first
     state that is non-finite or has norm above 1e150, found by one scan
     once every row is filled; the report says so through
-    horizon_actually_used = k*dt.
+    horizon_actually_used = k*DT.
 
     Returns (energy, horizon_actually_used).
     """
-    prop = step_propagator(A_cl, T, dt) if propagator is None else propagator
+    powers = step_propagator(A_cl) if powers is None else powers
     C = np.asarray(C, dtype=float)
-    dt, steps, powers = prop.dt, prop.steps, prop.powers
     top = 1 << (len(powers) - 1)    # the largest power
-    X = np.empty((steps + 1, powers[0].shape[0]))   # row j holds x(j*dt)
+    X = np.empty((_STEPS + 1, powers[0].shape[0]))   # row j holds x(j*DT)
     X[0] = np.asarray(x0, dtype=float)
     j = 1                           # rows < j are filled
     with np.errstate(over="ignore", invalid="ignore"):
-        while j <= steps:
+        while j <= _STEPS:
             p = min(j, top)         # rows [j, j + p) are rows [j - p, j) times E^p
-            hi = min(j + p, steps + 1)
+            hi = min(j + p, _STEPS + 1)
             np.matmul(X[j - p:hi - p], powers[p.bit_length() - 1].T, out=X[j:hi])
             j = hi
         # one scan of the finished trajectory: a row depends on earlier
         # rows only, so the rows past a bad one never reach the kept rows
         bad = np.flatnonzero(~(np.einsum("ij,ij->i", X[1:], X[1:])
                                <= _STATE_OVERFLOW ** 2))
-        k = int(bad[0]) if bad.size else steps
+        k = int(bad[0]) if bad.size else _STEPS
 
         Y = X[:k + 1] @ C.T
-        y = np.einsum("ij,ij->i", Y, Y)    # |C x(j*dt)|^2
-        energy = 0.5 * dt * float(np.sum(y[:-1] + y[1:]))
-    return energy, k * dt
+        y = np.einsum("ij,ij->i", Y, Y)    # |C x(j*DT)|^2
+        energy = 0.5 * DT * float(np.sum(y[:-1] + y[1:]))
+    return energy, k * DT
 
 
 def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
@@ -189,9 +187,14 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     of a cutset result it audits the transfer claim, blocking at the
     measurement nodes rather than at the cut.
 
+    A, B and A_cl are built once here and handed to every oracle. The
+    preservation certificate closes F's row space under A^T, at most to
+    the record's |replaced| + |repaired|; ||B|| = 1, as the actuation
+    nodes are distinct.
+
     The energy witness runs the blocked start (from v_hat) and a random unit
     start on A_cl - sigma*I, sigma = max(0, max Re lambda(A_cl)), through one
-    propagator on step_propagator's grid (T = 10, dt = 0.01). The shift scales
+    step_propagator on the fixed grid (HORIZON = 10, DT = 0.01). The shift scales
     every trajectory by e^(-sigma t) and leaves every invariant subspace, the
     blocked one included, exactly in place, so it keeps the horizon on
     unstable loops without touching darkness. The witness fails when the
@@ -208,23 +211,23 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     # one eigensolve feeds the dark-mode count and the energy shift
     eig = la.eig(A_cl)
     obs_rank = observability_rank(A_cl, C, eig)
-    spec_err, rho, gain_rank = preservation_audit(design, A_cl)
+    spec_err, rho, gain_rank = preservation_audit(design, A, A_cl)
 
     x0 = np.real(design.v_hat)
     if np.linalg.norm(x0) < 1e-8:
         x0 = np.imag(design.v_hat)
     x0 = x0 / np.linalg.norm(x0)
-    # both starts ride one propagator of the shifted loop; it lives only
-    # for this call
+    # both starts ride one set of step powers of the shifted loop; they
+    # live only for this call
     sigma = max(0.0, float(eig[0].real.max()))
     A_shift = A_cl - sigma * np.eye(d)
-    propagator = step_propagator(A_shift)
-    energy, _ = output_energy(A_shift, C, x0, propagator=propagator)
+    powers = step_propagator(A_shift)
+    energy, _ = output_energy(A_shift, C, x0, powers)
 
     rng = np.random.default_rng(0) if rng is None else rng
     xr = rng.standard_normal(d)
     xr /= np.linalg.norm(xr)
-    energy_rand, _ = output_energy(A_shift, C, xr, propagator=propagator)
+    energy_rand, _ = output_energy(A_shift, C, xr, powers)
     bound = tol.candidate_residual ** 2 * energy_rand
 
     reasons = []

@@ -300,6 +300,31 @@ class TestExitCodes:
             "value:<re>[,<im>]\n")
 
 
+    @pytest.mark.parametrize("command", [
+        ["gen", "--n", "6", "--output", "net.json"],
+        ["design", "--input", "net.json"],
+        ["verify", "--input", "d.json"],
+        ["repro", "fig2-din"]], ids=lambda c: c[0])
+    def test_negative_seed_is_precondition(self, command, tmp_path, capsys,
+                                           monkeypatch):
+        # checked before any file is read or written
+        monkeypatch.chdir(tmp_path)
+        assert main(command + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed -1 is negative\n"
+        assert not (tmp_path / "net.json").exists()
+
+    @pytest.mark.parametrize("spec", ["nan", "inf", "-1", "0"])
+    def test_non_positive_or_non_finite_tol_spec_is_precondition(self, spec,
+                                                                 capsys):
+        # a NaN budget passes every comparison, so it once switched the
+        # spectrum check off ("repro verdict: pass" where 1e-6 exits 3)
+        assert main(["repro", "fig2-din", "--order", "3",
+                     "--tol-spec", spec]) == 2
+        assert capsys.readouterr().err == (
+            f"error: spectrum tolerance {float(spec)} is not a finite positive "
+            "number\n")
+
+
 class TestRepro:
     def test_fig2_pass_and_deterministic(self, tmp_path):
         r1, r2 = tmp_path / "r1.txt", tmp_path / "r2.txt"

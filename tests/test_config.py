@@ -9,6 +9,7 @@ import pytest
 
 from obsblock import cutset, designer, spectrum, verify
 from obsblock.config import DEFAULT_TOLERANCES, DesignOptions, Tolerances
+from obsblock.errors import InvalidInputError
 
 CONSTANTS = {"rank_decision": 1e-12, "snap_imag": 1e-8, "lg_margin": 1e-6,
              "zero_pattern": 1e-8, "preserved_residual": 1e-6,
@@ -49,3 +50,20 @@ class TestTolerances:
         ids=lambda f: f.__name__)
     def test_constant_readers_take_no_tolerances(self, func):
         assert "tol" not in inspect.signature(func).parameters
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"),
+                                       0.0, -1.0, -1e-6])
+    def test_spectrum_budget_is_finite_and_positive(self, value):
+        with pytest.raises(InvalidInputError, match="spectrum tolerance"):
+            Tolerances(spectrum_match=value)
+
+    def test_positive_spectrum_budgets_are_kept(self):
+        for value in (1e-12, 1e-6, 1e-4, 1.0):
+            assert Tolerances(spectrum_match=value).spectrum_match == value
+
+
+class TestDesignOptions:
+    def test_negative_seed_is_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed -1 is negative"):
+            DesignOptions(seed=-1)
+        assert DesignOptions(seed=0).seed == 0

@@ -122,7 +122,7 @@ class TestDesignViaCutset:
                                             lambda_selection=("value", lam)))
         assert err.value.exit_code == 2 and screened == []
 
-    @pytest.mark.parametrize("sel", [("value",), ("index",)])
+    @pytest.mark.parametrize("sel", [("value",), ("index",), ("index", 2.7)])
     def test_malformed_request_is_invalid_input(self, sel):
         net = cut_friendly_network(4, 4, seed=5)
         with pytest.raises(InvalidInputError, match="^bad lambda selection"):

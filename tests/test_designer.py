@@ -16,8 +16,8 @@ from obsblock.designer import (NullspaceBundle, build_candidate, candidates,
                                design_blocking, nullspace_bundle, pbh_screen,
                                select_hp, select_lambda)
 from obsblock.errors import (ControllabilityError, InsufficientActuationError,
-                             NoEligibleEigenvalueError, NotAnEigenvalueError,
-                             ObsBlockError)
+                             InvalidInputError, NoEligibleEigenvalueError,
+                             NotAnEigenvalueError, ObsBlockError)
 from obsblock.model import IntegratorNetwork, assemble, closed_loop, save_network
 from obsblock.graph import WeightedDigraph
 from obsblock.scenarios import fig2_din, generic_network, random_network
@@ -447,6 +447,18 @@ class TestSelectLambdaWalk:
         assert calls == (reference[:reference.index(expected) + 1]
                          if expected is not None else reference)
 
+    @pytest.mark.parametrize("k", [2.7, 2.0, "2", None])
+    def test_non_integer_index_is_invalid_input(self, k):
+        # 2.7 once designed column 2
+        sd = walk_spectrum("laplacian ring order 2")
+        with pytest.raises(InvalidInputError, match="index is not an integer"):
+            select_lambda(sd, DesignOptions(lambda_selection=("index", k)))
+
+    def test_integer_index_types_are_accepted(self):
+        sd = walk_spectrum("laplacian ring order 2")
+        for k in (2, np.int64(2), np.uint8(2)):
+            assert select_lambda(sd, DesignOptions(lambda_selection=("index", k))) == 2
+
     @pytest.mark.parametrize("order", [3, 4])
     @pytest.mark.parametrize("s", range(20))
     def test_small_laplacian_draws_verify_or_raise(self, order, s):
@@ -470,15 +482,60 @@ class TestSelectLambdaWalk:
             WeightedDigraph(n=n, edges=edges), tuple(range(1, n)), (n,)))
 
 
-def assert_verifies_or_raises(net):
-    """A default design either passes verify_design or raises a typed
-    error; it never comes back unverified."""
+def assert_verifies_or_raises(net, options=DesignOptions()):
+    """A design (by default at the default request) either passes
+    verify_design or raises a typed error; it never comes back
+    unverified."""
     try:
-        design = design_blocking(net, DesignOptions())
+        design = design_blocking(net, options)
     except ObsBlockError:
         return
     report = verify_design(design)
-    assert report.verdict, report.reasons
+    assert report.verdict, (options.lambda_selection, report.reasons)
+
+
+def equal_weight_networks(kind):
+    """The equal-weight census draws of one graph kind: n = 4..10, the
+    same weights on both directions of every edge, (1, 5), (1, 0.3),
+    (1, 2/sqrt(n)) or (1, 1), m = 1 or 2 measured nodes (the last m),
+    actuation 1..m+2; draws whose sets overlap are skipped. 48 per kind,
+    192 in all."""
+    nets = []
+    for n in range(4, 11):
+        pairs = {"ring": [(i, i % n + 1) for i in range(1, n + 1)],
+                 "path": [(i, i + 1) for i in range(1, n)],
+                 "star": [(1, j) for j in range(2, n + 1)],
+                 "complete": [(i, j) for i in range(1, n + 1)
+                              for j in range(i + 1, n + 1)]}[kind]
+        for w in ((1.0, 5.0), (1.0, 0.3), (1.0, 2.0 / np.sqrt(n)), (1.0, 1.0)):
+            edges = tuple(e for i, j in pairs for e in ((i, j, w), (j, i, w)))
+            for m in (1, 2):
+                if 2 * m + 2 <= n:
+                    nets.append(IntegratorNetwork.from_graph(
+                        WeightedDigraph(n=n, edges=edges), tuple(range(1, m + 3)),
+                        tuple(range(n - m + 1, n + 1))))
+    return nets
+
+
+class TestEqualWeightCensus:
+    """Equal weights give gains of rank below the replaced count, whose
+    row space the certificate must close under A^T: 53 default and 702
+    explicit requests came back unverified before it did."""
+
+    @pytest.mark.parametrize("kind", ["ring", "complete", "star", "path"])
+    def test_default_requests_verify_or_raise(self, kind):
+        nets = equal_weight_networks(kind)
+        assert len(nets) == 48
+        for net in nets:
+            assert_verifies_or_raises(net)
+
+    @pytest.mark.parametrize("kind", ["ring", "complete", "star", "path"])
+    def test_explicit_requests_verify_or_raise(self, kind):
+        # every seventh network of the kind, every column index
+        for net in equal_weight_networks(kind)[::7]:
+            for k in range(net.order * net.n):
+                assert_verifies_or_raises(
+                    net, DesignOptions(lambda_selection=("index", k)))
 
 
 def full_pencil_uncontrollable(network, sd):

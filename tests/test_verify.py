@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -198,13 +199,31 @@ class TestObservabilityRank:
             assert [a.shape for _, a in calls[1:]] == [(r, r)] * 2
 
 
+def matrices(design):
+    """(A, A_cl) of a design, as verify_design hands them to
+    preservation_audit."""
+    A, B, _ = assemble(design.network)
+    return A, closed_loop(A, B, design.F)
+
+
+def path_graph_design():
+    """Path graph n = 5, weights (1, 0.3) both ways, actuation 1..3,
+    measurement 5: the default design replaces the pair (7, 6) with a
+    gain of rank 1, so F's row space alone is not A^T-invariant."""
+    w = (1.0, 0.3)
+    edges = tuple(e for i in range(1, 5) for e in ((i, i + 1, w), (i + 1, i, w)))
+    net = IntegratorNetwork.from_graph(WeightedDigraph(n=5, edges=edges),
+                                       (1, 2, 3), (5,))
+    return design_blocking(net, DesignOptions())
+
+
 class TestPreservationAudit:
     def test_zero_gain_record_is_exact(self):
         # A_cl = A leaves both quotients the same matrix
         net = random_network(n=6, seed=3, m=1, q=3)
         design = design_blocking(net, DesignOptions(seed=3))
         A, _, _ = assemble(net)
-        err, rho, r = preservation_audit(design, A_cl=A)
+        err, rho, r = preservation_audit(design, A, A)
         assert err == 0.0
         assert rho < DEFAULT_TOLERANCES.preserved_residual
         assert r == 1
@@ -212,7 +231,7 @@ class TestPreservationAudit:
     def test_fig2_design_preserves(self):
         net = fig2_din(seed=9)
         result = design_via_cutset(net, options=DesignOptions(seed=9))
-        err, rho, r = preservation_audit(result.design)
+        err, rho, r = preservation_audit(result.design, *matrices(result.design))
         assert err < 1e-6
         assert rho < 1e-6
         assert r >= 1
@@ -226,20 +245,22 @@ class TestPreservationAudit:
                            (generic_network, 2), (generic_network, 11)):
             design = design_blocking(make(n=7, seed=seed, m=1, q=3),
                                      DesignOptions(seed=seed))
-            err, rho, r = preservation_audit(design)
+            err, rho, r = preservation_audit(design, *matrices(design))
             assert design.residuals["spectrum_match"] <= tol.spectrum_match
             assert err <= tol.spectrum_match and rho <= tol.preserved_residual
             assert r == len(design.replaced) + len(design.repaired), seed
 
     def test_repaired_columns_not_audited(self):
-        # the certificate reads F and the network, no claimed column index
+        # the certificate reads F and the network, no claimed column
+        # index; the claim's size only caps the closure, which a row
+        # space that is already closed never reaches
         net = random_network(n=7, seed=17, m=1, q=3)
         design = design_blocking(net, DesignOptions(seed=17))
         assert set(design.preserved).isdisjoint(design.repaired)
         assert set(design.preserved).isdisjoint(design.replaced)
-        audit = preservation_audit(design)
+        audit = preservation_audit(design, *matrices(design))
         design.preserved = design.repaired = design.replaced = ()
-        assert preservation_audit(design) == audit
+        assert preservation_audit(design, *matrices(design)) == audit
 
     def test_entry_off_by_a_thousandth_fails_on_invariance(self):
         # F.flat[11] + 1e-3 max|F| keeps the raw open/closed-loop checks
@@ -261,6 +282,32 @@ class TestPreservationAudit:
         assert any(r.startswith("null(F) invariance residual")
                    for r in report.reasons), report.reasons
 
+    def test_rank_short_gain_passes_once_its_row_space_is_closed(self):
+        design = path_graph_design()
+        assert design.replaced == (7, 6) and design.repaired == ()
+        report = verify_design(design)
+        assert report.verdict, report.reasons
+        assert report.gain_rank == 1
+        assert report.invariance_residual <= DEFAULT_TOLERANCES.preserved_residual
+
+    def test_closed_row_space_still_fails_an_entry_off_by_a_thousandth(self):
+        design = path_graph_design()
+        design.gain.matrix[0, 0] += 1e-3 * np.abs(design.F).max()
+        report = verify_design(design)
+        assert not report.verdict
+        assert report.invariance_residual > DEFAULT_TOLERANCES.preserved_residual
+        assert any(r.startswith("null(F) invariance residual")
+                   for r in report.reasons), report.reasons
+
+    def test_the_claim_caps_the_closure(self):
+        # a record that claims one replaced column leaves no room to grow
+        # F's rank-1 row space, so rho is that of F's rows alone
+        design = path_graph_design()
+        design.replaced = (7,)
+        err, rho, r = preservation_audit(design, *matrices(design))
+        assert r == 1
+        assert rho == pytest.approx(0.242, abs=1e-3)
+
     def test_zero_gain_certifies_nothing_and_fails_on_darkness(self):
         # F = 0 keeps the spectrum trivially; the mode it leaves visible
         # fails the PBH, dark-mode and energy oracles (a loop whose open
@@ -268,7 +315,7 @@ class TestPreservationAudit:
         net = generic_network(12, 2, density=0.4, seed=3, m=1)
         design = design_blocking(net, DesignOptions())
         design.gain.matrix[:] = 0.0
-        assert preservation_audit(design) == (0.0, 0.0, 0)
+        assert preservation_audit(design, *matrices(design)) == (0.0, 0.0, 0)
         report = verify_design(design)
         assert not report.verdict and report.gain_rank == 0
         assert [r.split()[0] for r in report.reasons] == ["PBH", "observability",
@@ -287,11 +334,31 @@ class TestVerifyDesignOutput:
         assert default.verdict
 
 
+class TestVerificationBytes:
+    """verification_to_dict bytes of one direct and one cutset design,
+    pinned like the record bytes."""
+
+    @pytest.mark.parametrize("kind, digest", [
+        ("direct", "cadb121b9167c13747cb1f257d55a74717925904cf3475f04201bac3f4790d95"),
+        ("cutset", "68a82426d0413767db1e6846ed7994f4531e5d35cf0d9944c9e753a656516c27"),
+    ])
+    def test_verification_bytes_pinned(self, kind, digest):
+        if kind == "direct":
+            design = design_blocking(random_network(n=8, seed=14, m=2, q=4),
+                                     DesignOptions(seed=14))
+        else:
+            design = design_via_cutset(fig2_din(seed=0),
+                                       options=DesignOptions(seed=0)).design
+        report = verify_design(design, rng=np.random.default_rng(0))
+        text = records.dumps(records.verification_to_dict(report))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class TestOutputEnergy:
     def test_zero_state(self):
         A = -np.eye(3)
         C = np.eye(3)
-        energy, _ = output_energy(A, C, np.zeros(3), T=2.0, dt=0.01)
+        energy, _ = output_energy(A, C, np.zeros(3))
         assert energy == 0.0
 
     def test_blocked_direction_dark(self):
@@ -301,7 +368,7 @@ class TestOutputEnergy:
         A_cl = closed_loop(A, B, design.F)
         x0 = np.real(design.v_hat)
         x0 /= np.linalg.norm(x0)
-        energy, used = output_energy(A_cl, C, x0, T=10.0)
+        energy, used = output_energy(A_cl, C, x0)
         assert used == pytest.approx(10.0)
         assert energy < 1e-10 * used
 
@@ -312,27 +379,24 @@ class TestOutputEnergy:
         A_cl = closed_loop(A, B, design.F)
         x0 = rng.standard_normal(16)
         x0 /= np.linalg.norm(x0)
-        energy, _ = output_energy(A_cl, C, x0, T=10.0)
+        energy, _ = output_energy(A_cl, C, x0)
         assert energy > 1e-4
 
     def test_step_halving_stable(self, rng):
+        # the fixed grid against the stepwise reference at half the step
         net = random_network(n=6, seed=8, m=1, q=3)
         A, _, C = assemble(net)
         x0 = rng.standard_normal(12)
         x0 /= np.linalg.norm(x0)
-        e1, _ = output_energy(A, C, x0, T=5.0, dt=0.01)
-        e2, _ = output_energy(A, C, x0, T=5.0, dt=0.005)
+        e1, _ = output_energy(A, C, x0)
+        e2, _ = stepwise_output_energy(A, C, x0, dt=verify.DT / 2)
         assert abs(e1 - e2) < 0.01 * max(e1, e2)
 
     def test_unstable_horizon_shortened(self):
         A = np.array([[400.0]])
         C = np.eye(1)
-        _, used = output_energy(A, C, np.ones(1), T=10.0, dt=0.01)
+        _, used = output_energy(A, C, np.ones(1))
         assert used < 10.0
-
-    def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            output_energy(np.eye(2), np.eye(2), np.ones(2), T=0.0)
 
 
 def stepwise_output_energy(A_cl, C, x0, T=10.0, dt=0.01):
@@ -356,13 +420,14 @@ def stepwise_output_energy(A_cl, C, x0, T=10.0, dt=0.01):
     return acc, used
 
 
-def per_level_output_energy(A_cl, C, x0, T=10.0, dt=0.01):
+def per_level_output_energy(A_cl, C, x0):
     """The former doubling loop, kept as the reference for the single
     overflow scan: it checks each block of rows as it is filled and
     stops at the first bad row."""
-    prop = step_propagator(A_cl, T, dt)
+    powers = step_propagator(A_cl)
     C = np.asarray(C, dtype=float)
-    dt, steps, powers = prop.dt, prop.steps, prop.powers
+    dt = verify.DT
+    steps = int(round(verify.HORIZON / dt))
     top = 1 << (len(powers) - 1)
     X = np.empty((steps + 1, powers[0].shape[0]))
     X[0] = np.asarray(x0, dtype=float)
@@ -462,14 +527,13 @@ class TestOutputEnergyDoubling:
         runs = iter(agreement_runs)
         rng = np.random.default_rng(21)
         for name, A_cl, C, x_blocked in _agreement_loops():
-            prop = step_propagator(A_cl)
+            powers = step_propagator(A_cl)
             starts = [rng.standard_normal(A_cl.shape[0])]
             if x_blocked is not None:
                 starts.append(x_blocked)
             for x0 in starts:
                 label, _, alone, _ = next(runs)
-                shared = output_energy(A_cl, C, x0 / np.linalg.norm(x0),
-                                       propagator=prop)
+                shared = output_energy(A_cl, C, x0 / np.linalg.norm(x0), powers)
                 assert np.array(shared).tobytes() == np.array(alone).tobytes(), label
 
     def test_single_scan_gives_the_per_level_bits(self, agreement_runs):
@@ -518,15 +582,12 @@ class TestOutputEnergyDoubling:
     @pytest.mark.parametrize("rate, used", [(400.0, 0.86), (4000.0, 0.08)])
     def test_horizon_cut_is_exact(self, rate, used):
         # |x(k dt)| = exp(rate k dt) first exceeds 1e150 at k = used/dt + 1
-        _, got = output_energy(np.array([[rate]]), np.eye(1), np.ones(1),
-                               T=10.0, dt=0.01)
+        _, got = output_energy(np.array([[rate]]), np.eye(1), np.ones(1))
         assert got == used
 
-    @pytest.mark.parametrize("T, dt", [(10.0, 0.01), (2.0, 0.01), (5.0, 0.005),
-                                       (1.0, 0.1)])
-    def test_full_horizon_is_exact(self, T, dt):
-        _, used = output_energy(-np.eye(2), np.eye(2), np.ones(2), T=T, dt=dt)
-        assert used == T
+    def test_full_horizon_is_exact(self):
+        _, used = output_energy(-np.eye(2), np.eye(2), np.ones(2))
+        assert used == verify.HORIZON == 10.0
 
     def test_overflowing_power_keeps_full_horizon(self):
         # E^p overflows for p >= 178, but the state never touches the
@@ -547,10 +608,10 @@ class TestOutputEnergyDoubling:
         # start off the unstable coordinate keeps the full horizon through
         # the fallback, the others are cut
         A = np.diag([rate, -1.0])
-        prop = step_propagator(A)
-        assert len(prop.powers) < 10
+        powers = step_propagator(A)
+        assert len(powers) < 10
         for start in (np.array(x0), np.array([0.6, 0.8])):
-            shared = output_energy(A, np.eye(2), start, propagator=prop)
+            shared = output_energy(A, np.eye(2), start, powers)
             alone = output_energy(A, np.eye(2), start)
             assert np.array(shared).tobytes() == np.array(alone).tobytes()
 
@@ -560,14 +621,14 @@ class TestOutputEnergyDoubling:
         plain = records.verification_to_dict(verify_design(design))
         calls = []
 
-        def spy(*args, propagator):
-            calls.append(propagator)
-            return output_energy(*args, propagator=propagator)
+        def spy(A_cl, C, x0, powers):
+            calls.append(powers)
+            return output_energy(A_cl, C, x0, powers)
 
         monkeypatch.setattr(verify, "output_energy", spy)
         assert records.verification_to_dict(verify_design(design)) == plain
         assert len(calls) == 2
-        assert isinstance(calls[0], verify.StepPropagator) and calls[1] is calls[0]
+        assert isinstance(calls[0], tuple) and calls[1] is calls[0]
 
     def test_perturbed_gain_fails_energy_check(self):
         # perturb the gain entry that acts on the blocked state's largest
