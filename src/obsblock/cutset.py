@@ -23,30 +23,32 @@ from .model import IntegratorNetwork, assemble
 from .spectrum import decompose
 
 
-@dataclass
+@dataclass(eq=False)
 class LgCondition:
     """Spectral eligibility of one eigenvalue for the cutset transfer."""
 
-    lambda_p: complex
     lg_eigenvalues: np.ndarray
-    satisfied: bool
     margin: float
     tolerance: float
 
+    @property
+    def satisfied(self) -> bool:
+        return bool(self.margin > self.tolerance)
 
-@dataclass
+
+@dataclass(eq=False)
 class TransferCertificate:
-    """Evidence that a cutset design blocks the base measurement set."""
+    """Evidence that a cutset design blocks the base measurement set. The
+    zero pattern on the cut is the design's residuals["zero_pattern"]."""
 
     plan: CutsetPlan
     condition: LgCondition
-    cut_zero_pattern: float
     far_zero_pattern: float
     base_output_infnorm: float
     derivative_relation_residual: float
 
 
-@dataclass
+@dataclass(eq=False)
 class CutsetDesign:
     design: BlockingDesign
     certificate: TransferCertificate
@@ -62,17 +64,15 @@ def lg_condition(network: IntegratorNetwork, plan: CutsetPlan, lambda_p) -> LgCo
     N = network.order
     idx = [v - 1 for v in plan.v2]
     if not idx:
-        return LgCondition(lambda_p=lam, lg_eigenvalues=np.array([], complex),
-                           satisfied=True, margin=np.inf, tolerance=0.0)
+        return LgCondition(lg_eigenvalues=np.array([], complex), margin=np.inf,
+                           tolerance=0.0)
     Lg = np.zeros((len(idx), len(idx)), dtype=complex)
     for k, L in enumerate(network.laplacians):
         Lg -= (lam ** k) * L[np.ix_(idx, idx)]
     eig_lg = la.eigvals(Lg)
     margin = float(np.abs((lam ** N) - eig_lg).min())
     threshold = float(Tolerances.lg_margin * (1.0 + np.linalg.norm(Lg, 2)))
-    return LgCondition(lambda_p=lam, lg_eigenvalues=eig_lg,
-                       satisfied=bool(margin > threshold), margin=margin,
-                       tolerance=threshold)
+    return LgCondition(lg_eigenvalues=eig_lg, margin=margin, tolerance=threshold)
 
 
 def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None,
@@ -124,7 +124,7 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
                              measured_nodes=plan.vcut, precomputed=(A, B, sd))
     cond = screen(design.lambda_p)
     certificate = _certify(network, plan, design, cond)
-    worst = max(certificate.cut_zero_pattern, certificate.far_zero_pattern)
+    worst = max(design.residuals["zero_pattern"], certificate.far_zero_pattern)
     if worst > Tolerances.zero_pattern:
         raise NoEligibleEigenvalueError(
             f"transfer failed: replacement eigenvector magnitude {worst:.3e} "
@@ -133,8 +133,8 @@ def design_via_cutset(network: IntegratorNetwork, plan: CutsetPlan | None = None
 
 
 def _certify(network, plan, design, cond) -> TransferCertificate:
-    """Zero-pattern and derivative-relation evidence for the transfer; the
-    cut pattern is the designer's own measured-entry residual."""
+    """Zero-pattern and derivative-relation evidence for the transfer on
+    the far partition."""
     v = design.v_hat
     far = v[network.state_index(plan.v2)]          # order x |V2|
     base = v[network.state_index().ravel()]
@@ -144,7 +144,6 @@ def _certify(network, plan, design, cond) -> TransferCertificate:
            if far.size else 0.0)
     return TransferCertificate(
         plan=plan, condition=cond,
-        cut_zero_pattern=design.residuals["zero_pattern"],
         far_zero_pattern=float(max((abs(x) for x in far.ravel()), default=0.0)),
         base_output_infnorm=float(np.abs(base).max()) if base.size else 0.0,
         derivative_relation_residual=rel)

@@ -30,7 +30,7 @@ _EPS = np.finfo(float).eps
 _REPAIR_DRAWS = 50      # seeded null-space draws per column before giving up
 
 
-@dataclass
+@dataclass(eq=False)
 class NullspaceBundle:
     """Null-space data of [A - lambda*I, B] partitioned for one design.
 
@@ -56,15 +56,14 @@ class NullspaceBundle:
         return self.n1[self.state_rows[0], :]
 
 
-@dataclass
+@dataclass(eq=False)
 class BlockingDesign:
-    """Complete record of one synthesized blocking design."""
+    """Complete record of one synthesized blocking design: replaced holds
+    lambda_p's column first, repaired the columns the repair redrew."""
 
     lambda_p: complex
-    lambda_index: int
     v_hat: np.ndarray
     gain: FeedbackGain
-    preserved: tuple
     repaired: tuple
     replaced: tuple
     cond_V: float
@@ -76,6 +75,17 @@ class BlockingDesign:
     @property
     def F(self) -> np.ndarray:
         return self.gain.matrix
+
+    @property
+    def lambda_index(self) -> int:
+        """The open-loop modal column of lambda_p."""
+        return self.replaced[0]
+
+    @property
+    def preserved(self) -> tuple:
+        """Ascending modal columns neither replaced nor repaired."""
+        changed = set(self.replaced) | set(self.repaired)
+        return tuple(i for i in range(self.network.state_dim) if i not in changed)
 
 
 def _null_basis(M: np.ndarray) -> np.ndarray:
@@ -416,9 +426,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
         sv = la.svdvals(Vr)
     except IllConditionedDesignError:
         sv = None
-    if sv is not None and (sv > rank_cutoff(sv[0], Vr.shape, None)).all():
-        preserved = [i for i in range(d) if i not in replaced]
-    else:
+    if sv is None or not (sv > rank_cutoff(sv[0], Vr.shape, None)).all():
         # Steps 7-9: greedy self-conjugate independent subset, candidates
         # first; every unit left out is redrawn, in ascending index order
         kept = list(replaced)
@@ -430,7 +438,6 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
                 M = trial
             else:
                 failed.append(unit)
-        preserved = [i for i in kept if i not in replaced]
         bundles = {}
         for unit in sorted(failed):
             lam_k = sd.eigenvalues[unit[0]]
@@ -461,6 +468,8 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     F -= la.solve(Vr.T, (F @ Vr - Zr).T).T       # one refinement step
     gain = FeedbackGain(matrix=F)
 
+    repaired = tuple(i for unit in failed for i in unit)
+    preserved = [i for i in range(d) if i not in replaced and i not in repaired]
     A_cl = A + B @ F
     spec_err, pres_res = closed_loop_audit(sd, A_cl, preserved)
     scale = max(1.0, sd.matrix_norm)
@@ -474,9 +483,7 @@ def assemble_and_gain(network: IntegratorNetwork, sd: SpectralData, p: int,
     }
     _enforce_postconditions(residuals, options.tolerances)
     return BlockingDesign(
-        lambda_p=complex(lam_p), lambda_index=p, v_hat=v_hat, gain=gain,
-        preserved=tuple(preserved),
-        repaired=tuple(i for unit in failed for i in unit),
+        lambda_p=complex(lam_p), v_hat=v_hat, gain=gain, repaired=repaired,
         replaced=tuple(replaced), cond_V=cond_V, residuals=residuals,
         measured_nodes=tuple(measured_nodes), network=network)
 

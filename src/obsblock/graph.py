@@ -1,8 +1,9 @@
 """Weighted digraphs, Laplacians, connectivity and vertex cutsets.
 
 Node ids are 1-based at the API surface and 0-based internally; the
-renumbering permutation carried by a CutsetPlan is the single source of
-truth for reordering, the graph itself is never mutated.
+renumbering permutation of a CutsetPlan, derived from its partition, is
+the single source of truth for reordering, the graph itself is never
+mutated.
 """
 
 from __future__ import annotations
@@ -203,22 +204,21 @@ def is_strongly_connected(g: WeightedDigraph) -> bool:
 
 @dataclass(frozen=True)
 class CutsetPlan:
-    """Vertex-cut partition (V1, Vcut, V2) with its renumbering permutation.
-
-    permutation lists the original 1-based ids in new order: V1 first,
-    then Vcut, then V2, each ascending.
-    """
+    """Vertex-cut partition (V1, Vcut, V2), each part ascending."""
 
     v1: tuple
     vcut: tuple
     v2: tuple
-    permutation: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "v1", tuple(sorted(self.v1)))
         object.__setattr__(self, "vcut", tuple(sorted(self.vcut)))
         object.__setattr__(self, "v2", tuple(sorted(self.v2)))
-        object.__setattr__(self, "permutation", tuple(self.permutation))
+
+    @property
+    def permutation(self) -> tuple:
+        """The original 1-based ids in new order: V1, then Vcut, then V2."""
+        return self.v1 + self.vcut + self.v2
 
     @property
     def n(self) -> int:
@@ -229,9 +229,6 @@ class CutsetPlan:
         all_nodes = set(self.v1) | set(self.vcut) | set(self.v2)
         if all_nodes != set(range(1, g.n + 1)) or self.n != g.n:
             raise InvalidInputError("partition does not cover the node set exactly")
-        if set(self.permutation) != all_nodes or list(self.permutation) != (
-                list(self.v1) + list(self.vcut) + list(self.v2)):
-            raise InvalidInputError("permutation inconsistent with partition")
         if set(self.v1) & set(measurement):
             raise InvalidInputError("V1 contains a measurement node")
         if set(self.v2) & set(actuation):
@@ -341,8 +338,7 @@ def min_vertex_cut(g: WeightedDigraph, actuation, measurement) -> CutsetPlan:
 
     cut = set(forced)
     v1, v2 = _partition_after_removal(g, cut, actuation, measurement)
-    perm = tuple(sorted(v1) + sorted(cut) + sorted(v2))
-    plan = CutsetPlan(v1=tuple(v1), vcut=tuple(cut), v2=tuple(v2), permutation=perm)
+    plan = CutsetPlan(v1=tuple(v1), vcut=tuple(cut), v2=tuple(v2))
     plan.validate(g, actuation, measurement)
     return plan
 

@@ -22,7 +22,7 @@ from .graph import CutsetPlan, WeightedDigraph, laplacian_stack
 _ROW_SUM_TOL = 1e-12    # relative row sum under which a coupling is Laplacian
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegratorNetwork:
     """An N-th order integrator network with actuation and measurement sets.
 
@@ -38,8 +38,7 @@ class IntegratorNetwork:
     laplacians: tuple = field(default=None)
     # whether laplacians was given, so network_to_dict knows it may differ
     # from the Laplacian form it otherwise holds
-    explicit_couplings: bool = field(default=False, init=False, repr=False,
-                                     compare=False)
+    explicit_couplings: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         if self.order < 2:
@@ -138,7 +137,7 @@ class IntegratorNetwork:
         return C
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeedbackGain:
     """Real static state-feedback gain; rows are per-actuator gain vectors.
 

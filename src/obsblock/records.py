@@ -24,15 +24,17 @@ from .model import (FeedbackGain, _first_not, assemble, dumps, network_from_dict
 from .spectrum import decompose
 from .verify import VerificationReport
 
-FORMAT = "obsblock-design/5"
+FORMAT = "obsblock-design/6"
 # /1 records also carried the designer's modal matrices (h_p, z_p, V, Z),
 # /1 and /2 records a residual of the gain's imaginary part, always 0.0,
-# and /1 to /4 records whether the measured nodes' positions or top
-# derivatives were constrained (one constraint for a nonzero lambda);
+# /1 to /4 records whether the measured nodes' positions or top
+# derivatives were constrained (one constraint for a nonzero lambda), and
+# /1 to /5 records six keys that restate others (lambda_index, preserved,
+# the plan's permutation, the L_g lambda_p and satisfied, cut_zero_pattern);
 # those keys are ignored. /1 to /3 records hold the network with one
 # object per edge and dense couplings, which network_from_dict still reads.
 READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", "obsblock-design/3",
-                "obsblock-design/4", FORMAT)
+                "obsblock-design/4", "obsblock-design/5", FORMAT)
 
 
 def _carray(a) -> dict:
@@ -60,10 +62,8 @@ def design_to_dict(design) -> dict:
         "format": FORMAT,
         "network": network_to_dict(design.network),
         "lambda_p": _complex(design.lambda_p),
-        "lambda_index": design.lambda_index,
         "v_hat": _carray(design.v_hat),
         "F": np.asarray(design.F).tolist(),
-        "preserved": list(design.preserved),
         "repaired": list(design.repaired),
         "replaced": list(design.replaced),
         "cond_V": design.cond_V,
@@ -84,16 +84,12 @@ def _certificate_to_dict(cert: TransferCertificate) -> dict:
             "v1": list(cert.plan.v1),
             "vcut": list(cert.plan.vcut),
             "v2": list(cert.plan.v2),
-            "permutation": list(cert.plan.permutation),
         },
         "lg": {
-            "lambda_p": _complex(cond.lambda_p),
             "eigenvalues": _carray(cond.lg_eigenvalues),
-            "satisfied": cond.satisfied,
             "margin": None if np.isinf(cond.margin) else cond.margin,
             "tolerance": cond.tolerance,
         },
-        "cut_zero_pattern": cert.cut_zero_pattern,
         "far_zero_pattern": cert.far_zero_pattern,
         "base_output_infnorm": cert.base_output_infnorm,
         "derivative_relation_residual": cert.derivative_relation_residual,
@@ -102,8 +98,9 @@ def _certificate_to_dict(cert: TransferCertificate) -> dict:
 
 def design_from_dict(data: dict):
     """Rebuild a design record; index fields must be JSON integers. Nothing
-    is recomputed: verification reads only F, v_hat, lambda_p and the network.
-    A defect of the network section is a malformed record too."""
+    is recomputed: verification reads F, v_hat, lambda_p, the network and
+    the count of replaced and repaired columns. A defect of the network
+    section is a malformed record too."""
     if data.get("format") not in READ_FORMATS:
         raise NetworkFileError(f"not a design record (format {data.get('format')!r})")
     try:
@@ -114,10 +111,8 @@ def design_from_dict(data: dict):
             raise NetworkFileError("malformed design record: non-finite F or v_hat")
         design = BlockingDesign(
             lambda_p=complex(*data["lambda_p"]),
-            lambda_index=data["lambda_index"],
             v_hat=v_hat,
             gain=FeedbackGain(matrix=F),
-            preserved=tuple(data["preserved"]),
             repaired=tuple(data["repaired"]),
             replaced=tuple(data["replaced"]),
             cond_V=float(data["cond_V"]),
@@ -134,14 +129,14 @@ def design_from_dict(data: dict):
         raise NetworkFileError(
             f"malformed design record: v_hat has shape {design.v_hat.shape} and "
             f"F {design.F.shape}, expected ({d},) and ({network.q}, {d})")
-    fields = [("lambda_index", (design.lambda_index,), 0, d - 1),
-              ("preserved", design.preserved, 0, d - 1),
-              ("repaired", design.repaired, 0, d - 1),
+    if not design.replaced:
+        raise NetworkFileError("malformed design record: replaced is empty")
+    fields = [("repaired", design.repaired, 0, d - 1),
               ("replaced", design.replaced, 0, d - 1),
               ("measured_nodes", design.measured_nodes, 1, network.n)]
     if cert is not None:
         fields += [(key, getattr(cert.plan, key), 1, network.n)
-                   for key in ("v1", "vcut", "v2", "permutation")]
+                   for key in ("v1", "vcut", "v2")]
     for key, values, low, high in fields:
         bad = _first_not({int}, values)
         if bad is not None:
@@ -155,19 +150,15 @@ def design_from_dict(data: dict):
 
 def _certificate_from_dict(c: dict) -> TransferCertificate:
     plan = CutsetPlan(v1=tuple(c["plan"]["v1"]), vcut=tuple(c["plan"]["vcut"]),
-                      v2=tuple(c["plan"]["v2"]),
-                      permutation=tuple(c["plan"]["permutation"]))
+                      v2=tuple(c["plan"]["v2"]))
     margin = c["lg"]["margin"]
     cond = LgCondition(
-        lambda_p=complex(*c["lg"]["lambda_p"]),
         lg_eigenvalues=_from_carray(c["lg"]["eigenvalues"]),
-        satisfied=bool(c["lg"]["satisfied"]),
         margin=np.inf if margin is None else float(margin),
         tolerance=float(c["lg"]["tolerance"]),
     )
     return TransferCertificate(
         plan=plan, condition=cond,
-        cut_zero_pattern=float(c["cut_zero_pattern"]),
         far_zero_pattern=float(c["far_zero_pattern"]),
         base_output_infnorm=float(c["base_output_infnorm"]),
         derivative_relation_residual=float(c["derivative_relation_residual"]))
@@ -245,7 +236,7 @@ def report_text(design, verification: VerificationReport | None = None) -> str:
         cond = certificate.condition
         push(f"L_g margin: {_sig4(cond.margin)} (tolerance {_sig4(cond.tolerance)}, "
              f"{'satisfied' if cond.satisfied else 'violated'})")
-        push(f"zero pattern on cut:  {_sig4(certificate.cut_zero_pattern)}")
+        push(f"zero pattern on cut:  {_sig4(design.residuals['zero_pattern'])}")
         push(f"zero pattern on V2:   {_sig4(certificate.far_zero_pattern)}")
         push(f"base-output infnorm:  {_sig4(certificate.base_output_infnorm)}")
         push("eigenvector magnitude per blocked node (columns = derivative order):")

@@ -36,6 +36,13 @@ _FIG2_TRIES = 50    # weight draws fig2_din makes before giving up
 _RANDOM_TRIES = 200  # draws random_network makes before giving up
 
 
+def _rng(seed: int, *key) -> np.random.Generator:
+    """The generator of one draw, keyed by the seed and the draw's shape."""
+    if seed < 0:
+        raise InvalidInputError(f"seed {seed} is negative")
+    return np.random.default_rng(np.random.SeedSequence([seed, *key]))
+
+
 def _weights(rng, order: int, top=(4.0, 8.0)) -> tuple:
     """One edge's coupling weights, lowest derivative first: the top
     derivative is drawn from `top`, the others from (0.5, 1.5)."""
@@ -72,7 +79,7 @@ def fig2_din(seed: int = 0, order: int = 2) -> IntegratorNetwork:
     if order < 2:
         raise InvalidInputError("order must be >= 2")
     act = FIG2_ACTUATION if order == 2 else FIG2_ACTUATION_ORDER3
-    rng = np.random.default_rng(np.random.SeedSequence([seed, order, 0xF162]))
+    rng = _rng(seed, order, 0xF162)
     for _ in range(_FIG2_TRIES):
         graph = _undirected_graph(11, FIG2_UNDIRECTED_EDGES, rng, order)
         net = IntegratorNetwork.from_graph(graph, act, FIG2_MEASUREMENT)
@@ -105,7 +112,7 @@ def random_network(n: int, order: int = 2, density: float = 0.3,
     if q + m > n:
         raise InvalidInputError(
             f"q + m = {q + m} exceeds n = {n}; actuation and measurement overlap")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n, order, 0x6E37]))
+    rng = _rng(seed, n, order, 0x6E37)
     top = (4.0, 8.0) if overdamped else (0.5, 1.5)
     pairs = combinations if undirected else permutations
     for _ in range(_RANDOM_TRIES):
@@ -134,7 +141,7 @@ def generic_network(n: int, order: int = 2, density: float = 0.4,
     eigenvalue and the spectrum is non-defective generically.
     """
     base = random_network(n, order, density, seed, m, q)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n, order, 0x9E4E]))
+    rng = _rng(seed, n, order, 0x9E4E)
     return _with_diagonals(
         base, lambda: rng.uniform(0.5, 1.5, n) * (1 + np.arange(n) % 3))
 
@@ -151,7 +158,7 @@ def cut_friendly_network(n1_size: int, n2_size: int, order: int = 2,
     q = m + 2 if q is None else q
     if q > n1_size or m > n2_size:
         raise InvalidInputError("clusters too small for the requested q, m")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, n, order, 0xC11F]))
+    rng = _rng(seed, n, order, 0xC11F)
     first = list(range(1, n1_size + 1))
     bridge = list(range(n1_size + 1, n1_size + cut_size + 1))
     second = list(range(n1_size + cut_size + 1, n + 1))

@@ -21,14 +21,13 @@ from .config import Tolerances
 _EPS = np.finfo(float).eps
 
 
-@dataclass
+@dataclass(eq=False)
 class SpectralData:
     """Eigenvalues, modal matrix and pairing of a (closed-loop) state matrix.
 
     pairing[i] is the column index of the conjugate partner from the
     eigensolver, i itself exactly for raw-real eigenvalues, whose
-    eigenvectors are real (the canonical phase, exp(-i pi) on a negative
-    leading entry, leaves imaginary parts of order 1e-16). A snapped pair
+    eigenvectors are real, with imaginary parts exactly zero. A snapped pair
     keeps its partner, so it has a real eigenvalue and complex
     eigenvectors. Pairs are exact: the partner column stores the complex
     conjugate values of its mate.
@@ -130,15 +129,18 @@ def decompose(A: np.ndarray) -> SpectralData:
     V[:, single] = (V[:, single].real
                     / [np.linalg.norm(V[:, i].real) for i in single])
 
-    # canonical phase on each self-paired or leading column, then exact
-    # conjugates onto the partners
+    # canonical phase on each self-paired or leading column (a sign for a
+    # real column, so it stays exactly real), then exact conjugates onto
+    # the partners
     lead = _leading(pairing)
     U = V[:, lead]
     mags = np.abs(U)
     top = mags.max(axis=0, initial=0.0)
     first = np.argmax(mags > 1e-8 * top, axis=0)
     nz = top != 0.0
-    rot = np.exp(-1j * np.angle(U[first[nz], np.flatnonzero(nz)]))
+    entry = U[first[nz], np.flatnonzero(nz)]
+    rot = np.where(pairing[lead[nz]] == lead[nz], np.sign(entry.real),
+                   np.exp(-1j * np.angle(entry)))
     V[:, lead[nz]] = U[:, nz] * rot
     mated = lead[pairing[lead] != lead]
     V[:, pairing[mated]] = V[:, mated].conj()

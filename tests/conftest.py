@@ -10,6 +10,21 @@ import pytest
 from obsblock.graph import WeightedDigraph
 
 
+def without_restated_keys(record: dict) -> dict:
+    """A parsed design record without the six keys formats /1 to /5 wrote
+    that restate others: lambda_index and preserved, and in the cutset
+    section the plan's permutation, the L_g lambda_p and satisfied flag
+    and cut_zero_pattern."""
+    data = {k: v for k, v in record.items() if k not in ("lambda_index", "preserved")}
+    if "cutset" in data:
+        cut = {k: v for k, v in data["cutset"].items() if k != "cut_zero_pattern"}
+        cut["plan"] = {k: v for k, v in cut["plan"].items() if k != "permutation"}
+        cut["lg"] = {k: v for k, v in cut["lg"].items()
+                     if k not in ("lambda_p", "satisfied")}
+        data["cutset"] = cut
+    return data
+
+
 def random_digraph(n, rng, density=0.35, order=2, ensure_strong=True):
     """Random graph used across tests; a seeded ring guarantees strong
     connectivity when requested."""

@@ -17,6 +17,8 @@ from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose
 from obsblock.verify import verify_design
 
+from conftest import without_restated_keys
+
 DATA = Path(__file__).parent / "data"
 
 
@@ -127,7 +129,7 @@ class TestExitCodes:
         assert "error: malformed design record" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value", [
-        ("preserved", [999]), ("lambda_index", 999), ("repaired", [-1]),
+        ("replaced", []), ("measured_nodes", [0]), ("repaired", [-1]),
         ("replaced", [14]), ("measured_nodes", [8]), ("F", "nan"),
         ("F", "inf"), ("v_hat", "nan")])
     def test_bad_index_or_non_finite_record_is_io_error(self, key, value,
@@ -146,12 +148,12 @@ class TestExitCodes:
         assert "error: malformed design record" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [
-        ("lambda_index", 2.7), ("lambda_index", True), ("measured_nodes", [1.9]),
-        ("preserved", [0, 1.0]), ("repaired", [False]), ("replaced", ["3"]),
-        ("v1", [1.5]), ("vcut", [True]), ("v2", [2.0]), ("permutation", [0.0])],
-        ids=["lambda_index-2.7", "lambda_index-true", "measured_nodes-1.9",
-             "preserved-1.0", "repaired-false", "replaced-string", "v1-1.5",
-             "vcut-true", "v2-2.0", "permutation-0.0"])
+        ("replaced", [2.7]), ("replaced", [True]), ("measured_nodes", [1.9]),
+        ("repaired", [0, 1.0]), ("repaired", [False]), ("replaced", ["3"]),
+        ("v1", [1.5]), ("vcut", [True]), ("v2", [2.0]), ("vcut", [5.0])],
+        ids=["replaced-2.7", "replaced-true", "measured_nodes-1.9",
+             "repaired-1.0", "repaired-false", "replaced-string", "v1-1.5",
+             "vcut-true", "v2-2.0", "vcut-5.0"])
     def test_non_integer_record_index_is_io_error(self, key, value, tmp_path,
                                                   capsys):
         data = records.design_to_dict(
@@ -367,6 +369,7 @@ class TestRecords:
         assert abs(loaded.lambda_p - design.lambda_p) < 1e-15
         assert np.array_equal(loaded.F, design.F)
         assert loaded.preserved == design.preserved
+        assert loaded.lambda_index == design.lambda_index
         assert verify_design(loaded).verdict
 
     def test_generic_design_roundtrip_verifies(self, tmp_path):
@@ -395,9 +398,11 @@ class TestRecords:
         cut = design_via_cutset(fig2_din(seed=2), options=DesignOptions(seed=2))
         for design in (direct, cut):
             data = records.design_to_dict(design)
-            assert data["format"] == "obsblock-design/5"
+            assert data["format"] == "obsblock-design/6"
             assert not {"h_p", "z_p", "V", "Z", "realness_residual",
                         "variant"} & set(data)
+            # nor a key that restates others
+            assert without_restated_keys(data) == data
 
     def test_format_1_record_loads_and_verifies_the_same(self):
         # a /3 record, relabeled /2 and /1 with the keys those formats
@@ -432,13 +437,49 @@ class TestRecords:
         records.save_design(old, resaved_path)
         resaved = json.loads(resaved_path.read_text())
         data.pop("variant")
-        assert resaved == dict(data, format=records.FORMAT)
+        assert resaved == dict(without_restated_keys(data), format=records.FORMAT)
         new = records.load_design(resaved_path)
         report = records.verification_to_dict(
             verify_design(old, rng=np.random.default_rng(0)))
         assert report["verdict"] == "pass"
         assert records.verification_to_dict(
             verify_design(new, rng=np.random.default_rng(0))) == report
+
+    def test_format_5_record_verifies_like_its_resave(self, tmp_path, capsys):
+        # a /5 cutset record still carries the six keys that restate
+        # others; they are ignored, whatever they hold
+        path = DATA / "cutset-bridged-generic-seed0.v5.json"
+        data = json.loads(path.read_text())
+        assert data["format"] == "obsblock-design/5"
+        assert {"lambda_index", "preserved"} <= set(data)
+        assert {"permutation"} <= set(data["cutset"]["plan"])
+        assert {"lambda_p", "satisfied"} <= set(data["cutset"]["lg"])
+        assert "cut_zero_pattern" in data["cutset"]
+        old = records.load_design(path)
+        resaved = records.design_to_dict(old)
+        assert resaved == dict(without_restated_keys(data), format=records.FORMAT)
+        assert old.design.lambda_index == data["lambda_index"]
+        assert old.design.preserved == tuple(data["preserved"])
+        plan = data["cutset"]["plan"]
+        assert old.certificate.plan.permutation == tuple(plan["permutation"])
+        assert old.certificate.condition.satisfied is data["cutset"]["lg"]["satisfied"]
+        assert old.design.residuals["zero_pattern"] == data["cutset"]["cut_zero_pattern"]
+        doctored = json.loads(json.dumps(data))
+        doctored.update(lambda_index=999, preserved=[1.5])
+        doctored["cutset"]["plan"]["permutation"] = [0.0]
+        doctored["cutset"]["lg"].update(lambda_p="x", satisfied=False)
+        doctored["cutset"]["cut_zero_pattern"] = None
+        assert records.design_to_dict(records.design_from_dict(doctored)) == resaved
+        new = records.design_from_dict(json.loads(records.dumps(resaved)))
+        report = records.verification_to_dict(
+            verify_design(old.design, rng=np.random.default_rng(0)))
+        assert report["verdict"] == "pass"
+        assert records.verification_to_dict(
+            verify_design(new.design, rng=np.random.default_rng(0))) == report
+        out = tmp_path / "v.json"
+        assert main(["verify", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == report
+        capsys.readouterr()
 
     @pytest.mark.parametrize("kind", ["direct", "cutset"])
     def test_indented_format_2_record_loads_the_same_design(self, kind, tmp_path):

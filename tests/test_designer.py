@@ -73,6 +73,13 @@ class TestNullspaceBundle:
         assert abs(abs(direction[0]) - 1.0) < 1e-12
         assert np.abs(direction[1:]).max() < 1e-12
 
+    def test_no_actuation_is_rejected(self):
+        net = IntegratorNetwork(order=2, graph=WeightedDigraph(n=2),
+                                actuation=(), measurement=(2,))
+        with pytest.raises(InsufficientActuationError) as got:
+            nullspace_bundle(net, 0.5, net.measurement)
+        assert str(got.value) == "need at least one actuation node"
+
     @pytest.mark.parametrize("seed", range(5))
     def test_null_dimension_is_q_with_qr_oracle(self, seed):
         net = random_network(n=7, seed=seed, m=2, q=4)
@@ -259,6 +266,12 @@ class TestDesignBlocking:
         assert design.repaired == ()
         report = verify_design(design)
         assert report.verdict, report.reasons
+
+    def test_empty_constraint_set_is_rejected(self):
+        net = random_network(n=6, seed=0, m=1, q=3)
+        with pytest.raises(InvalidInputError) as got:
+            design_blocking(net, measured_nodes=())
+        assert str(got.value) == "no measured nodes to block"
 
     def test_q_equal_m_rejected(self):
         net = random_network(n=7, seed=2, m=2, q=2)

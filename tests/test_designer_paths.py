@@ -14,10 +14,11 @@ from obsblock.designer import (assemble_and_gain, build_candidate,
                                design_blocking, nullspace_bundle, select_hp,
                                select_lambda)
 from obsblock.errors import (GenerationError, IllConditionedDesignError,
-                             InsufficientActuationError, NotAnEigenvalueError,
-                             RepairFailureError)
+                             InsufficientActuationError, InvalidInputError,
+                             NotAnEigenvalueError, RepairFailureError)
 from obsblock.model import assemble, closed_loop
-from obsblock.scenarios import generic_network, random_network
+from obsblock.scenarios import (cut_friendly_network, fig2_din, generic_network,
+                                random_network)
 from obsblock.spectrum import decompose
 from obsblock.verify import pbh_test, verify_design
 
@@ -130,11 +131,11 @@ def test_snapped_pair_draws_an_independent_second_column():
     assert verify_design(design).verdict
     record = records.dumps(records.design_to_dict(design))
     assert hashlib.sha256(record.encode()).hexdigest() == \
-        "f9ce1c15dc856d1f0e0a64410f311143d4ff7c175ef7cc18470bf18807aeca7e"
+        "d16742ee70aac6fbaf32cdbacccb32917d13cf3fa99b044147601b1453d9ea73"
     # the same content written with indent=2, as records were before
     indented = json.dumps(json.loads(record), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == \
-        "98c888e636dfd95e6d2c7a296e03f0b788a7a585f8ec49dcb4b86ee46d3ba0b1"
+        "1eea7c6cf7bc43aa0a3908bfec43828d7aebe874a703045242e3df0da3676446"
 
 
 def test_snapped_pair_at_zero_fails_on_a_balanced_graph():
@@ -206,3 +207,27 @@ def test_lambda_index_out_of_range():
 def test_generation_retry_budget():
     with pytest.raises(GenerationError, match="within 200 tries"):
         random_network(n=30, seed=0, density=0.01)
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: random_network(8, seed=-1), "seed -1 is negative"),
+    (lambda: generic_network(8, seed=-1), "seed -1 is negative"),
+    (lambda: cut_friendly_network(4, 4, seed=-1), "seed -1 is negative"),
+    (lambda: fig2_din(seed=-1), "seed -1 is negative"),
+    (lambda: fig2_din(order=1), "order must be >= 2"),
+    (lambda: random_network(1), "need at least two nodes"),
+    (lambda: random_network(8, density=0.0), "density must be in (0, 1]"),
+    (lambda: random_network(8, density=1.5), "density must be in (0, 1]"),
+    (lambda: random_network(4, m=2), "q + m = 6 exceeds n = 4; actuation and "
+                                     "measurement overlap"),
+    (lambda: cut_friendly_network(2, 4), "clusters too small for the requested q, m"),
+    (lambda: cut_friendly_network(4, 4, m=5),
+     "clusters too small for the requested q, m")],
+    ids=["random-seed", "generic-seed", "cut-friendly-seed", "fig2-seed",
+         "fig2-order-1", "random-n-1", "random-density-0", "random-density-1.5",
+         "random-overlap", "cut-friendly-q", "cut-friendly-m"])
+def test_generator_rejects_bad_arguments(make, message):
+    with pytest.raises(InvalidInputError) as got:
+        make()
+    assert str(got.value) == message
+    assert got.value.exit_code == 2

@@ -287,6 +287,13 @@ class TestWeightedDigraph:
                 WeightedDigraph(n=3, edges=edges)
             assert str(got.value) == message
 
+    def test_node_count_must_be_positive(self):
+        for make in (lambda: WeightedDigraph(n=0),
+                     lambda: WeightedDigraph.from_arrays(0, [], [], np.zeros((0, 1)))):
+            with pytest.raises(InvalidInputError,
+                               match=r"^node count must be positive, got 0$"):
+                make()
+
     def test_keeps_read_only_edge_arrays(self):
         g = WeightedDigraph(n=3, edges=((2, 1, (1.0, 2.0)), (3, 2, (3.0, 4.0))))
         for a in (g.tails, g.heads, g.weights):
@@ -434,6 +441,18 @@ class TestMinVertexCut:
         with pytest.raises(InvalidInputError):
             min_vertex_cut(g, [1, 2], [2, 3])
 
+    @pytest.mark.parametrize("actuation, measurement, message", [
+        ([1], [4], "node 4 outside 1..3"),
+        ([0], [3], "node 0 outside 1..3"),
+        ([], [3], "actuation and measurement sets must be nonempty"),
+        ([1], [], "actuation and measurement sets must be nonempty")],
+        ids=["outside-above", "outside-below", "no-actuation", "no-measurement"])
+    def test_bad_node_sets_rejected_by_name(self, actuation, measurement, message):
+        g = undirected(3, [(1, 2), (2, 3)])
+        with pytest.raises(InvalidInputError) as got:
+            min_vertex_cut(g, actuation, measurement)
+        assert str(got.value) == message
+
     def test_not_strongly_connected_rejected(self):
         g = WeightedDigraph(n=3, edges=((1, 2, (1.0,)), (2, 3, (1.0,))))
         with pytest.raises(InvalidInputError):
@@ -526,9 +545,28 @@ class TestMinVertexCut:
 
     def test_plan_validation(self):
         g = undirected(3, [(1, 2), (2, 3)])
-        bad = CutsetPlan(v1=(1, 2), vcut=(), v2=(3,), permutation=(1, 2, 3))
-        with pytest.raises(InvalidInputError):
+        bad = CutsetPlan(v1=(1, 2), vcut=(), v2=(3,))
+        with pytest.raises(InvalidInputError, match=r"^edge \(2,3\) crosses the cut$"):
             bad.validate(g, [1], [3])
+
+    @pytest.mark.parametrize("parts, message", [
+        (((1,), (2,), ()), "partition does not cover the node set exactly"),
+        (((1, 2), (2,), (3,)), "partition does not cover the node set exactly"),
+        (((1, 3), (2,), ()), "V1 contains a measurement node"),
+        (((), (2,), (1, 3)), "V2 contains an actuation node")],
+        ids=["missing-node", "repeated-node", "measurement-in-v1", "actuation-in-v2"])
+    def test_invalid_plan_rejected_by_name(self, parts, message):
+        g = undirected(3, [(1, 2), (2, 3)])
+        v1, vcut, v2 = parts
+        with pytest.raises(InvalidInputError) as got:
+            CutsetPlan(v1=v1, vcut=vcut, v2=v2).validate(g, [1], [3])
+        assert str(got.value) == message
+
+    def test_permutation_is_the_partition_in_order(self):
+        plan = CutsetPlan(v1=(4, 1), vcut=(3,), v2=(5, 2))
+        assert plan.permutation == (1, 4, 3, 2, 5)
+        with pytest.raises(TypeError):
+            CutsetPlan(v1=(1,), vcut=(2,), v2=(3,), permutation=(1, 2, 3))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_plan_validation_names_the_first_crossing_edge(self, seed):
@@ -539,7 +577,7 @@ class TestMinVertexCut:
         side = rng.integers(0, 3, n)
         v1, vcut, v2 = (tuple(int(i) + 1 for i in np.flatnonzero(side == k))
                         for k in range(3))
-        plan = CutsetPlan(v1=v1, vcut=vcut, v2=v2, permutation=v1 + vcut + v2)
+        plan = CutsetPlan(v1=v1, vcut=vcut, v2=v2)
         crossing = [(u, v) for (u, v, _) in g.edges
                     if {side[u - 1], side[v - 1]} == {0, 2}]
         if not crossing:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import numpy as np
@@ -9,6 +10,7 @@ import scipy.linalg as la
 from obsblock import model
 from obsblock.config import DesignOptions
 from obsblock.cutset import design_via_cutset
+from obsblock.designer import nullspace_bundle
 from obsblock.errors import (InvalidInputError, ModelAssemblyError, NetworkFileError,
                              OrderMismatchError)
 from obsblock.graph import WeightedDigraph, laplacian_stack, min_vertex_cut
@@ -16,6 +18,7 @@ from obsblock.model import (FeedbackGain, IntegratorNetwork, assemble, closed_lo
                             cutset_output, load_network, network_from_dict,
                             network_to_dict, save_network)
 from obsblock.scenarios import fig2_din, generic_network, random_network
+from obsblock.spectrum import decompose
 
 from conftest import random_digraph
 
@@ -75,6 +78,26 @@ class TestAssemble:
                                         (2, 3, (1.0, 1.0)), (3, 2, (1.0, 1.0))))
         with pytest.raises(InvalidInputError):
             IntegratorNetwork.from_graph(g, (1, 2), (2,))
+
+    @pytest.mark.parametrize("changes, kind, message", [
+        ({"order": 1}, InvalidInputError, "network order must be >= 2, got 1"),
+        ({"actuation": (4,)}, InvalidInputError, "node 4 outside 1..3"),
+        ({"measurement": (0,)}, InvalidInputError, "node 0 outside 1..3"),
+        ({"actuation": (1, 1)}, InvalidInputError,
+         "repeated node in actuation or measurement set"),
+        ({"measurement": (1,)}, InvalidInputError,
+         "actuation and measurement sets overlap"),
+        ({"laplacians": (np.eye(2), np.eye(2))}, ModelAssemblyError,
+         "coupling matrix 0 has shape (2, 2), expected (3, 3)")],
+        ids=["order-1", "actuation-outside", "measurement-outside", "repeated",
+             "overlap", "coupling-shape"])
+    def test_invalid_network_rejected_by_name(self, changes, kind, message):
+        g = WeightedDigraph(n=3, edges=((1, 2, (1.0, 1.0)), (2, 3, (1.0, 1.0))))
+        fields = dict(dict(order=2, graph=g, actuation=(1,), measurement=(3,)),
+                      **changes)
+        with pytest.raises(kind) as got:
+            IntegratorNetwork(**fields)
+        assert str(got.value) == message
 
     def test_explicit_matrices_must_respect_sparsity(self):
         g = WeightedDigraph(n=3, edges=((1, 2, (1.0,)), (2, 1, (1.0,))))
@@ -197,8 +220,7 @@ class TestCutsetOutput:
         from obsblock.graph import CutsetPlan
         meas = net.measurement
         rest = tuple(v for v in range(1, 6) if v not in meas)
-        plan = CutsetPlan(v1=rest, vcut=meas, v2=(),
-                          permutation=rest + tuple(sorted(meas)))
+        plan = CutsetPlan(v1=rest, vcut=meas, v2=())
         Ct = cutset_output(net, plan)
         _, _, C = assemble(net)
         # same row space: mutual projections are exact
@@ -252,6 +274,27 @@ class TestFeedbackGain:
         gain = FeedbackGain(matrix=np.array([[1 + 0j, 2.0]]))
         assert gain.matrix.dtype == float
         assert gain.matrix.tolist() == [[1.0, 2.0]]
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_matrix_is_rejected(self, value):
+        with pytest.raises(ModelAssemblyError) as got:
+            FeedbackGain(matrix=np.array([[1.0, value]]))
+        assert str(got.value) == "gain matrix contains non-finite entries"
+
+
+def test_array_holding_records_compare_by_identity():
+    # a field-by-field == would ask numpy for the truth value of an array
+    net = fig2_din(seed=0)
+    result = design_via_cutset(net, options=DesignOptions())
+    design, certificate = result.design, result.certificate
+    objects = (net, design.gain, design, result, certificate, certificate.condition,
+               decompose(assemble(net)[0]),
+               nullspace_bundle(net, design.lambda_p, certificate.plan.vcut))
+    for a in objects:
+        equal = a == copy.deepcopy(a)
+        assert equal is False, type(a).__name__
+        assert a == a
+        assert len({a, a}) == 1
 
 
 class TestNetworkFile:

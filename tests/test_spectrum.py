@@ -31,12 +31,16 @@ def symmetric_graph(n, rng, order=2):
     return WeightedDigraph(n=n, edges=tuple(edges))
 
 
-def _reference_phase(v):
+def _reference_phase(v, real):
+    """v with its first entry above 1e-8 of the largest made real
+    positive: by its sign for a real v, by a rotation otherwise."""
     mags = np.abs(v)
     top = mags.max()
     if top == 0.0:
         return v
     idx = int(np.argmax(mags > 1e-8 * top))
+    if real:
+        return v * np.sign(v[idx].real)
     return v * np.exp(-1j * np.angle(v[idx]))
 
 
@@ -102,9 +106,9 @@ def reference_decompose(A):
     for i in range(d):
         j = pairing[i]
         if j == i:
-            V[:, i] = _reference_phase(V[:, i])
+            V[:, i] = _reference_phase(V[:, i], real=True)
         elif i < j:
-            V[:, i] = _reference_phase(V[:, i])
+            V[:, i] = _reference_phase(V[:, i], real=False)
             V[:, j] = V[:, i].conj()
             W[:, j] = W[:, i].conj()
     kappa, radius, cluster = _reference_disks(A, raw, V, W)
@@ -209,6 +213,17 @@ class TestDecompose:
         assert not sd.modal_matrix[:, 0].imag.any()
         assert sd.modal_matrix[:, 1].imag.any()
         assert [i for i in range(sd.dim) if sd.is_vector_paired(i)] == [1, 2]
+
+    def test_self_paired_columns_are_exactly_real(self):
+        # the canonical phase of a real column is a sign, not exp(-i pi)
+        net = random_network(12, 2, density=0.4, seed=3093, m=2, q=4)
+        sd = decompose(assemble(net)[0])
+        V = sd.modal_matrix[:, sd.pairing == np.arange(sd.dim)]
+        assert V.shape[1]
+        assert (V.imag == 0).all()
+        mags = np.abs(V)
+        first = np.argmax(mags > 1e-8 * mags.max(axis=0), axis=0)
+        assert (V[first, np.arange(V.shape[1])].real > 0).all()
 
     def test_jordan_block_halves_share_a_cluster(self):
         # both eigenvectors are (up to roundoff) e1 and both left ones e2:

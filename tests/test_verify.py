@@ -259,7 +259,7 @@ class TestPreservationAudit:
         assert set(design.preserved).isdisjoint(design.repaired)
         assert set(design.preserved).isdisjoint(design.replaced)
         audit = preservation_audit(design, *matrices(design))
-        design.preserved = design.repaired = design.replaced = ()
+        design.repaired = design.replaced = ()
         assert preservation_audit(design, *matrices(design)) == audit
 
     def test_entry_off_by_a_thousandth_fails_on_invariance(self):
