@@ -24,7 +24,8 @@ from .errors import (ControllabilityError, DegenerateCandidateError,
                      NotAnEigenvalueError, RepairFailureError)
 from .model import FeedbackGain, IntegratorNetwork, assemble
 from .spectrum import (SpectralData, closed_loop_audit, decompose,
-                       match_eigenvalue, numerical_rank, rank_cutoff)
+                       match_eigenvalue, numerical_rank, phase_rotation,
+                       rank_cutoff)
 
 _EPS = np.finfo(float).eps
 _REPAIR_DRAWS = 50      # seeded null-space draws per column before giving up
@@ -92,7 +93,7 @@ def _null_basis(M: np.ndarray) -> np.ndarray:
     """Orthonormal null-space basis; canonical basis for a zero matrix."""
     rows, cols = M.shape
     if rows == 0 or not M.any():
-        return np.eye(cols, dtype=complex)
+        return np.eye(cols, dtype=M.dtype)
     # LAPACK's divide-and-conquer SVD without the wrappers' checks: on
     # the small pencils of a batch the wrappers cost as much as the SVD
     gesdd = lapack.zgesdd if np.iscomplexobj(M) else lapack.dgesdd
@@ -283,7 +284,9 @@ def select_hp(bundle: NullspaceBundle) -> np.ndarray:
     """Direction in the constraint-block null space, unit norm.
 
     Among null directions of N4 the one maximizing ||N1 h|| is taken;
-    exact ties fall back to the earliest canonical coordinate.
+    exact ties fall back to the earliest canonical coordinate. A real
+    bundle gives an h with no imaginary part. The measured entries of
+    v_hat are checked once, by the design's zero_pattern postcondition.
     """
     block = bundle.n4
     K = _null_basis(block)
@@ -308,28 +311,30 @@ def select_hp(bundle: NullspaceBundle) -> np.ndarray:
                 break
     else:
         h = K @ Vh[0].conj()
-    resid = np.abs(block @ h).max() if block.size else 0.0
-    if resid > 1e-10:
-        raise DegenerateCandidateError(
-            f"constraint residual {resid:.3e} exceeds 1e-10")
     return h / np.linalg.norm(h)
 
 
 def build_candidate(bundle: NullspaceBundle, h: np.ndarray):
     """Replacement eigenvector and input direction (v_hat, z_p) from h.
 
-    v_hat is normalized to unit length and phase-canonicalized; z is
-    scaled consistently so (A - lambda I) v_hat + B z stays zero.
+    v_hat is normalized to unit length and put in decompose's canonical
+    phase (spectrum.phase_rotation); z is scaled consistently so
+    (A - lambda I) v_hat + B z stays zero. The bundle of a real lambda is
+    real, so there the phase is a sign and the imaginary parts of v_hat
+    and z are exactly zero.
     """
     v_hat = bundle.n1 @ h
     z = bundle.n2 @ h
     nrm = np.linalg.norm(v_hat)
     if nrm <= max(bundle.n1.shape) * _EPS:
         raise DegenerateCandidateError("candidate eigenvector is numerically zero")
-    mags = np.abs(v_hat)
-    idx = int(np.argmax(mags > 1e-8 * mags.max()))
-    phase = np.exp(-1j * np.angle(v_hat[idx])) / nrm
-    return v_hat * phase, z * phase
+    real = np.isrealobj(bundle.full)
+    phase = phase_rotation(v_hat[:, None], real)[0] / nrm
+    v_hat, z = v_hat * phase, z * phase
+    if real:
+        # the products' imaginary parts are signed zeros
+        v_hat, z = v_hat.real + 0j, z.real + 0j
+    return v_hat, z
 
 
 def _draw_columns(rng, bundle: NullspaceBundle, M: np.ndarray, width: int,
@@ -510,9 +515,11 @@ def _realify(V, Z, pairing):
     Each exact conjugate pair (v, v_bar) is replaced by its normalized
     real and imaginary parts with Z transformed identically; column
     scaling and intra-pair mixing leave Z V^-1 unchanged, so the solve
-    runs in real arithmetic and F is real by construction. Raises
-    IllConditionedDesignError on a complex column without a conjugate
-    partner or a pair with a vanishing real or imaginary part.
+    runs in real arithmetic and F is real by construction. A self-paired
+    column is exactly real: decompose makes the raw-real eigenvectors
+    real, and the replacement and repair columns of a real eigenvalue
+    come from a real null space. Raises IllConditionedDesignError on a
+    pair with a vanishing real or imaginary part.
     """
     d = V.shape[0]
     Vr = np.zeros((d, d))
@@ -524,10 +531,6 @@ def _realify(V, Z, pairing):
         j = int(pairing[i])
         col = V[:, i]
         if j == i:
-            imax = np.abs(col.imag).max()
-            if imax > 1e-7 * max(np.abs(col.real).max(), 1e-300):
-                raise IllConditionedDesignError(
-                    f"column {i} is complex ({imax:.2e}) but has no conjugate partner")
             nn = np.linalg.norm(col.real)
             Vr[:, i] = col.real / nn
             Zr[:, i] = Z[:, i].real / nn

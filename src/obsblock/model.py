@@ -338,18 +338,23 @@ def network_from_dict(data: dict) -> IntegratorNetwork:
                              measurement=tuple(measurement), laplacians=couplings)
 
 
-def load_network(path) -> IntegratorNetwork:
-    """Read a network file (JSON with order/n/edges/actuation/measurement
-    and optional couplings), in either edge layout."""
+def read_json(path):
+    """The parsed content of a JSON file; a file that cannot be read or
+    parsed raises NetworkFileError."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise NetworkFileError(f"cannot read {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise NetworkFileError(f"{path} is not valid JSON: {exc}") from exc
-    return network_from_dict(data)
+
+
+def load_network(path) -> IntegratorNetwork:
+    """Read a network file (JSON with order/n/edges/actuation/measurement
+    and optional couplings), in either edge layout."""
+    return network_from_dict(read_json(path))
 
 
 def dumps(data: dict) -> str:

@@ -8,7 +8,6 @@ time-dependent is written.
 from __future__ import annotations
 
 import dataclasses
-import json
 from pathlib import Path
 
 import numpy as np
@@ -20,21 +19,24 @@ from .graph import CutsetPlan
 # assemble and decompose go unused since loading stopped decomposing, but
 # bench/tracer.py wraps these module bindings
 from .model import (FeedbackGain, _first_not, assemble, dumps, network_from_dict,
-                    network_to_dict)
+                    network_to_dict, read_json)
 from .spectrum import decompose
 from .verify import VerificationReport
 
-FORMAT = "obsblock-design/6"
+FORMAT = "obsblock-design/7"
 # /1 records also carried the designer's modal matrices (h_p, z_p, V, Z),
 # /1 and /2 records a residual of the gain's imaginary part, always 0.0,
 # /1 to /4 records whether the measured nodes' positions or top
 # derivatives were constrained (one constraint for a nonzero lambda), and
 # /1 to /5 records six keys that restate others (lambda_index, preserved,
-# the plan's permutation, the L_g lambda_p and satisfied, cut_zero_pattern);
-# those keys are ignored. /1 to /3 records hold the network with one
-# object per edge and dense couplings, which network_from_dict still reads.
+# the plan's permutation, the L_g lambda_p and satisfied, cut_zero_pattern),
+# and /1 to /6 cutset records a derivative-relation residual that the
+# construction makes zero; those keys are ignored. /1 to /3 records hold
+# the network with one object per edge and dense couplings, which
+# network_from_dict still reads.
 READ_FORMATS = ("obsblock-design/1", "obsblock-design/2", "obsblock-design/3",
-                "obsblock-design/4", "obsblock-design/5", FORMAT)
+                "obsblock-design/4", "obsblock-design/5", "obsblock-design/6",
+                FORMAT)
 
 
 def _carray(a) -> dict:
@@ -92,7 +94,6 @@ def _certificate_to_dict(cert: TransferCertificate) -> dict:
         },
         "far_zero_pattern": cert.far_zero_pattern,
         "base_output_infnorm": cert.base_output_infnorm,
-        "derivative_relation_residual": cert.derivative_relation_residual,
     }
 
 
@@ -145,6 +146,20 @@ def design_from_dict(data: dict):
         if not all(low <= i <= high for i in values):
             raise NetworkFileError(f"malformed design record: {key} "
                                    f"{list(values)} outside {low}..{high}")
+    # |replaced| + |repaired| caps the verifier's row-space closure; the
+    # designer replaces lambda_p's column and at most its partner, and
+    # names each changed column once
+    replaced, repaired = design.replaced, design.repaired
+    for key, values in (("replaced", replaced), ("repaired", repaired)):
+        if len(set(values)) < len(values):
+            raise NetworkFileError(
+                f"malformed design record: {key} {list(values)} repeats an index")
+    if set(replaced) & set(repaired):
+        raise NetworkFileError(f"malformed design record: replaced {list(replaced)} "
+                               f"and repaired {list(repaired)} overlap")
+    if len(replaced) > 2:
+        raise NetworkFileError(f"malformed design record: replaced {list(replaced)} "
+                               "has more than 2 entries")
     return design if cert is None else CutsetDesign(design=design, certificate=cert)
 
 
@@ -160,8 +175,7 @@ def _certificate_from_dict(c: dict) -> TransferCertificate:
     return TransferCertificate(
         plan=plan, condition=cond,
         far_zero_pattern=float(c["far_zero_pattern"]),
-        base_output_infnorm=float(c["base_output_infnorm"]),
-        derivative_relation_residual=float(c["derivative_relation_residual"]))
+        base_output_infnorm=float(c["base_output_infnorm"]))
 
 
 def save_design(design, path) -> None:
@@ -169,20 +183,14 @@ def save_design(design, path) -> None:
 
 
 def load_design(path):
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise NetworkFileError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise NetworkFileError(f"{path} is not valid JSON: {exc}") from exc
-    return design_from_dict(data)
+    return design_from_dict(read_json(path))
 
 
 def verification_to_dict(report: VerificationReport) -> dict:
-    """The report's fields by name, the verdict as "pass" or "fail"."""
+    """The report's fields by name, its energy bound, and the verdict as
+    "pass" or "fail"."""
     data = dataclasses.asdict(report)
+    data["blocked_energy_bound"] = report.blocked_energy_bound
     data["verdict"] = "pass" if report.verdict else "fail"
     return data
 

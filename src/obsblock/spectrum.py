@@ -88,10 +88,9 @@ def decompose(A: np.ndarray) -> SpectralData:
 
     One eigensolve returns both eigenvector sets: the left ones add a
     back-substitution (about 15 % of the solve) and leave the eigenvalues
-    and right eigenvectors bit-identical. Right columns are unit 2-norm with
-    canonical phase (first entry above 1e-8 of the largest made real
-    positive), left columns unit 2-norm with w^* v real and non-negative,
-    so that it is 1 / kappa. Imaginary parts of
+    and right eigenvectors bit-identical. Right columns are unit 2-norm in
+    canonical phase (phase_rotation), left columns unit 2-norm with w^* v
+    real and non-negative, so that it is 1 / kappa. Imaginary parts of
     eigenvalues below snap_imag * ||A|| are snapped to zero. Conjugate
     pairs come from the solver alone: LAPACK's xGEEV returns each complex
     pair in adjacent columns, positive imaginary part first, as exact
@@ -133,15 +132,7 @@ def decompose(A: np.ndarray) -> SpectralData:
     # real column, so it stays exactly real), then exact conjugates onto
     # the partners
     lead = _leading(pairing)
-    U = V[:, lead]
-    mags = np.abs(U)
-    top = mags.max(axis=0, initial=0.0)
-    first = np.argmax(mags > 1e-8 * top, axis=0)
-    nz = top != 0.0
-    entry = U[first[nz], np.flatnonzero(nz)]
-    rot = np.where(pairing[lead[nz]] == lead[nz], np.sign(entry.real),
-                   np.exp(-1j * np.angle(entry)))
-    V[:, lead[nz]] = U[:, nz] * rot
+    V[:, lead] *= phase_rotation(V[:, lead], pairing[lead] == lead)
     mated = lead[pairing[lead] != lead]
     V[:, pairing[mated]] = V[:, mated].conj()
     W[:, pairing[mated]] = W[:, mated].conj()
@@ -161,6 +152,21 @@ def decompose(A: np.ndarray) -> SpectralData:
     return SpectralData(eigenvalues=lam, raw_eigenvalues=raw, modal_matrix=V,
                         left_modal_matrix=W, pairing=pairing, kappa=kappa,
                         radius=radius, cluster=cluster, matrix_norm=nrm)
+
+
+def phase_rotation(U: np.ndarray, real) -> np.ndarray:
+    """Unit factors that put the columns of U in canonical phase.
+
+    The first entry above 1e-8 of a column's largest magnitude becomes
+    real positive: a real column (where `real` is true) is multiplied by
+    that entry's sign, so it stays exactly real, a complex one by
+    exp(-i angle). decompose and the designer's replacement eigenvector
+    share this rule.
+    """
+    mags = np.abs(U)
+    first = np.argmax(mags > 1e-8 * mags.max(axis=0, initial=0.0), axis=0)
+    entry = U[first, np.arange(U.shape[1])]
+    return np.where(real, np.sign(entry.real), np.exp(-1j * np.angle(entry)))
 
 
 def rank_cutoff(sv_max: float, shape, rtol: float | None) -> float:

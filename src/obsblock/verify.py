@@ -31,9 +31,17 @@ class VerificationReport:
     gain_rank: int
     output_energy: float
     random_output_energy: float
-    blocked_energy_bound: float
-    verdict: bool
     reasons: list = field(default_factory=list)
+
+    @property
+    def verdict(self) -> bool:
+        """Pass when no oracle gave a reason to fail."""
+        return not self.reasons
+
+    @property
+    def blocked_energy_bound(self) -> float:
+        """The energy witness's budget for the blocked start."""
+        return Tolerances.candidate_residual ** 2 * self.random_output_energy
 
 
 def pbh_test(A_cl: np.ndarray, C: np.ndarray, lam) -> int:
@@ -228,7 +236,6 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     xr = rng.standard_normal(d)
     xr /= np.linalg.norm(xr)
     energy_rand, _ = output_energy(A_shift, C, xr, powers)
-    bound = tol.candidate_residual ** 2 * energy_rand
 
     reasons = []
     if rank >= d:
@@ -243,11 +250,11 @@ def verify_design(design: BlockingDesign, C: np.ndarray | None = None,
     if spec_err > tol.spectrum_match:
         reasons.append(f"quotient spectrum multiset error {spec_err:.3e} > "
                        f"{tol.spectrum_match:g}")
-    if energy > bound:
-        reasons.append(f"blocked-state output energy {energy:.3e} > {bound:.3e}")
-
-    return VerificationReport(
+    report = VerificationReport(
         pbh_rank_at_lambda=rank, full_state_dim=d, obs_matrix_rank=obs_rank,
         spectrum_match_error=spec_err, invariance_residual=rho, gain_rank=gain_rank,
-        output_energy=energy, random_output_energy=energy_rand,
-        blocked_energy_bound=bound, verdict=not reasons, reasons=reasons)
+        output_energy=energy, random_output_energy=energy_rand, reasons=reasons)
+    if energy > report.blocked_energy_bound:
+        reasons.append(f"blocked-state output energy {energy:.3e} > "
+                       f"{report.blocked_energy_bound:.3e}")
+    return report

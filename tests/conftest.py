@@ -10,14 +10,17 @@ import pytest
 from obsblock.graph import WeightedDigraph
 
 
-def without_restated_keys(record: dict) -> dict:
-    """A parsed design record without the six keys formats /1 to /5 wrote
-    that restate others: lambda_index and preserved, and in the cutset
+def without_dropped_keys(record: dict) -> dict:
+    """A parsed design record without the keys older formats wrote and
+    the current writer drops: the six that formats /1 to /5 wrote and
+    that restate others (lambda_index and preserved, and in the cutset
     section the plan's permutation, the L_g lambda_p and satisfied flag
-    and cut_zero_pattern."""
+    and cut_zero_pattern), and the cutset section's
+    derivative_relation_residual of formats /1 to /6."""
     data = {k: v for k, v in record.items() if k not in ("lambda_index", "preserved")}
     if "cutset" in data:
-        cut = {k: v for k, v in data["cutset"].items() if k != "cut_zero_pattern"}
+        cut = {k: v for k, v in data["cutset"].items()
+               if k not in ("cut_zero_pattern", "derivative_relation_residual")}
         cut["plan"] = {k: v for k, v in cut["plan"].items() if k != "permutation"}
         cut["lg"] = {k: v for k, v in cut["lg"].items()
                      if k not in ("lambda_p", "satisfied")}

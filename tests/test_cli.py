@@ -17,7 +17,7 @@ from obsblock.scenarios import fig2_din, generic_network, random_network
 from obsblock.spectrum import decompose
 from obsblock.verify import verify_design
 
-from conftest import without_restated_keys
+from conftest import without_dropped_keys
 
 DATA = Path(__file__).parent / "data"
 
@@ -251,6 +251,28 @@ class TestExitCodes:
         assert capsys.readouterr().err == \
             f"error: malformed design record: {message}\n"
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("replaced", [11, 11], "replaced [11, 11] repeats an index"),
+        ("repaired", [3, 3], "repaired [3, 3] repeats an index"),
+        ("repaired", [10], "replaced [11, 10] and repaired [10] overlap"),
+        ("replaced", [11, 10, 3], "replaced [11, 10, 3] has more than 2 entries")],
+        ids=["replaced-repeats", "repaired-repeats", "lists-overlap",
+             "replaced-too-long"])
+    def test_changed_column_claim_is_io_error(self, key, value, message,
+                                              tmp_path, capsys):
+        # the verifier closes F's row space up to |replaced| + |repaired|;
+        # a count the designer cannot produce would widen that cap
+        net = random_network(n=7, seed=1, m=1, q=3)
+        data = records.design_to_dict(design_blocking(net, DesignOptions(seed=1)))
+        assert (data["replaced"], data["repaired"]) == ([11, 10], [])
+        data[key] = value
+        record = tmp_path / "design.json"
+        record.write_text(records.dumps(data))
+        capsys.readouterr()
+        assert main(["verify", "--input", str(record)]) == 4
+        assert capsys.readouterr().err == \
+            f"error: malformed design record: {message}\n"
+
     def test_insufficient_actuation_is_precondition(self, tmp_path, capsys):
         net_file = tmp_path / "net.json"
         main(["gen", "--n", "7", "--m", "2", "--q", "2", "--seed", "1",
@@ -398,11 +420,11 @@ class TestRecords:
         cut = design_via_cutset(fig2_din(seed=2), options=DesignOptions(seed=2))
         for design in (direct, cut):
             data = records.design_to_dict(design)
-            assert data["format"] == "obsblock-design/6"
+            assert data["format"] == "obsblock-design/7"
             assert not {"h_p", "z_p", "V", "Z", "realness_residual",
                         "variant"} & set(data)
-            # nor a key that restates others
-            assert without_restated_keys(data) == data
+            # nor a key that restates others or the construction
+            assert without_dropped_keys(data) == data
 
     def test_format_1_record_loads_and_verifies_the_same(self):
         # a /3 record, relabeled /2 and /1 with the keys those formats
@@ -437,7 +459,7 @@ class TestRecords:
         records.save_design(old, resaved_path)
         resaved = json.loads(resaved_path.read_text())
         data.pop("variant")
-        assert resaved == dict(without_restated_keys(data), format=records.FORMAT)
+        assert resaved == dict(without_dropped_keys(data), format=records.FORMAT)
         new = records.load_design(resaved_path)
         report = records.verification_to_dict(
             verify_design(old, rng=np.random.default_rng(0)))
@@ -457,7 +479,7 @@ class TestRecords:
         assert "cut_zero_pattern" in data["cutset"]
         old = records.load_design(path)
         resaved = records.design_to_dict(old)
-        assert resaved == dict(without_restated_keys(data), format=records.FORMAT)
+        assert resaved == dict(without_dropped_keys(data), format=records.FORMAT)
         assert old.design.lambda_index == data["lambda_index"]
         assert old.design.preserved == tuple(data["preserved"])
         plan = data["cutset"]["plan"]
@@ -480,6 +502,33 @@ class TestRecords:
         assert main(["verify", "--input", str(path), "--output", str(out)]) == 0
         assert json.loads(out.read_text()) == report
         capsys.readouterr()
+
+    def test_format_6_record_verifies_like_its_resave(self, tmp_path, capsys):
+        # a /6 cutset record with a real lambda_p: it carries the
+        # derivative-relation residual, which is ignored, and roundoff
+        # imaginary parts on v_hat, which load as written
+        path = DATA / "cutset-friendly-generic-seed0.v6.json"
+        data = json.loads(path.read_text())
+        assert data["format"] == "obsblock-design/6"
+        assert "derivative_relation_residual" in data["cutset"]
+        assert data["lambda_p"][1] == 0.0
+        assert any(data["v_hat"]["imag"])
+        old = records.load_design(path)
+        resaved = records.design_to_dict(old)
+        assert resaved == dict(without_dropped_keys(data), format=records.FORMAT)
+        report = records.verification_to_dict(
+            verify_design(old.design, rng=np.random.default_rng(0)))
+        assert report["verdict"] == "pass"
+        out = tmp_path / "v.json"
+        assert main(["verify", "--input", str(path), "--output", str(out)]) == 0
+        assert json.loads(out.read_text()) == report
+        capsys.readouterr()
+        # designing the record's network again gives the same record but
+        # for v_hat's imaginary parts, which are now exactly zero
+        fresh = records.design_to_dict(design_via_cutset(old.design.network))
+        assert not any(fresh["v_hat"]["imag"])
+        resaved["v_hat"]["imag"] = fresh["v_hat"]["imag"]
+        assert fresh == resaved
 
     @pytest.mark.parametrize("kind", ["direct", "cutset"])
     def test_indented_format_2_record_loads_the_same_design(self, kind, tmp_path):

@@ -278,7 +278,6 @@ class TestDesignViaCutset:
         assert np.abs(vd2 - lam * vs2).max() < 1e-10
         Lg = result.certificate.condition
         assert np.abs(vs2).max() < 1e-8   # forced to zero by the condition
-        assert result.certificate.derivative_relation_residual < 1e-10
 
     def test_explicit_zero_lambda_on_balanced_graph_fails_structurally(self):
         # undirected graphs are weight balanced: every lambda = 0 candidate

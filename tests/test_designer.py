@@ -9,15 +9,17 @@ import pytest
 import scipy.linalg as la
 from hypothesis import assume, given, settings, strategies as st
 
+from obsblock import designer, records
 from obsblock.cli import main
 from obsblock.config import DesignOptions, Tolerances
 from obsblock.designer import (NullspaceBundle, build_candidate, candidates,
                                check_controllability, companion_pencil,
                                design_blocking, nullspace_bundle, pbh_screen,
                                select_hp, select_lambda)
-from obsblock.errors import (ControllabilityError, InsufficientActuationError,
-                             InvalidInputError, NoEligibleEigenvalueError,
-                             NotAnEigenvalueError, ObsBlockError)
+from obsblock.errors import (ControllabilityError, IllConditionedDesignError,
+                             InsufficientActuationError, InvalidInputError,
+                             NoEligibleEigenvalueError, NotAnEigenvalueError,
+                             ObsBlockError)
 from obsblock.model import IntegratorNetwork, assemble, closed_loop, save_network
 from obsblock.graph import WeightedDigraph
 from obsblock.scenarios import fig2_din, generic_network, random_network
@@ -186,8 +188,42 @@ class TestSelectHp:
         with pytest.raises(InsufficientActuationError):
             select_hp(bundle)
 
+    @pytest.mark.parametrize("fault", ["select_hp", "constraint basis"])
+    def test_direction_off_the_constraint_null_space_fails_the_design(
+            self, fault, monkeypatch):
+        # select_hp has no residual gate of its own: a unit direction that
+        # N4 does not annihilate reaches the design, whose zero-pattern
+        # postcondition rejects it. The direction N4 stretches most comes
+        # either from a replaced select_hp or from the basis select_hp
+        # searches, skewed for the m x q constraint block only
+        net = random_network(n=9, seed=7, m=2, q=4)
+        null_basis = designer._null_basis
+
+        def stretched(M):
+            return la.svd(M)[2][:1].conj().T
+
+        if fault == "select_hp":
+            monkeypatch.setattr(designer, "select_hp",
+                                lambda bundle: stretched(bundle.n4)[:, 0])
+        else:
+            monkeypatch.setattr(designer, "_null_basis", lambda M: (
+                stretched(M) if M.shape == (2, 4) else null_basis(M)))
+        with pytest.raises(IllConditionedDesignError,
+                           match=r"^measured-entry magnitude 7\.674e-01 exceeds 1e-08$"):
+            design_blocking(net, DesignOptions(seed=7))
+
 
 class TestBuildCandidate:
+    def test_real_target_gives_an_exactly_real_eigenvector(self):
+        # a real lambda_p has a real null space, so the canonical phase is
+        # a sign and no roundoff imaginary part is left on v_hat
+        design = design_blocking(generic_network(8, 2, density=0.4, seed=0, m=1))
+        assert design.lambda_p == pytest.approx(-0.6650614852071073)
+        assert design.lambda_p.imag == 0.0
+        assert (design.v_hat.imag == 0).all()
+        loaded = records.design_from_dict(records.design_to_dict(design))
+        assert (loaded.v_hat.imag == 0).all()
+
     @pytest.mark.parametrize("order", [2, 3, 4])
     def test_position_zeros_propagate_to_derivatives(self, order):
         # the lemma behind the single constraint block: v[j + k n] =

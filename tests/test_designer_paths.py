@@ -131,11 +131,11 @@ def test_snapped_pair_draws_an_independent_second_column():
     assert verify_design(design).verdict
     record = records.dumps(records.design_to_dict(design))
     assert hashlib.sha256(record.encode()).hexdigest() == \
-        "d16742ee70aac6fbaf32cdbacccb32917d13cf3fa99b044147601b1453d9ea73"
+        "6fbb1885dcc5a1bc22703fe4009e3c07a32c9fb151d4b0f1672e330dad2a0459"
     # the same content written with indent=2, as records were before
     indented = json.dumps(json.loads(record), indent=2, sort_keys=True) + "\n"
     assert hashlib.sha256(indented.encode()).hexdigest() == \
-        "1eea7c6cf7bc43aa0a3908bfec43828d7aebe874a703045242e3df0da3676446"
+        "3b2347ccd732f36be16244d5b595c0498988c1a37dcb39f197032b720c03ac5d"
 
 
 def test_snapped_pair_at_zero_fails_on_a_balanced_graph():

@@ -26,7 +26,7 @@ from obsblock.model import (IntegratorNetwork, dumps, load_network, network_from
                             network_to_dict, save_network)
 from obsblock.verify import verify_design
 
-from conftest import without_restated_keys
+from conftest import without_dropped_keys
 
 DATA = Path(__file__).parent / "data"
 FORMAT_3_RECORDS = ("cutset-fig2-din-seed2.v3.json", "direct-generic-n7-seed2.v3.json")
@@ -81,9 +81,9 @@ class TestFormat3Files:
         new = records.load_design(path)
         assert records.design_to_dict(new) == resaved
         # every key but the format string, the network, the dropped
-        # variant and the keys that restate others is unchanged
+        # variant and the other dropped keys is unchanged
         assert {k: v for k, v in resaved.items() if k not in ("format", "network")} == \
-            {k: v for k, v in without_restated_keys(data).items()
+            {k: v for k, v in without_dropped_keys(data).items()
              if k not in ("format", "network", "variant")}
         report = audit(old)
         assert report["verdict"] == "pass"
