@@ -119,126 +119,22 @@ def companion_pencil(network: IntegratorNetwork, lam) -> np.ndarray:
     return np.hstack([P, network.input_matrix_block()])
 
 
-def pbh_screen(network: IntegratorNetwork, sd: SpectralData):
-    """Certify PBH classes controllable from the modal data, with no SVD.
-
-    Returns (classes, bound, cutoff). classes holds the leading column of
-    each conjugate pair of the eigensolver (a real eigenvalue is its own
-    pair), in column order, the order check_controllability walks them;
-    bound[k] is a lower bound on the smallest singular value of the
-    companion pencil [P(z), Bhat] at z = eigenvalues[classes[k]], and
-    cutoff[k] a value above which the pencil's own rank test cannot come
-    out deficient. bound > cutoff certifies the class; any other class
-    is undecided, never uncontrollable.
-
-    Derivation, with w and v the unit left and right eigenvectors of z:
-
-    * Companion to state. For a unit x in C^n, Horner's rule for P gives
-      y^* = x^* [Q_0(z), ..., Q_{N-2}(z), I] with Q_{N-2} = zI + L_{N-1}
-      and Q_{k-1} = z Q_k + L_k, and y^* [A - zI, B] =
-      [-x^* P(z), 0, ..., 0, x^* Bhat]. As ||y|| >= 1,
-      sigma_min([P(z), Bhat]) >= sigma_min([A - zI, B]).
-    * State bound. Let M = A - zI, rho = ||w^* M|| (the left residual) and
-      M' = M - w w^* M, so w^* M' = 0 and, by Weyl, the singular values
-      of M' and [M', B] are within rho of those of M and [M, B]. Split a
-      unit u = alpha w + r with r orthogonal to w and t = ||r||. Then
-      ||u^* M'|| >= s t for s <= sigma_{d-1}(M'), and ||u^* B|| >=
-      |alpha| b - t c with b = ||w^* B|| and c = ||B||. Both are entries of
-      G = [[0, s], [b, -c]] applied to the unit vector (|alpha|, t) (where
-      the second is negative, s t exceeds its value where the second
-      vanishes), and sigma_min(G) is at least |det G| / ||G||_F:
-      sigma_min([M, B]) >= b s / sqrt(b^2 + c^2 + s^2) - rho.
-    * s. For x orthogonal to v, x^* = x^* (A - zI) S(z) with the reduced
-      resolvent S(z) = sum_{j != i} v_j w_j^* / (w_j^* v_j (lambda_j - z)),
-      so sigma_{d-1}(M') >= 1 / ||S(z)|| - rho. The triangle inequality
-      bounds ||S(z)|| by sum_j kappa_j / |lambda_j - z|, with
-      kappa_j = 1 / |w_j^* v_j|.
-    * Clusters. Eigenvalue j is known to its perturbation disk (sd.radius),
-      and its distance to z shrinks by that radius. The eigenvectors of a
-      cluster of overlapping disks (sd.cluster; the zero Jordan chain of a
-      Laplacian network has kappa near 1e7 and more) are ill-determined,
-      but its block of S(z), V_C diag(kappa_j / (lambda_j - z)) W_C^*
-      (w_j^* v_j = 1 / kappa_j), is not: its norm is that of
-      R_V diag(...) R_W^* for the QR factors of V_C and W_C. A class in
-      a cluster gets bound 0 and always goes to the pencil. rho is at
-      most the disk's residual radius / kappa plus the snap |z - mu|.
-    * Cutoff. sigma_max([P(z), Bhat]) <= sbar = |z|^N
-      + sum_k |z|^k ||L_k||_F + ||Bhat||. Forming P(z) by Horner and the
-      SVD move its singular values by at most
-      delta = (2N + n + q) eps sbar, so the rank test at rank_decision
-      reports full rank once the exact sigma_min exceeds
-      cutoff = rank_decision sbar + (1 + rank_decision) delta.
-
-    The lambda_j are the eigensolver's raw eigenvalues and z is the
-    (snapped) eigenvalue the pencil runs at; the eigen-data enter at face
-    value, and their residuals are the slack.
-    """
-    n, N, q = network.n, network.order, network.q
-    V, W = sd.modal_matrix, sd.left_modal_matrix
-    mu, kappa, radius = sd.raw_eigenvalues, sd.kappa, sd.radius
-    classes = sd.leading
-    z = sd.eigenvalues[classes]
-    single = sd.isolated
-
-    # ||S(z)|| per isolated class: triangle sum over isolated disks, exact
-    # block norm per cluster
-    cand = np.flatnonzero(single[classes])
-    i, zc = classes[cand], z[cand]
-    others = single[None, :] & (np.arange(sd.dim)[None, :] != i[:, None])
-    gap = np.abs(mu[None, :] - zc[:, None]) - radius[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        resolvent = np.where(others, np.where(gap > 0, kappa / gap, np.inf),
-                             0.0).sum(axis=1)
-    for c in np.unique(sd.cluster[~single]):
-        C = np.flatnonzero(sd.cluster == c)
-        if not np.isfinite(kappa[C]).all():
-            resolvent[:] = np.inf      # no eigenbasis: nothing to certify
-            break
-        RV = np.linalg.qr(V[:, C], mode="r")
-        RW = np.linalg.qr(W[:, C], mode="r")
-        scale = kappa[C][None, :] / (mu[C][None, :] - zc[:, None])
-        block = (RV[None] * scale[:, None, :]) @ RW.conj().T
-        resolvent += np.linalg.norm(block, 2, axis=(1, 2))
-
-    b = np.linalg.norm(W[-n:][np.array(network.actuation, dtype=int) - 1][:, i],
-                       axis=0)
-    # Bhat has one unit column per actuator on distinct nodes: ||Bhat|| = 1
-    c2 = 1.0 if q else 0.0
-    rho = radius[i] / kappa[i] + np.abs(zc - mu[i])
-    with np.errstate(divide="ignore"):
-        s = 1.0 / resolvent - rho
-    bound = np.zeros(classes.size)
-    ok = s > 0
-    bound[cand[ok]] = (b[ok] / np.sqrt(1.0 + (b[ok] ** 2 + c2) / s[ok] ** 2)
-                       - rho[ok])
-
-    mag = np.abs(z)
-    sbar = (mag ** N + sum(mag ** k * np.linalg.norm(L) for k, L in
-                           enumerate(network.laplacians))
-            + np.sqrt(c2))
-    delta = (2 * N + n + q) * _EPS * sbar
-    cutoff = Tolerances.rank_decision * sbar + (1.0 + Tolerances.rank_decision) * delta
-    return classes, bound, cutoff
-
-
 def check_controllability(network: IntegratorNetwork, sd: SpectralData) -> None:
     """PBH test at every open-loop eigenvalue; raises on rank deficiency.
 
     Conjugate eigenvalues share a verdict, so each conjugate pair of the
     eigensolver is checked once, at its leading column; each copy of a
-    repeated eigenvalue is checked on its own. pbh_screen
-    certifies most classes from the left and right eigenvectors of `sd`;
-    the rest run on the companion pencil (see companion_pencil), in the
-    same order, and are rank deficient when its smallest singular value
-    is at most Tolerances.rank_decision times its largest. The screen only
-    skips classes the pencil would pass, so the verdict and the
-    eigenvalue named on failure are those of the pencil sweep alone.
+    repeated eigenvalue is checked on its own. Each check runs on the
+    companion pencil (see companion_pencil), which is rank deficient when
+    its smallest singular value is at most Tolerances.rank_decision times
+    its largest. The designer never calls it: the construction needs the
+    rank only at lambda_p and the repaired eigenvalues, where
+    nullspace_bundle tests it. fig2_din draws controllable networks with it.
     """
-    classes, bound, cutoff = pbh_screen(network, sd)
-    rtol = Tolerances.rank_decision
-    for i in classes[bound <= cutoff]:
+    for i in sd.leading:
         lam = sd.eigenvalues[i]
-        if numerical_rank(companion_pencil(network, lam), rtol) < network.n:
+        pencil = companion_pencil(network, lam)
+        if numerical_rank(pencil, Tolerances.rank_decision) < network.n:
             raise ControllabilityError(
                 f"(A, B) uncontrollable at eigenvalue {lam:.6g}")
 
@@ -622,9 +518,12 @@ def design_blocking(network: IntegratorNetwork,
     passes the cut nodes). `precomputed` may carry (A, B, sd) to avoid
     repeating the decomposition.
 
-    Raises the specific precondition error (controllability, lambda
-    selection, no null direction in the constraint block) or a
-    numerical error from the replacement steps.
+    Only lambda_p's column and the repaired ones change, so (A, B) need
+    be controllable only at those eigenvalues: nullspace_bundle raises
+    ControllabilityError there, and no global PBH sweep runs. Otherwise
+    raises the specific precondition error (lambda selection, no null
+    direction in the constraint block) or a numerical error from the
+    replacement steps.
     """
     measured_nodes = tuple(measured_nodes if measured_nodes is not None
                            else network.measurement)
@@ -644,8 +543,6 @@ def design_blocking(network: IntegratorNetwork,
         warnings.append(f"q = {network.q} actuators but the hypothesis needs {need} "
                         f"(m = {len(measured_nodes)}, spectrum "
                         f"{'all real' if sd.all_real() else 'has complex pairs'})")
-
-    check_controllability(network, sd)
 
     p = select_lambda(sd, options)
     lam_p = sd.eigenvalues[p]

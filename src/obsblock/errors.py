@@ -38,7 +38,9 @@ class InsufficientActuationError(ObsBlockError):
 
 
 class ControllabilityError(ObsBlockError):
-    """(A, B) failed the PBH controllability check."""
+    """(A, B) is uncontrollable where the design needs it: at lambda_p or
+    a repaired eigenvalue, the null space of [A - lambda I, B] is not
+    q-dimensional. check_controllability raises it at any eigenvalue."""
 
     exit_code = EXIT_PRECONDITION
 

@@ -4,9 +4,9 @@ The modal data is canonicalized so downstream modal replacement is
 deterministic: eigenvalues sorted by (real, imag), near-real values
 snapped, columns phase-fixed, and the column set exactly self-conjugate
 with the eigensolver's own conjugate pairing. Overlapping first-order
-perturbation disks form the clusters that both the PBH screen and the
-choice of lambda_p read. The numerical-rank and eigenvalue multiset
-primitives shared by the designer and the verifier live here too.
+perturbation disks form the clusters that the choice of lambda_p
+reads. The numerical-rank and eigenvalue multiset primitives shared by
+the designer and the verifier live here too.
 """
 
 from __future__ import annotations
@@ -63,11 +63,6 @@ class SpectralData:
 
     def all_real(self) -> bool:
         return bool((self.eigenvalues.imag == 0.0).all())
-
-    @property
-    def isolated(self) -> np.ndarray:
-        """True for the columns whose disk is alone in its cluster."""
-        return np.bincount(self.cluster)[self.cluster] == 1
 
     @property
     def leading(self) -> np.ndarray:

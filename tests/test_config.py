@@ -43,7 +43,7 @@ class TestTolerances:
             assert getattr(tol, name) == value, name
 
     @pytest.mark.parametrize("func", [
-        spectrum.decompose, spectrum.match_eigenvalue, designer.pbh_screen,
+        spectrum.decompose, spectrum.match_eigenvalue,
         designer.check_controllability, designer.candidates,
         designer._zero_screen, cutset.lg_condition, verify.pbh_test,
         verify.observability_rank, verify.preservation_audit],

@@ -41,7 +41,7 @@ class TestPbh:
         net = generic_network(n=6, seed=seed, m=1, q=3)
         A, B, C = assemble(net)
         sd = decompose(A)
-        assert sd.isolated.all()
+        assert np.unique(sd.cluster).size == sd.dim
         d = 2 * net.n
 
         def pbh_unobservable(M):
